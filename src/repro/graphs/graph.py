@@ -30,6 +30,8 @@ class CSRAdjacency:
     """Plain-numpy CSR view of a symmetric adjacency (no scipy).
 
     ``indptr``/``indices`` are stored in the narrowest safe uint dtype.
+    Every array (``indptr``, ``indices``, ``degrees`` and the cached
+    gather plan) is read-only: an in-place write raises ``ValueError``.
     ``gather_plan`` precomputes (and caches) the degree-slot schedule the
     bitset engine's exactly-one kernel iterates: for a d-regular graph the
     slot-major ``(d, n)`` transpose of the ``indices`` reshape (each
@@ -38,16 +40,19 @@ class CSRAdjacency:
     the vertices whose degree exceeds ``k``.
     """
 
-    __slots__ = ("n", "indptr", "indices", "degrees", "_plan")
+    __slots__ = ("n", "indptr", "indices", "degrees", "_plan", "_take")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.n = int(n)
-        self.indptr = _narrow_uint(
-            np.asarray(indptr), int(indptr[-1]) if len(indptr) else 0
+        self.indptr = _frozen(
+            _narrow_uint(
+                np.asarray(indptr), int(indptr[-1]) if len(indptr) else 0
+            )
         )
-        self.indices = _narrow_uint(np.asarray(indices), self.n - 1)
-        self.degrees = np.diff(self.indptr.astype(np.int64))
+        self.indices = _frozen(_narrow_uint(np.asarray(indices), self.n - 1))
+        self.degrees = _frozen(np.diff(self.indptr.astype(np.int64)))
         self._plan = None
+        self._take = None
 
     @property
     def nnz(self) -> int:
@@ -84,20 +89,54 @@ class CSRAdjacency:
                 # intp (not the narrow stored dtype): fancy indexing casts
                 # non-intp index arrays on every gather, so the hot kernel
                 # would pay the conversion once per slot per round.
-                self._plan = (
-                    "regular",
-                    np.ascontiguousarray(self.indices.reshape(n, max_d).T).astype(
-                        np.intp
-                    ),
-                )
+                self._take = np.ascontiguousarray(
+                    self.indices.reshape(n, max_d).T
+                ).astype(np.intp)
+                self._plan = ("regular", _frozen(self._take))
             else:
                 order = np.argsort(-degrees, kind="stable")
                 starts = self.indptr.astype(np.int64)[order]
                 counts = np.bincount(degrees, minlength=max_d + 1)
                 # slot_counts[k] = #vertices with degree > k, k in 0..max_d-1.
                 slot_counts = n - np.cumsum(counts)[:max_d]
-                self._plan = ("general", order, starts, slot_counts)
+                self._plan = (
+                    "general",
+                    _frozen(order),
+                    _frozen(starts),
+                    _frozen(slot_counts),
+                )
         return self._plan
+
+    def take_slots(self) -> np.ndarray | None:
+        """The regular plan's slot matrix, writeable, for ``np.take`` only
+        (``None`` for a non-regular graph).
+
+        ``np.take`` requires a writeable index array and copies a
+        read-only one on every call, which would cost the bitset folds a
+        copy per slot per round.  This is the array the frozen plan views:
+        kernels read it, nothing may write it.
+        """
+        self.gather_plan()
+        return self._take
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the CSR arrays and, once built, the gather plan."""
+        arrays = [self.indptr, self.indices, self.degrees]
+        if self._plan is not None:
+            arrays.extend(self._plan[1:])
+        return sum(int(a.nbytes) for a in arrays)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``.
+
+    A view, not the array itself: ``narrow_uint`` passes an already-narrow
+    input through uncopied, and the caller's own array must stay writeable.
+    """
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _build_csr(n: int, canon: np.ndarray) -> CSRAdjacency:
@@ -114,9 +153,9 @@ def _build_csr(n: int, canon: np.ndarray) -> CSRAdjacency:
 class Graph:
     """Simple undirected graph on vertices ``0..n-1`` (no self-loops).
 
-    Immutable; constructed from an edge list, a prebuilt CSR
-    (:meth:`from_csr`), a networkx graph, or a symmetric sparse adjacency
-    matrix.
+    Immutable — the CSR arrays are read-only (:class:`CSRAdjacency`);
+    constructed from an edge list, a prebuilt CSR (:meth:`from_csr`), a
+    networkx graph, or a symmetric sparse adjacency matrix.
     """
 
     __slots__ = ("n", "_csr", "_adj", "_degrees")
@@ -261,6 +300,16 @@ class Graph:
                 shape=(self.n, self.n),
             )
         return self._adj
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by this graph's arrays: the CSR with its gather plan
+        and, once built, the cached scipy adjacency."""
+        total = self._csr.nbytes
+        if self._adj is not None:
+            adj = self._adj
+            total += adj.data.nbytes + adj.indices.nbytes + adj.indptr.nbytes
+        return total
 
     @property
     def n_edges(self) -> int:
@@ -460,6 +509,15 @@ class Graph:
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------
+    def __reduce__(self):
+        # Through from_csr, so an unpickled copy is frozen like the original
+        # (the gather plan and scipy adjacency are lazy caches, rebuilt on
+        # demand).
+        return (
+            Graph.from_csr,
+            (self.n, self._csr.indptr, self._csr.indices, False),
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -96,13 +96,17 @@ class TraceRecorder:
         self._stack: list[str] = []
 
     @contextmanager
-    def span(self, name: str, **meta) -> Iterator[None]:
-        """Record a span around the body; exceptions still close it."""
+    def span(self, name: str, **meta) -> Iterator[dict]:
+        """Record a span around the body; exceptions still close it.
+
+        Yields the span's ``meta`` dict, so the body can add facts it only
+        learns while running (a built graph's ``n``).
+        """
         self._stack.append(name)
         path = "/".join(self._stack)
         start = self._clock()
         try:
-            yield
+            yield meta
         finally:
             duration = self._clock() - start
             self._stack.pop()
@@ -176,7 +180,9 @@ def recording(
 
 
 def maybe_span(name: str, **meta):
-    """A span on the active recorder, or a free no-op when tracing is off."""
+    """A span on the active recorder, or a free no-op when tracing is off
+    (``with maybe_span(...) as meta`` binds the span's meta dict, or
+    ``None`` when off)."""
     rec = _ACTIVE
     if rec is None:
         return nullcontext()

@@ -367,7 +367,7 @@ def exactly_one_words(csr, transmit_words: np.ndarray) -> np.ndarray:
         raise ValueError(f"word matrix has {n} rows for an {csr.n}-vertex graph")
     plan = csr.gather_plan()
     if plan[0] == "regular":
-        slots = plan[1]
+        slots = csr.take_slots()
         if w == 1:
             # Single-word batches (T ≤ 64) fold flat 1-D gathers — the
             # fancy-indexing fast path, ~2× the 2-D column gathers.
@@ -432,7 +432,7 @@ def neighbor_fold_words(
         raise ValueError(f"word matrix has {n} rows for an {csr.n}-vertex graph")
     plan = csr.gather_plan()
     if plan[0] == "regular":
-        slots = plan[1]
+        slots = csr.take_slots()
         if w == 1:
             flat = np.ascontiguousarray(transmit_words[:, 0])
             once = np.zeros(n, dtype=np.uint64)
@@ -486,7 +486,7 @@ def any_neighbor_words(csr, words: np.ndarray) -> np.ndarray:
         raise ValueError(f"word matrix has {n} rows for an {csr.n}-vertex graph")
     plan = csr.gather_plan()
     if plan[0] == "regular":
-        slots = plan[1]
+        slots = csr.take_slots()
         if w == 1:
             flat = np.ascontiguousarray(words[:, 0])
             acc = np.zeros(n, dtype=np.uint64)

@@ -38,6 +38,7 @@ from repro.scenario.spec import (
     ProtocolSpec,
     RealizedScenario,
     Scenario,
+    clear_graph_memo,
 )
 from repro.scenario.sweep import ScenarioPoint, ScenarioSweep
 from repro.workload import WORKLOADS, WorkloadSpec
@@ -66,6 +67,7 @@ __all__ = [
     "SpecRegistry",
     "WORKLOADS",
     "WorkloadSpec",
+    "clear_graph_memo",
     "expansion_summary",
     "get_scenario",
     "merge_batches",

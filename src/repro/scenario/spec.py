@@ -37,8 +37,12 @@ bit (and therefore share cache entries).
 from __future__ import annotations
 
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
+
+import numpy as np
 
 from repro._util import (
     parse_byte_size,
@@ -48,6 +52,8 @@ from repro._util import (
 )
 from repro._util.callspec import CallSpec as _CallSpec
 from repro.backend import BACKEND_NAMES
+from repro.obs.metrics import METRICS
+from repro.obs.tracing import active_recorder, maybe_span
 from repro.radio.channel import ChannelSpec
 from repro.scenario.registry import GRAPHS, PROTOCOLS, BuiltGraph
 from repro.workload import WORKLOADS, WorkloadSpec
@@ -58,7 +64,29 @@ __all__ = [
     "RealizedScenario",
     "Scenario",
     "WorkloadSpec",
+    "clear_graph_memo",
 ]
+
+#: Byte cap of the per-process graph memo, summed over every held graph's
+#: :attr:`~repro.graphs.graph.Graph.nbytes`; the newest entry is always
+#: kept, however large.
+GRAPH_MEMO_BYTES = 128 * 2**20
+
+_GRAPH_MEMO: OrderedDict = OrderedDict()
+_GRAPH_MEMO_LOCK = threading.Lock()
+
+
+def clear_graph_memo() -> None:
+    """Drop every memoized graph (test isolation, or to release memory)."""
+    with _GRAPH_MEMO_LOCK:
+        _GRAPH_MEMO.clear()
+
+
+def _memo_count(name: str) -> None:
+    METRICS.incr(name)
+    rec = active_recorder()
+    if rec is not None:
+        rec.counter(name)
 
 
 @dataclass(frozen=True)
@@ -78,15 +106,51 @@ class GraphSpec(_CallSpec):
         return self.family
 
     def build(self, seed=None) -> BuiltGraph:
-        """Realize the graph (randomized families consume ``seed``)."""
+        """Realize the graph (randomized families consume ``seed``).
+
+        Memoized per process on ``(spec string, int seed, registry
+        entry)``: the same spec and seed return the same read-only
+        instance.  A randomized family with ``seed=None`` or a
+        ``Generator`` seed draws fresh randomness, so it bypasses the
+        memo; a deterministic family ignores ``seed`` entirely.
+        """
         entry = self.entry
+        if not entry.randomized:
+            seed = None
+        elif isinstance(seed, (int, np.integer)):
+            seed = int(seed)
+        else:
+            return self._realize(entry, seed)
+        key = (self.describe(), seed, entry)
+        with _GRAPH_MEMO_LOCK:
+            built = _GRAPH_MEMO.get(key)
+            if built is not None:
+                _GRAPH_MEMO.move_to_end(key)
+        if built is not None:
+            _memo_count("graphs.memo.hits")
+            return built
+        _memo_count("graphs.memo.misses")
+        built = self._realize(entry, seed)
+        with _GRAPH_MEMO_LOCK:
+            _GRAPH_MEMO[key] = built
+            total = sum(b.graph.nbytes for b in _GRAPH_MEMO.values())
+            while total > GRAPH_MEMO_BYTES and len(_GRAPH_MEMO) > 1:
+                _, evicted = _GRAPH_MEMO.popitem(last=False)
+                total -= evicted.graph.nbytes
+        return built
+
+    def _realize(self, entry, seed) -> BuiltGraph:
+        """Call the registered builder — the uncached half of :meth:`build`."""
         kwargs = dict(self.kwargs)
         if entry.randomized:
             kwargs["rng"] = seed
-        built = entry.builder(*self.args, **kwargs)
-        if isinstance(built, BuiltGraph):
-            return built
-        return BuiltGraph(graph=built)
+        with maybe_span("graph.build", family=self.family) as span_meta:
+            built = entry.builder(*self.args, **kwargs)
+            if not isinstance(built, BuiltGraph):
+                built = BuiltGraph(graph=built)
+            if span_meta is not None:
+                span_meta["n"] = built.graph.n
+        return built
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs.metrics import METRICS
 from repro.runtime.store import ResultStore
-from repro.scenario import Scenario
+from repro.scenario import Scenario, clear_graph_memo, run_scenario
 from repro.service import JobQueue, Worker
 from repro.service.worker import shard_checkpoint_key, shard_plan
 
@@ -89,6 +89,28 @@ class TestColdExecution:
         failed = queue.get(record.id)
         assert failed.state == "failed"
         assert "side must be positive" in failed.error
+
+
+class TestGraphMemo:
+    def test_shards_share_one_graph_build(self, queue, store, worker):
+        # Randomized family, so the shards would each draw the graph anew
+        # without the memo; 16 trials over 4-trial shards is 4 shards.
+        spec = (
+            "random_regular(64, 4) | decay | gossip(k=4) "
+            "| trials=16 | max_rounds=12 | seed=9"
+        )
+        clear_graph_memo()
+        record, _ = queue.submit(spec)
+        misses = METRICS.get("graphs.memo.misses")
+        hits = METRICS.get("graphs.memo.hits")
+        worker.run_once()
+        assert queue.get(record.id).state == "done"
+        assert METRICS.get("graphs.memo.misses") == misses + 1
+        assert METRICS.get("graphs.memo.hits") == hits + 3
+        sc = Scenario.from_string(spec)
+        assert len(shard_plan(sc, worker.shard_trials)) == 4
+        clear_graph_memo()
+        assert_batches_equal(store.get(store.scenario_key(sc)), run_scenario(sc))
 
 
 class TestWarmExecution:
