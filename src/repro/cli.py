@@ -951,6 +951,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             pass
         finally:
             server.server_close()
+    # After the workers are gone, so this is the last connection: closing
+    # it checkpoints the WAL into the database file.
+    queue.close()
     print("service stopped")
     return 0
 

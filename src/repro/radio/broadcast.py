@@ -636,7 +636,10 @@ def _run_dense(
         round_index += 1
         rounds[active] += 1
         satisfied |= fresh
-        rows, cols = np.nonzero(bk.to_numpy(fresh))
+        # One flat index pass, split by divmod: much cheaper than the
+        # per-axis nonzero on a sparse (n, active) frontier.
+        fresh_np = bk.to_numpy(fresh)
+        rows, cols = np.divmod(np.flatnonzero(fresh_np), fresh_np.shape[1])
         first_round[rows, active[cols]] = round_index
         counts = colsum(satisfied)
         count_log.append((active, counts))

@@ -59,8 +59,8 @@ _STREAM_TIMEOUT_SECONDS = 300.0
 class ServiceServer(ThreadingHTTPServer):
     """The HTTP server, carrying the queue every handler thread shares.
 
-    :class:`~repro.service.queue.JobQueue` opens a fresh SQLite
-    connection per operation, so one instance is safe across handler
+    :class:`~repro.service.queue.JobQueue` serializes its one SQLite
+    connection behind a lock, so one instance is safe across handler
     threads.  ``allow_reuse_address`` keeps quick restarts from tripping
     on TIME_WAIT sockets.
     """

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -159,6 +160,20 @@ _ROW_FIELDS = (
 )
 
 
+#: Connections a process inherited across ``fork``.  Never used or closed
+#: in the child — closing one would run SQLite's close path against the
+#: parent's WAL — and kept referenced so no finalizer does it either.
+_FORK_ORPHANS: list[sqlite3.Connection] = []
+
+
+def _one(con: sqlite3.Connection, sql: str, params=()) -> tuple | None:
+    """The first row of a query, or ``None``, with the statement run to
+    completion: a cursor left mid-result on a long-lived connection pins
+    an old WAL snapshot (stale reads, a WAL that never checkpoints)."""
+    rows = con.execute(sql, params).fetchall()
+    return rows[0] if rows else None
+
+
 def _record(row: sqlite3.Row | tuple) -> JobRecord:
     return JobRecord(
         id=row[0],
@@ -185,8 +200,15 @@ class JobQueue:
     off the writers' lock, every mutation runs in an ``IMMEDIATE``
     transaction (write lock taken up front, so check-then-update
     sequences are atomic), and a busy timeout makes short lock collisions
-    waits instead of errors.  Each method opens its own short-lived
-    connection — no shared handle to corrupt across ``fork``.
+    waits instead of errors.
+
+    Each process holds one connection per queue, opened lazily and
+    reused by every method; one re-entrant lock serializes reads and
+    transactions on it, so API handler threads and an in-process worker
+    can share the instance.  A process that inherits the queue across
+    ``fork`` opens its own connection and never touches the parent's.
+    :meth:`close` (or leaving a ``with`` block) releases the connection;
+    the next operation reopens it.
 
     ``salt`` feeds :func:`~repro.runtime.store.scenario_key`; leave it
     ``None`` so queue ids and result-store keys agree (both then follow
@@ -211,31 +233,68 @@ class JobQueue:
         self.max_attempts = int(max_attempts)
         self.busy_timeout = float(busy_timeout)
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        self._con: sqlite3.Connection | None = None
+        self._lock = threading.RLock()
+        self._pid = os.getpid()
         self._migrate()
 
     # ------------------------------------------------------------------
     # Connections and schema
     # ------------------------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
-        con = sqlite3.connect(self.path, timeout=self.busy_timeout)
+        # Shared across threads under ``_lock``; sqlite3.threadsafety is
+        # 3 (serialized), so the C library allows it.
+        con = sqlite3.connect(
+            self.path, timeout=self.busy_timeout, check_same_thread=False
+        )
         con.execute("PRAGMA journal_mode=WAL")
         con.execute("PRAGMA synchronous=NORMAL")
         con.execute(f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}")
         return con
 
+    def _held_lock(self) -> threading.RLock:
+        """The queue lock, behind the fork guard: a forked child starts
+        with a fresh lock and no connection, orphaning (never closing)
+        the parent's handle."""
+        if self._pid != os.getpid():
+            if self._con is not None:
+                _FORK_ORPHANS.append(self._con)
+            self._con, self._lock, self._pid = None, threading.RLock(), os.getpid()
+        return self._lock
+
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """This process's connection, held exclusively for the body."""
+        with self._held_lock():
+            if self._con is None:
+                self._con = self._connect()
+            yield self._con
+
     @contextmanager
     def _tx(self) -> Iterator[sqlite3.Connection]:
         """One write transaction; the lock is taken before the body runs."""
-        con = self._connect()
-        try:
+        with self._connection() as con:
             con.execute("BEGIN IMMEDIATE")
-            yield con
-            con.commit()
-        except BaseException:
-            con.rollback()
-            raise
-        finally:
-            con.close()
+            try:
+                yield con
+                con.commit()
+            except BaseException:
+                con.rollback()
+                raise
+
+    def close(self) -> None:
+        """Close this process's connection.  Idempotent; the next
+        operation reopens it."""
+        with self._held_lock():
+            if self._con is not None:
+                self._con.close()
+                self._con = None
+
+    def __enter__(self) -> JobQueue:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _migrate(self) -> None:
         """Bring the database to :data:`SCHEMA_VERSION`, forward only."""
@@ -243,9 +302,7 @@ class JobQueue:
             con.execute(
                 "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
             )
-            row = con.execute(
-                "SELECT value FROM meta WHERE key='schema_version'"
-            ).fetchone()
+            row = _one(con, "SELECT value FROM meta WHERE key='schema_version'")
             version = int(row[0]) if row else 0
             if version > SCHEMA_VERSION:
                 raise RuntimeError(
@@ -265,14 +322,9 @@ class JobQueue:
     def schema_version(self) -> int:
         """The on-disk schema version (equals :data:`SCHEMA_VERSION` after
         any successful open)."""
-        con = self._connect()
-        try:
-            row = con.execute(
-                "SELECT value FROM meta WHERE key='schema_version'"
-            ).fetchone()
-            return int(row[0]) if row else 0
-        finally:
-            con.close()
+        with self._connection() as con:
+            row = _one(con, "SELECT value FROM meta WHERE key='schema_version'")
+        return int(row[0]) if row else 0
 
     # ------------------------------------------------------------------
     # Submission (idempotent by scenario key)
@@ -302,9 +354,7 @@ class JobQueue:
         job_id, key = self.job_identity(sc)
         now = time.time()
         with maybe_span("service.submit", job=job_id), self._tx() as con:
-            row = con.execute(
-                f"SELECT {_ROW_FIELDS} FROM jobs WHERE id=?", (job_id,)
-            ).fetchone()
+            row = _one(con, f"SELECT {_ROW_FIELDS} FROM jobs WHERE id=?", (job_id,))
             if row is None:
                 con.execute(
                     "INSERT INTO jobs (id, scenario_key, spec, state, "
@@ -339,20 +389,15 @@ class JobQueue:
     # Lookup
     # ------------------------------------------------------------------
     def _get(self, con: sqlite3.Connection, job_id: str) -> JobRecord:
-        row = con.execute(
-            f"SELECT {_ROW_FIELDS} FROM jobs WHERE id=?", (job_id,)
-        ).fetchone()
+        row = _one(con, f"SELECT {_ROW_FIELDS} FROM jobs WHERE id=?", (job_id,))
         if row is None:
             raise KeyError(job_id)
         return _record(row)
 
     def get(self, job_id: str) -> JobRecord:
         """The job row, or ``KeyError`` for an unknown id."""
-        con = self._connect()
-        try:
+        with self._connection() as con:
             return self._get(con, job_id)
-        finally:
-            con.close()
 
     def list(self, state: str | None = None) -> list[JobRecord]:
         """All jobs (optionally one state), newest submission first."""
@@ -360,8 +405,7 @@ class JobQueue:
             raise ValueError(
                 f"unknown job state {state!r}; known: {', '.join(JOB_STATES)}"
             )
-        con = self._connect()
-        try:
+        with self._connection() as con:
             if state is None:
                 rows = con.execute(
                     f"SELECT {_ROW_FIELDS} FROM jobs ORDER BY submitted_at DESC"
@@ -372,19 +416,14 @@ class JobQueue:
                     "ORDER BY submitted_at DESC",
                     (state,),
                 ).fetchall()
-            return [_record(r) for r in rows]
-        finally:
-            con.close()
+        return [_record(r) for r in rows]
 
     def counts(self) -> dict[str, int]:
         """Job counts by state (all states present, zeros included)."""
-        con = self._connect()
-        try:
+        with self._connection() as con:
             rows = con.execute(
                 "SELECT state, COUNT(*) FROM jobs GROUP BY state"
             ).fetchall()
-        finally:
-            con.close()
         out = {state: 0 for state in JOB_STATES}
         out.update({state: int(count) for state, count in rows})
         return out
@@ -411,12 +450,13 @@ class JobQueue:
         now = time.time() if now is None else float(now)
         with maybe_span("service.lease", worker=worker_id), self._tx() as con:
             while True:
-                row = con.execute(
+                row = _one(
+                    con,
                     f"SELECT {_ROW_FIELDS} FROM jobs WHERE state='queued' "
                     "OR (state='running' AND lease_expires < ?) "
                     "ORDER BY submitted_at LIMIT 1",
                     (now,),
-                ).fetchone()
+                )
                 if row is None:
                     return None
                 record = _record(row)
@@ -572,15 +612,12 @@ class JobQueue:
     ) -> list[tuple[int, float, str, dict]]:
         """Events strictly after ``after_seq`` as ``(seq, ts, kind,
         payload)``, in order — the polling primitive behind the stream."""
-        con = self._connect()
-        try:
+        with self._connection() as con:
             rows = con.execute(
                 "SELECT seq, ts, kind, payload FROM events "
                 "WHERE job_id=? AND seq > ? ORDER BY seq",
                 (job_id, int(after_seq)),
             ).fetchall()
-        finally:
-            con.close()
         return [
             (int(seq), float(ts), kind, json.loads(payload))
             for seq, ts, kind, payload in rows

@@ -101,10 +101,10 @@ class Worker:
     """One job executor over a queue and a result store.
 
     ``queue`` / ``store`` accept live instances or paths (each worker
-    process builds its own connections either way).  ``lease_ttl`` must
-    comfortably exceed one shard's compute time — the lease is renewed at
-    every shard boundary; size shards (``shard_trials``) down before
-    sizing the ttl up.
+    process opens its own queue connection either way).  ``lease_ttl``
+    must comfortably exceed one shard's compute time — the lease is
+    renewed at every shard boundary; size shards (``shard_trials``) down
+    before sizing the ttl up.
     """
 
     def __init__(
@@ -297,10 +297,11 @@ def _worker_main(
 class WorkerPool:
     """N workers as daemon processes over one queue file.
 
-    Each process opens its own SQLite connections and result store —
-    nothing is shared but the files, which is the whole concurrency
-    story.  ``stop()`` terminates the processes; any in-flight job's
-    lease expires and the next worker resumes it from its checkpoints.
+    Each process opens its own queue (one SQLite connection, held for
+    the process's life) and result store — nothing is shared but the
+    files, which is the whole concurrency story.  ``stop()`` terminates
+    the processes; any in-flight job's lease expires and the next worker
+    resumes it from its checkpoints.
     """
 
     def __init__(

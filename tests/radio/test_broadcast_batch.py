@@ -90,6 +90,33 @@ class TestBatchLoopEquivalence:
             )
             _assert_trial_equal(batch, t, single)
 
+    @pytest.mark.parametrize("trials", [63, 64, 65])
+    def test_first_informed_with_compacted_trials(self, trials):
+        # Trials finish at different rounds, so the dense engine's working
+        # set shrinks to a non-contiguous subset of trial ids — the case
+        # where its first-informed scatter must map columns back through
+        # ``active``.
+        g = hypercube(5)
+        dense = run_broadcast_batch(
+            g, DecayProtocol(), trials=trials, seed=MASTER, engine="dense"
+        )
+        survivors = [
+            np.flatnonzero(dense.rounds > r) for r in range(dense.rounds.max())
+        ]
+        assert any(
+            s.size and s[-1] - s[0] + 1 != s.size for s in survivors
+        ), "active set never became non-contiguous"
+        bitset = run_broadcast_batch(
+            g, DecayProtocol(), trials=trials, seed=MASTER, engine="bitset"
+        )
+        assert np.array_equal(
+            dense.first_informed_round, bitset.first_informed_round
+        )
+        seeds = spawn_seeds(as_rng(MASTER), trials)
+        for t, seed in enumerate(seeds):
+            single = run_broadcast(g, DecayProtocol(), seed=seed, engine="dense")
+            _assert_trial_equal(dense, t, single)
+
     def test_batch_reproducible(self):
         g = hypercube(4)
         a = run_broadcast_batch(g, DecayProtocol(), trials=5, seed=7)

@@ -20,8 +20,9 @@ SPEC = (
 
 
 @pytest.fixture
-def queue(tmp_path) -> JobQueue:
-    return JobQueue(tmp_path / "jobs.db")
+def queue(tmp_path):
+    with JobQueue(tmp_path / "jobs.db") as q:
+        yield q
 
 
 @pytest.fixture
