@@ -2,7 +2,7 @@
 
 The engine's hot paths — neighbour-count products, channel reception
 folds, workload value folds, the expansion pipeline's boundary-mask
-mat-mats and lattice gathers — run through an
+mat-mats — run through an
 :class:`~repro.backend.base.ArrayBackend` shim instead of importing
 numpy directly.  :data:`HOST` is the always-on numpy backend (its ``xp``
 is literally :mod:`numpy`, so host-side code spells ``np = HOST.xp`` and

@@ -3,8 +3,8 @@
 An :class:`ArrayBackend` is a thin shim over one array library: a
 namespace handle (:attr:`~ArrayBackend.xp`), host transfer
 (:meth:`~ArrayBackend.asarray` / :meth:`~ArrayBackend.to_numpy`), the
-handful of ops the engine's hot paths actually use (``matmul`` / ``take``
-/ ``count_nonzero``-style), and the two adjacency operators behind every
+handful of ops the engine's hot paths actually use (``matmul`` /
+``count_nonzero``-style), and the two adjacency operators behind every
 simulation kernel:
 
 * :meth:`~ArrayBackend.neighbor_counts` — the narrow-integer sparse
@@ -98,11 +98,6 @@ class ArrayBackend(ABC):
     @abstractmethod
     def matmul(self, a, b):
         """Dense ``a @ b`` on backend arrays."""
-
-    @abstractmethod
-    def take(self, array, indices):
-        """Flat gather ``array.ravel()[indices]`` (``np.take`` semantics) —
-        the subset-lattice DP's weight-table lookup."""
 
     @abstractmethod
     def count_nonzero(self, array) -> int:

@@ -38,9 +38,6 @@ class NumpyBackend(ArrayBackend):
     def matmul(self, a, b):
         return a @ b
 
-    def take(self, array, indices):
-        return np.take(array, indices)
-
     def count_nonzero(self, array) -> int:
         return int(np.count_nonzero(array))
 

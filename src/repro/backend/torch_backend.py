@@ -133,11 +133,6 @@ class TorchBackend(ArrayBackend):
     def matmul(self, a, b):
         return a @ b
 
-    def take(self, array, indices):
-        return self._torch.take(
-            self.asarray(array), self.asarray(indices).long()
-        )
-
     def count_nonzero(self, array) -> int:
         return int(self._torch.count_nonzero(self.asarray(array)))
 

@@ -14,13 +14,14 @@ batched replacement:
   BFS balls), so a fixed seed yields the same candidate list bit for bit;
 * :func:`evaluate_candidate_shard` groups candidates by size, extracts all
   their boundary neighbourhood masks with **one** sparse mat-mat product
-  per group, and scores each candidate with
-  :func:`max_unique_coverage_lattice` — the ``once``/``many``
-  subset-lattice DP of :func:`~repro.expansion.subsets.graph_subset_profile`
-  run over the candidate's *distinct boundary masks* (chunked 64 to a
-  machine word), followed by a byte-table weighted popcount.  That turns
-  the per-candidate cost from ``O(D·2^k)`` vectorized passes into
-  ``O(⌈D/64⌉·2^k)`` word ops — the ≥ 10× win E17 pins;
+  per group, and scores the whole group in one batched lattice pass
+  (:func:`_best_unique_batch`) — the subset-lattice DP of
+  :func:`~repro.expansion.subsets.graph_subset_profile` run over each
+  candidate's *distinct multi-vertex boundary masks* (64 to a machine
+  word) and only the vertices those masks involve, in slabs of
+  candidates sharing a lattice width, with a weight-plane popcount.
+  That turns the per-candidate cost from ``O(D·2^k)`` vectorized passes
+  into ``O(⌈D/64⌉·2^k')`` word ops — the ≥ 10× win E17 pins;
 * :func:`evaluate_candidates` shards the candidate list contiguously
   across a :class:`~repro.runtime.executor.ParallelExecutor`; per-set
   values are exact integers divided by exact sizes, so shard boundaries
@@ -38,15 +39,14 @@ itself.
 
 from __future__ import annotations
 
-from repro._util import as_rng, check_fraction
+from repro._util import as_rng, check_fraction, popcount_u64
 from repro.backend import HOST, resolve_backend
 from repro.graphs.graph import Graph
 from repro.obs.tracing import traced
 
 # Host namespace via the backend shim: candidate bookkeeping, bitmask
-# dedup and the uint64 word tricks are host-side; the boundary-mask
-# mat-mats and the lattice DP's weight-table gathers route through the
-# resolved backend.
+# dedup and the lattice DP are host-side uint64 word arithmetic; only
+# the boundary-mask mat-mats route through the resolved backend.
 np = HOST.xp
 
 __all__ = [
@@ -61,19 +61,15 @@ __all__ = [
 #: ``(n, C)`` mask matrix).
 _GROUP_CHUNK = 1024
 
+#: Widest candidate the exact lattice evaluates.  Its cost is a
+#: ``2^k``-cell uint64 lattice per candidate (~0.5 GiB of DP buffers at
+#: 24 bits); the ``(candidate << k) | mask`` dedup key must also fit int64.
+MAX_LATTICE_BITS = 24
 
-def _weight_table(weights: np.ndarray) -> np.ndarray:
-    """``table[x] = Σ_{bit b ∈ x} weights[b]`` for all ``2^len`` bit patterns.
-
-    Built by doubling (table of ``b+1`` bits = table of ``b`` bits, then
-    the same shifted by ``weights[b]``), so the whole table costs one add
-    per entry.
-    """
-    table = np.zeros(1 << len(weights), dtype=np.int64)
-    for b, w in enumerate(weights):
-        half = 1 << b
-        np.add(table[:half], w, out=table[half : 2 * half])
-    return table
+#: Cells (rows × ``2^k'``) per lattice slab: the four DP buffers stay
+#: cache-resident.  On the n≈200 benchmark's candidates 2^16 ran fastest
+#: of 2^12..2^20; 2^20 took ~1.6× the CPU time and ~32 MiB more peak RSS.
+_SLAB_CELLS = 1 << 16
 
 
 @traced("expansion.enumerate_candidates")
@@ -117,92 +113,203 @@ def enumerate_candidates(
     return candidates, size_cap
 
 
+def _check_lattice_width(size_cap: int) -> None:
+    if size_cap > MAX_LATTICE_BITS:
+        raise ValueError(
+            f"candidate size cap {size_cap} = min(floor(alpha*n), "
+            f"max_set_bits) exceeds MAX_LATTICE_BITS = {MAX_LATTICE_BITS}: "
+            f"exact scoring needs a 2^k-cell lattice per candidate; lower "
+            f"max_set_bits, or bound wide sets from below with "
+            f"portfolio(...)"
+        )
+
+
 def max_unique_coverage_lattice(
     k: int, masks: np.ndarray, weights: np.ndarray, backend=None
 ) -> int:
     """Exact ``max_{S' ⊆ [k]} Σ_m w_m·[|S' ∩ m| = 1]`` by lattice DP.
 
-    ``masks`` are the distinct boundary neighbourhood bitmasks (over the
-    ``k`` candidate vertices) with multiplicities ``weights``.  Two-track
-    evaluation over all ``2^k`` subsets ``S'``:
-
-    * *singleton* masks (boundary vertices with one candidate neighbour
-      ``b``, the bulk on sparse graphs) are covered once exactly when
-      ``b ∈ S'`` — their total is a plain weighted bit-sum, materialized
-      as an outer sum of two precomputed half-width weight tables;
-    * the remaining *multi* masks are packed 64 to a machine word and
-      swept with the ``once``/``many`` subset-lattice recurrence of
-      :func:`~repro.expansion.subsets.graph_subset_profile`, their
-      weighted unique count gathered through 16-bit weight tables.
-
-    The return value is the maximum of the combined count.
-
-    The word-packing and the once/many recurrence are host-side uint64
-    tricks; the ``2^k``-wide weight-table gathers and the running total
-    route through ``backend`` (host numpy when ``None``).
+    ``masks`` are boundary neighbourhood bitmasks over the ``k`` candidate
+    vertices, with multiplicities ``weights``.  The one-candidate case of
+    :func:`_best_unique_batch`.  ``backend`` is accepted for
+    compatibility and routes nothing: the lattice is host-side uint64
+    word arithmetic.
     """
-    bk = resolve_backend(backend)
+    masks = np.asarray(masks, dtype=np.uint64).ravel()
+    cand_of = np.zeros(masks.size, dtype=np.int64)
+    return int(_best_unique_batch(k, cand_of, masks, weights, 1)[0])
+
+
+def _best_unique_batch(
+    k: int, cand_of: np.ndarray, masks: np.ndarray, weights: np.ndarray,
+    count: int,
+) -> np.ndarray:
+    """``max_{S'} Σ_m w_m·[|S' ∩ m| = 1]`` for ``count`` candidates at once.
+
+    ``(cand_of[i], masks[i], weights[i])`` lists every candidate's boundary
+    masks over its ``k`` vertices with their multiplicities (≥ 0),
+    grouped by candidate (ascending).  Three exact reductions:
+
+    * a *singleton* mask ``{b}`` is covered once exactly when ``b ∈ S'``:
+      a per-bit weight;
+    * a *free* bit — in no multi-bit mask — only ever adds its singleton
+      weight (≥ 0), so some optimum contains it: its weight is a
+      constant and the lattice runs over the ``k' ≤ k`` *involved* bits;
+    * the multi masks, 64 lanes to a uint64 row (a candidate with more
+      takes several rows), sweep the subset-lattice DP of
+      :func:`~repro.expansion.subsets.graph_subset_profile` in
+      ``(rows, 2^k')`` slabs of candidates sharing ``k'``; a lane of
+      weight ``w`` counts ``popcount(once)`` once plus
+      ``Σ_j popcount(once & plane_j) << j`` over the binary planes of
+      ``w - 1``, and the singleton weights add as a doubling table.
+    """
+    cand_of = np.asarray(cand_of, dtype=np.int64)
     masks = np.asarray(masks, dtype=np.uint64)
-    if masks.size == 0:
-        return 0
     weights = np.asarray(weights, dtype=np.int64)
-    size = 1 << k
-    bit_index = np.arange(k, dtype=np.uint64)
-    member = ((masks[:, None] >> bit_index[None, :]) & np.uint64(1)).astype(bool)
-    width = member.sum(axis=1)
+    bits = np.arange(k, dtype=np.uint64)
+    width = popcount_u64(masks)
 
-    # Singleton track: Σ_{b ∈ S'} w_b as an outer table sum (masks are
-    # distinct, so each bit has at most one singleton weight).
-    single_weight = np.zeros(k, dtype=np.int64)
     single = width == 1
-    if single.any():
-        single_weight[np.nonzero(member[single])[1]] = weights[single]
-    lo_bits = min(k, 16)
-    lo_table = _weight_table(single_weight[:lo_bits])
-    hi_table = _weight_table(single_weight[lo_bits:])
-    total = bk.asarray((hi_table[:, None] + lo_table[None, :]).reshape(size))
+    single_weight = np.zeros((count, k), dtype=np.int64)
+    np.add.at(
+        single_weight,
+        (cand_of[single], popcount_u64(masks[single] - np.uint64(1))),
+        weights[single],
+    )
 
-    # Multi track: the chunked once/many lattice DP.
-    multi = np.flatnonzero(~single)
-    for lo in range(0, multi.size, 64):
-        chunk = multi[lo : lo + 64]
-        lane = np.uint64(1) << np.arange(chunk.size, dtype=np.uint64)
-        # adj[b]: which chunk members (as lane bits) contain candidate bit b.
-        adj = np.zeros(k, dtype=np.uint64)
-        for b in range(k):
-            sel = lane[member[chunk, b]]
-            if sel.size:
-                adj[b] = np.bitwise_or.reduce(sel)
-        once = np.zeros(size, dtype=np.uint64)
-        many = np.zeros(size, dtype=np.uint64)
-        for b in range(k):
-            blk_lo, blk_hi = 1 << b, 1 << (b + 1)
-            a = adj[b]
-            prev_once = once[0:blk_lo]
-            new_many = many[0:blk_lo] | (prev_once & a)
-            once[blk_lo:blk_hi] = (prev_once | a) & ~new_many
-            many[blk_lo:blk_hi] = new_many
-        w64 = np.zeros(64, dtype=np.int64)
-        w64[: chunk.size] = weights[chunk]
-        for lane16 in range((chunk.size + 15) // 16):
-            table = _weight_table(w64[16 * lane16 : 16 * lane16 + 16])
-            gathered = (
-                (once >> np.uint64(16 * lane16)) & np.uint64(0xFFFF)
-            ).astype(np.intp)
-            total = total + bk.take(bk.asarray(table), bk.asarray(gathered))
-    return int(bk.to_numpy(total).max())
+    multi = (width > 1) & (weights > 0)
+    m_cand, m_mask, m_weight = cand_of[multi], masks[multi], weights[multi]
+    owners, first, per_owner = np.unique(
+        m_cand, return_index=True, return_counts=True
+    )
+    involved = np.zeros(count, dtype=np.uint64)
+    if owners.size:
+        involved[owners] = np.bitwise_or.reduceat(m_mask, first)
+    is_involved = ((involved[:, None] >> bits) & np.uint64(1)).astype(bool)
+    best = np.where(is_involved, 0, single_weight).sum(axis=1)
+    k_inv = is_involved.sum(axis=1)
+    if not owners.size:
+        return best
+
+    # Relabel each candidate's involved bits 0..k'-1 in order.
+    rank = np.cumsum(is_involved, axis=1) - is_involved
+    inv_single = np.zeros((count, k), dtype=np.int64)
+    ci, bi = np.nonzero(is_involved)
+    inv_single[ci, rank[ci, bi]] = single_weight[ci, bi]
+
+    # Rows: 64 lanes of one candidate's multi masks each.
+    pos = np.arange(m_cand.size) - np.repeat(first, per_owner)
+    lane_bit = np.uint64(1) << (pos % 64).astype(np.uint64)
+    rows_of = np.zeros(count, dtype=np.int64)
+    rows_of[owners] = (per_owner + 63) // 64
+    row_start = np.cumsum(rows_of) - rows_of
+    row_id = row_start[m_cand] + pos // 64
+    row_first = np.flatnonzero(np.diff(row_id, prepend=-1))
+    # adj[r, b']: the lanes of row r whose mask holds involved bit b'.
+    mi, bi = np.nonzero((m_mask[:, None] >> bits) & np.uint64(1))
+    lanes = np.zeros((m_cand.size, k), dtype=np.uint64)
+    lanes[mi, rank[m_cand[mi], bi]] = lane_bit[mi]
+    adj = np.bitwise_or.reduceat(lanes, row_first, axis=0)
+    # planes[r, j]: the lanes of row r whose weight - 1 has bit j set.
+    extra = m_weight - 1
+    depth = int(extra.max()).bit_length()
+    plane_bits = (extra[:, None] >> np.arange(depth)) & 1
+    planes = np.bitwise_or.reduceat(
+        np.where(plane_bits == 1, lane_bit[:, None], np.uint64(0)),
+        row_first, axis=0,
+    )
+
+    # Slabs: consecutive candidates of one k', about _SLAB_CELLS cells.
+    slabs = []
+    for kp in np.unique(k_inv[owners]):
+        kp = int(kp)
+        cands = np.flatnonzero(k_inv == kp)
+        offset = np.cumsum(rows_of[cands]) - rows_of[cands]
+        cuts = np.flatnonzero(
+            np.diff(offset // max(1, _SLAB_CELLS >> kp), prepend=-1)
+        )
+        slabs.extend((kp, part) for part in np.split(cands, cuts[1:]))
+    cells = max(int(rows_of[part].sum()) << kp for kp, part in slabs)
+    buffers = [np.empty(cells, dtype=np.uint64) for _ in range(4)]
+    for kp, part in slabs:
+        nrows = rows_of[part]
+        starts = np.cumsum(nrows) - nrows
+        rows = np.repeat(row_start[part] - starts, nrows) + np.arange(
+            int(nrows.sum())
+        )
+        best[part] += _lattice_slab(
+            adj[rows, :kp], planes[rows], starts, inv_single[part, :kp],
+            buffers,
+        )
+    return best
+
+
+def _lattice_slab(adj, planes, starts, single, buffers) -> np.ndarray:
+    """Best weighted unique count of each candidate of one slab.
+
+    ``adj`` is ``(rows, k')``, ``planes`` ``(rows, depth)``, ``starts``
+    each candidate's first row and ``single`` its ``(k',)`` involved-bit
+    singleton weights; ``buffers`` are four uint64 scratch arrays of at
+    least ``rows·2^k'`` cells.
+    """
+    rows, kp = adj.shape
+    size = 1 << kp
+    once, seen, scratch, acc = (
+        b[: rows * size].reshape(rows, size) for b in buffers
+    )
+    # Lanes hit exactly once / at least once by each subset x, built up
+    # bit by bit: x | {b} from x for every x < 2^b.
+    not_adj = ~adj
+    once[:, 0] = 0
+    seen[:, 0] = 0
+    for b in range(kp):
+        h = 1 << b
+        po, ps = once[:, :h], seen[:, :h]
+        no, ns = once[:, h : 2 * h], seen[:, h : 2 * h]
+        # seen' = seen | a;  once' = (once & ~a) ^ (a & ~seen)
+        np.bitwise_or(ps, adj[:, b : b + 1], out=ns)
+        np.bitwise_and(po, not_adj[:, b : b + 1], out=no)
+        np.bitwise_xor(no, ns, out=no)
+        np.bitwise_xor(no, ps, out=no)
+
+    # Σ_{b ∈ x} single[b] by doubling, then the multi lanes' weighted
+    # unique counts on top, plane by plane.
+    total = acc.view(np.int64)[: starts.size]
+    total[:, 0] = 0
+    for b in range(kp):
+        h = 1 << b
+        np.add(total[:, :h], single[:, b : b + 1], out=total[:, h : 2 * h])
+    # Every lane weighs 1 + Σ_j plane_j·2^j; only used lanes are ever set.
+    counts = popcount_u64(once)
+    if starts.size < rows:
+        per_row = seen.view(np.int64)
+        np.copyto(per_row, counts)
+    else:
+        per_row = total
+        per_row += counts
+    for j in np.flatnonzero(planes.any(axis=0)):
+        np.bitwise_and(once, planes[:, j : j + 1], out=scratch)
+        counts = popcount_u64(scratch)
+        if j:
+            counts = np.left_shift(
+                counts, j, out=scratch.view(np.int64), dtype=np.int64
+            )
+        per_row += counts
+    if per_row is not total:
+        total += np.add.reduceat(per_row, starts, axis=0)
+    return total.max(axis=1)
 
 
 def _group_best_unique(
     adjacency, n: int, group: np.ndarray, backend=HOST
-) -> list[int]:
+) -> np.ndarray:
     """``max_{S'} |Γ¹_S(S')|`` for every candidate of one size group.
 
     ``group`` is a ``(C, k)`` index matrix.  One sparse mat-mat product
     yields every vertex's neighbourhood bitmask within every candidate at
     once (0/1 adjacency times powers of two cannot carry, so the integer
     sum *is* the bitwise OR); the per-candidate distinct masks then feed
-    :func:`max_unique_coverage_lattice`.  ``adjacency`` is the backend's
+    one :func:`_best_unique_batch` pass.  ``adjacency`` is the backend's
     value operator (the host int64 scipy cast on numpy); the mask matrix
     lands back on the host for the bit-level dedup.
     """
@@ -224,16 +331,10 @@ def _group_best_unique(
     v_idx, c_idx = np.nonzero(valid)
     key = (c_idx.astype(np.int64) << k) | masks[v_idx, c_idx]
     distinct, multiplicity = np.unique(key, return_counts=True)
-    cand_of = distinct >> k
-    dmasks = distinct & ((np.int64(1) << k) - 1)
-    starts = np.searchsorted(cand_of, np.arange(count))
-    ends = np.searchsorted(cand_of, np.arange(count) + 1)
-    return [
-        max_unique_coverage_lattice(
-            k, dmasks[s:e], multiplicity[s:e], backend=backend
-        )
-        for s, e in zip(starts, ends)
-    ]
+    return _best_unique_batch(
+        k, distinct >> k, distinct & ((np.int64(1) << k) - 1), multiplicity,
+        count,
+    )
 
 
 @traced("expansion.evaluate_candidate_shard")
@@ -247,9 +348,12 @@ def evaluate_candidate_shard(
     can evaluate shards; values are exact, so any sharding of the
     candidate list concatenates back to the serial answer bit for bit.
     ``backend`` (a name or ``None`` for host numpy — names stay picklable
-    across worker boundaries) runs the boundary mat-mats and lattice
-    gathers on an accelerator; values are exact integers either way.
+    across worker boundaries) runs the boundary mat-mats on an
+    accelerator; the lattice is host-side, and values are exact integers
+    either way.  Raises ``ValueError`` if ``size_cap`` exceeds
+    :data:`MAX_LATTICE_BITS`.
     """
+    _check_lattice_width(size_cap)
     bk = resolve_backend(backend)
     values = np.full(len(candidates), np.inf)
     by_size: dict[int, list[int]] = {}
@@ -271,16 +375,14 @@ def evaluate_candidate_shard(
         distinct, inverse = np.unique(
             np.sort(group, axis=1), axis=0, return_inverse=True
         )
-        bests: list[int] = []
-        for lo in range(0, distinct.shape[0], _GROUP_CHUNK):
-            bests.extend(
-                _group_best_unique(
-                    adjacency, graph.n, distinct[lo : lo + _GROUP_CHUNK],
-                    backend=bk,
-                )
+        bests = np.concatenate([
+            _group_best_unique(
+                adjacency, graph.n, distinct[lo : lo + _GROUP_CHUNK],
+                backend=bk,
             )
-        for i, j in zip(indices, inverse.ravel()):
-            values[i] = int(bests[j]) / k
+            for lo in range(0, distinct.shape[0], _GROUP_CHUNK)
+        ])
+        values[indices] = bests[inverse.ravel()] / k
     return values
 
 
@@ -313,8 +415,10 @@ def evaluate_candidates(
     candidate list, and every value is an exact ``best/|S|`` ratio, so the
     returned array is identical whatever the worker count.  ``backend``
     crosses worker boundaries as its registry spec string, so process
-    shards never pickle live backend handles.
+    shards never pickle live backend handles.  Raises ``ValueError``
+    before any work if ``size_cap`` exceeds :data:`MAX_LATTICE_BITS`.
     """
+    _check_lattice_width(size_cap)
     if backend is not None and not isinstance(backend, str):
         backend = resolve_backend(backend).spec
     return _map_shards(

@@ -56,9 +56,6 @@ class TestHostBackend:
         b = rng.integers(0, 5, size=(3, 2))
         assert np.array_equal(HOST.matmul(a, b), a @ b)
         assert HOST.count_nonzero(a) == np.count_nonzero(a)
-        table = np.arange(10) * 7
-        idx = np.array([[1, 3], [2, 0]])
-        assert np.array_equal(HOST.take(table, idx), np.take(table, idx))
         m = a > 2
         assert np.array_equal(HOST.where(m, a, 0), np.where(m, a, 0))
         assert np.array_equal(HOST.maximum(a, 3), np.maximum(a, 3))
