@@ -67,17 +67,14 @@ def peak_rss_bytes() -> int | None:
     return int(peak) if sys.platform == "darwin" else int(peak) * 1024
 
 
-def emit(
-    results_dir: str, name: str, text: str, data=None, engine=None, backend=None
-) -> None:
+def emit(results_dir: str, name: str, text: str, data=None, engine=None) -> None:
     """Print a table, archive it for EXPERIMENTS.md, and write the
     machine-readable ``.json`` sidecar (``data`` carries structured rows;
     the rendered table always rides along).  ``engine`` records which
-    broadcast engine produced the numbers and ``backend`` which array
-    backend the dense kernels ran on (``None`` for benches where the
-    distinction doesn't apply — the host numpy default); ``peak_rss_bytes``
-    snapshots the process peak RSS at emit time so memory regressions are
-    visible in archived sidecars."""
+    broadcast engine produced the numbers (``None`` for benches where the
+    distinction doesn't apply); ``peak_rss_bytes`` snapshots the process
+    peak RSS at emit time so memory regressions are visible in archived
+    sidecars."""
     print("\n" + text)
     with open(os.path.join(results_dir, name), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -90,7 +87,6 @@ def emit(
             "smoke": SMOKE,
             "jobs": JOBS,
             "engine": engine,
-            "backend": backend,
             "peak_rss_bytes": peak_rss_bytes(),
             "table": text.splitlines(),
             "data": data,

@@ -1,8 +1,7 @@
 """Dtype-narrowing policy shared by the dense and packed engines.
 
 One module owns every "how narrow can this integer be" decision so the
-radio network, the CSR storage, the bitset kernels, and the array-backend
-dtype tables cannot drift apart:
+radio network, the CSR storage and the bitset kernels cannot drift apart:
 
 * :func:`count_dtype_for_degree` — the neighbour-count dtype of the dense
   sparse product (``counts = A @ transmit``): counts are bounded by the

@@ -1,6 +1,6 @@
 """Experiment registry: the canonical index of reproduction targets.
 
-A single table mapping experiment ids (E1–E22) to the paper statement they
+A single table mapping experiment ids (E1–E21) to the paper statement they
 reproduce, the modules that implement the pieces, and the benchmark file
 that regenerates the table.  DESIGN.md and EXPERIMENTS.md mirror this
 registry; a consistency test (``tests/analysis/test_experiments.py``)
@@ -241,21 +241,6 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "bench_service_load.py", ("E21_service_load.txt",),
         scenario=Scenario.from_string(
             "margulis(8) | decay | erasure(0.1) | gossip(k=16) | trials=32"
-        ),
-    ),
-    Experiment(
-        "E22", "array backend",
-        "pluggable array backends: the dense engine's neighbour-count and "
-        "delivered-value matmuls routed through the repro.backend shim — "
-        "numpy vs torch-cpu kernel throughput on hypercube(14) at T=4096, "
-        "with every backend's seeded batch outcomes equal to the numpy "
-        "host's (coins are drawn host-side; the host path is bit-for-bit "
-        "the pre-backend engine)",
-        ("repro.backend", "repro.radio.network", "repro.radio.broadcast",
-         "repro.workload.zoo", "repro.expansion.pipeline"),
-        "bench_backend_matmul.py", ("E22_backend_matmul.txt",),
-        scenario=Scenario.from_string(
-            "hypercube(14) | decay | classic | trials=4096"
         ),
     ),
 )

@@ -190,8 +190,6 @@ def _resolve_scenario(args: argparse.Namespace, default):
         flags["engine"] = args.engine
     if getattr(args, "memory_budget", None) is not None:
         flags["memory_budget"] = args.memory_budget
-    if getattr(args, "backend", None) is not None:
-        flags["backend"] = args.backend
     if flags:
         try:
             base = base.with_overrides(flags)
@@ -339,8 +337,7 @@ def _add_scenario_flags(p: "argparse.ArgumentParser") -> None:
         metavar="KEY=VALUE",
         help="scenario field override (repeatable): graph/protocol/channel/"
              "workload/trials/seed/source/max_rounds/engine/memory_budget/"
-             "telemetry/backend or dotted spec fields such as "
-             "channel.erasure_p; "
+             "telemetry or dotted spec fields such as channel.erasure_p; "
              "e.g. -S workload='gossip(k=4)' or -S telemetry=on")
     p.add_argument(
         "--engine", choices=["auto", "dense", "bitset"], default=None,
@@ -353,12 +350,6 @@ def _add_scenario_flags(p: "argparse.ArgumentParser") -> None:
         help="peak working-set budget — trials are sharded into column "
              "chunks that fit, e.g. '2GiB' or '512MiB'; sugar for "
              "-S memory_budget=...")
-    p.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend for the dense engine: numpy (default) or torch, "
-             "optionally with a device suffix such as torch:cuda; falls "
-             "back to numpy with a warning when the library is missing; "
-             "sugar for -S backend=...")
 
 
 def _rep_groups(points, reps: int):

@@ -39,15 +39,11 @@ itself.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro._util import as_rng, check_fraction, popcount_u64
-from repro.backend import HOST, resolve_backend
 from repro.graphs.graph import Graph
 from repro.obs.tracing import traced
-
-# Host namespace via the backend shim: candidate bookkeeping, bitmask
-# dedup and the lattice DP are host-side uint64 word arithmetic; only
-# the boundary-mask mat-mats route through the resolved backend.
-np = HOST.xp
 
 __all__ = [
     "enumerate_candidates",
@@ -125,15 +121,13 @@ def _check_lattice_width(size_cap: int) -> None:
 
 
 def max_unique_coverage_lattice(
-    k: int, masks: np.ndarray, weights: np.ndarray, backend=None
+    k: int, masks: np.ndarray, weights: np.ndarray
 ) -> int:
     """Exact ``max_{S' ⊆ [k]} Σ_m w_m·[|S' ∩ m| = 1]`` by lattice DP.
 
     ``masks`` are boundary neighbourhood bitmasks over the ``k`` candidate
     vertices, with multiplicities ``weights``.  The one-candidate case of
-    :func:`_best_unique_batch`.  ``backend`` is accepted for
-    compatibility and routes nothing: the lattice is host-side uint64
-    word arithmetic.
+    :func:`_best_unique_batch`.
     """
     masks = np.asarray(masks, dtype=np.uint64).ravel()
     cand_of = np.zeros(masks.size, dtype=np.int64)
@@ -300,18 +294,15 @@ def _lattice_slab(adj, planes, starts, single, buffers) -> np.ndarray:
     return total.max(axis=1)
 
 
-def _group_best_unique(
-    adjacency, n: int, group: np.ndarray, backend=HOST
-) -> np.ndarray:
+def _group_best_unique(adjacency, n: int, group: np.ndarray) -> np.ndarray:
     """``max_{S'} |Γ¹_S(S')|`` for every candidate of one size group.
 
     ``group`` is a ``(C, k)`` index matrix.  One sparse mat-mat product
     yields every vertex's neighbourhood bitmask within every candidate at
     once (0/1 adjacency times powers of two cannot carry, so the integer
     sum *is* the bitwise OR); the per-candidate distinct masks then feed
-    one :func:`_best_unique_batch` pass.  ``adjacency`` is the backend's
-    value operator (the host int64 scipy cast on numpy); the mask matrix
-    lands back on the host for the bit-level dedup.
+    one :func:`_best_unique_batch` pass.  ``adjacency`` is the graph's
+    int64 scipy adjacency.
     """
     count, k = group.shape
     cols = np.repeat(np.arange(count), k)
@@ -319,12 +310,7 @@ def _group_best_unique(
     weights_matrix[group.ravel(), cols] = np.tile(
         np.int64(1) << np.arange(k, dtype=np.int64), count
     )
-    if backend.is_host:
-        masks = adjacency @ weights_matrix
-    else:
-        masks = backend.to_numpy(
-            backend.value_matmul(adjacency, backend.asarray(weights_matrix))
-        )
+    masks = adjacency @ weights_matrix
     in_set = np.zeros((n, count), dtype=bool)
     in_set[group.ravel(), cols] = True
     valid = (masks != 0) & ~in_set  # exactly the boundary Γ⁻(S) rows
@@ -339,7 +325,7 @@ def _group_best_unique(
 
 @traced("expansion.evaluate_candidate_shard")
 def evaluate_candidate_shard(
-    graph: Graph, candidates, size_cap: int, backend=None
+    graph: Graph, candidates, size_cap: int
 ) -> np.ndarray:
     """Exact per-set wireless expansion of each candidate (``inf`` where
     the candidate is skipped for falling outside ``1..size_cap``).
@@ -347,25 +333,16 @@ def evaluate_candidate_shard(
     Module-level and all-plain-data so :class:`ParallelExecutor` workers
     can evaluate shards; values are exact, so any sharding of the
     candidate list concatenates back to the serial answer bit for bit.
-    ``backend`` (a name or ``None`` for host numpy — names stay picklable
-    across worker boundaries) runs the boundary mat-mats on an
-    accelerator; the lattice is host-side, and values are exact integers
-    either way.  Raises ``ValueError`` if ``size_cap`` exceeds
-    :data:`MAX_LATTICE_BITS`.
+    Raises ``ValueError`` if ``size_cap`` exceeds :data:`MAX_LATTICE_BITS`.
     """
     _check_lattice_width(size_cap)
-    bk = resolve_backend(backend)
     values = np.full(len(candidates), np.inf)
     by_size: dict[int, list[int]] = {}
     for i, cand in enumerate(candidates):
         width = int(np.asarray(cand).size)
         if 1 <= width <= size_cap:
             by_size.setdefault(width, []).append(i)
-    adjacency = (
-        graph.adjacency.astype(np.int64)
-        if bk.is_host
-        else bk.value_operator(graph)
-    )
+    adjacency = graph.adjacency.astype(np.int64)
     for k, indices in sorted(by_size.items()):
         group = np.stack(
             [np.asarray(candidates[i], dtype=np.int64) for i in indices]
@@ -377,8 +354,7 @@ def evaluate_candidate_shard(
         )
         bests = np.concatenate([
             _group_best_unique(
-                adjacency, graph.n, distinct[lo : lo + _GROUP_CHUNK],
-                backend=bk,
+                adjacency, graph.n, distinct[lo : lo + _GROUP_CHUNK]
             )
             for lo in range(0, distinct.shape[0], _GROUP_CHUNK)
         ])
@@ -406,28 +382,24 @@ def _map_shards(fn, make_call, count: int, executor) -> np.ndarray:
 
 @traced("expansion.evaluate_candidates")
 def evaluate_candidates(
-    graph: Graph, candidates, size_cap: int, executor=None, backend=None
+    graph: Graph, candidates, size_cap: int, executor=None
 ) -> np.ndarray:
     """Per-candidate exact values, optionally sharded across workers.
 
     ``executor`` is an :class:`~repro.runtime.executor.Executor`, an int
     job count, or ``None`` (inline).  Shards are contiguous slices of the
     candidate list, and every value is an exact ``best/|S|`` ratio, so the
-    returned array is identical whatever the worker count.  ``backend``
-    crosses worker boundaries as its registry spec string, so process
-    shards never pickle live backend handles.  Raises ``ValueError``
-    before any work if ``size_cap`` exceeds :data:`MAX_LATTICE_BITS`.
+    returned array is identical whatever the worker count.  Raises
+    ``ValueError`` before any work if ``size_cap`` exceeds
+    :data:`MAX_LATTICE_BITS`.
     """
     _check_lattice_width(size_cap)
-    if backend is not None and not isinstance(backend, str):
-        backend = resolve_backend(backend).spec
     return _map_shards(
         evaluate_candidate_shard,
         lambda shard: {
             "graph": graph,
             "candidates": [candidates[i] for i in shard],
             "size_cap": size_cap,
-            "backend": backend,
         },
         len(candidates),
         executor,

@@ -47,19 +47,15 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro._util import as_rng, spawn_seeds
-from repro.backend import HOST, resolve_backend
 from repro.graphs.graph import Graph
 from repro.obs.telemetry import TELEMETRY_PREFIX, TelemetryAccumulator
 from repro.radio.channel import ChannelModel, ClassicCollision
 from repro.radio.network import RadioNetwork
 from repro.radio.protocols import BroadcastProtocol, legacy_hooks_specialized
 from repro.workload import BroadcastWorkload, as_workload
-
-# Host namespace via the backend shim: results, protocol coins, and the
-# packed-word engine are host-resident by contract; the dense loop's
-# backend-active work goes through the resolved backend instead.
-np = HOST.xp
 
 __all__ = [
     "BatchBroadcastResult",
@@ -304,8 +300,7 @@ def _as_memory_budget(value) -> MemoryBudget | None:
 
 
 def _resolve_engine(
-    engine: str, protocol, channel_model: ChannelModel, n: int, workload,
-    backend=HOST,
+    engine: str, protocol, channel_model: ChannelModel, n: int, workload
 ) -> str:
     """Resolve ``auto`` and validate explicit engine requests.
 
@@ -316,11 +311,6 @@ def _resolve_engine(
     picks bitset only when the workload is set-semantics, the channel and
     the protocol run natively on words, and the graph is large enough for
     the packed path to pay off.
-
-    The bitset engine is numpy-only (its uint64 word kernels have no
-    backend representation): an explicit ``bitset`` request under a
-    non-host backend warns and runs the host bitset path; ``auto`` under
-    a non-host backend picks dense — the path the backend accelerates.
     """
     if engine not in _ENGINES:
         raise ValueError(
@@ -328,13 +318,6 @@ def _resolve_engine(
         )
     supported = bool(getattr(channel_model, "supports_bitset", False))
     if engine == "bitset":
-        if not backend.is_host:
-            warnings.warn(
-                "the packed-bitset engine is numpy-only; ignoring backend "
-                f"{backend.name!r} and running the host bitset path",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         if not workload.set_semantics:
             warnings.warn(
                 f"workload {workload.name!r} folds per-cell values and "
@@ -355,8 +338,7 @@ def _resolve_engine(
     if engine == "dense":
         return "dense"
     if (
-        backend.is_host
-        and workload.set_semantics
+        workload.set_semantics
         and supported
         and not legacy_hooks_specialized(protocol)
         and bool(getattr(type(protocol), "words_native", False))
@@ -383,7 +365,6 @@ def run_broadcast_batch(
     memory_budget: MemoryBudget | int | None = None,
     workload=None,
     telemetry: bool = False,
-    backend=None,
 ) -> BatchBroadcastResult:
     """Run ``trials`` independent executions of ``workload`` under
     ``protocol`` on ``graph``, advanced together round by round.
@@ -436,15 +417,6 @@ def run_broadcast_batch(
         engines and across memory-budget shards.  Off by default and a
         strict no-op when off — no allocation, no per-round work beyond
         one predicate check.
-    backend:
-        Array backend the dense engine's kernels run on
-        (:mod:`repro.backend`): an
-        :class:`~repro.backend.ArrayBackend`, a registry name
-        (``"torch"``, ``"torch:cuda"``), or ``None`` for host numpy —
-        the bit-for-bit default.  Resolved once per call (before any
-        memory-budget sharding), so an unavailable accelerator warns
-        exactly once and the whole batch runs on numpy.  Results are
-        host numpy arrays regardless of backend.
     """
     if workload is None:
         workload = BroadcastWorkload(source=source)
@@ -481,12 +453,7 @@ def run_broadcast_batch(
         BroadcastProtocol if legacy_hooks_specialized(protocol) else
         type(protocol)
     )
-    # Resolved once, before any sharding: a missing accelerator extra
-    # warns exactly once per call, not once per memory-budget shard.
-    bk = resolve_backend(backend)
-    resolved = _resolve_engine(
-        engine, protocol, channel_model, graph.n, workload, bk
-    )
+    resolved = _resolve_engine(engine, protocol, channel_model, graph.n, workload)
 
     telemetry = bool(telemetry)
     budget = _as_memory_budget(memory_budget)
@@ -497,51 +464,35 @@ def run_broadcast_batch(
                 _run_resolved(
                     resolved, graph, protocol, face, channel_model,
                     workload, max_rounds, trial_rngs[start : start + shard],
-                    telemetry, bk,
+                    telemetry,
                 )
                 for start in range(0, trials, shard)
             ]
             return merge_batches(parts)
     return _run_resolved(
         resolved, graph, protocol, face, channel_model,
-        workload, max_rounds, trial_rngs, telemetry, bk,
+        workload, max_rounds, trial_rngs, telemetry,
     )
 
 
 def _run_resolved(
     resolved, graph, protocol, face, channel_model, workload, max_rounds,
-    trial_rngs, telemetry=False, backend=None,
+    trial_rngs, telemetry=False,
 ) -> BatchBroadcastResult:
-    if resolved == "bitset":
-        # Numpy-only by contract — the resolver already warned if a
-        # non-host backend was requested alongside an explicit bitset.
-        return _run_bitset(
-            graph, protocol, face, channel_model, workload, max_rounds,
-            trial_rngs, telemetry,
-        )
-    return _run_dense(
+    run = _run_bitset if resolved == "bitset" else _run_dense
+    return run(
         graph, protocol, face, channel_model, workload, max_rounds,
-        trial_rngs, telemetry, backend,
+        trial_rngs, telemetry,
     )
 
 
 def _run_dense(
     graph, protocol, face, channel_model, workload, max_rounds, trial_rngs,
-    telemetry=False, backend=None,
+    telemetry=False,
 ) -> BatchBroadcastResult:
-    """The ``(n, T)`` bool-matrix engine with trial compaction.
-
-    The working state (``satisfied``, transmit masks, reception, value
-    folds) lives on ``backend``; protocol coin flips, channel coins,
-    bookkeeping (first-informed rounds, energy tallies, the count log)
-    and every result array stay host numpy, with explicit
-    ``asarray``/``to_numpy`` transfer at the boundaries.  On the host
-    backend every transfer is an identity ``np.asarray`` — the loop is
-    bit-for-bit the pre-backend engine.
-    """
+    """The ``(n, T)`` bool-matrix engine with trial compaction."""
     trials = len(trial_rngs)
-    network = RadioNetwork(graph, channel=channel_model, backend=backend)
-    bk = network.backend
+    network = RadioNetwork(graph, channel=channel_model)
     face.reset_batch(protocol, network, workload.protocol_source, trial_rngs)
     # Channel after protocol: both may draw per-trial counter keys from the
     # same generators, and standalone runs use the same order.
@@ -554,16 +505,15 @@ def _run_dense(
     # can never receive, so waiting for them would always hit the cap.
     targets = network.channel.coverage_targets(network)
     need = graph.n if targets is None else int(np.count_nonzero(targets))
-    targets_b = None if targets is None else bk.asarray(targets)
 
     def colsum(mat):
-        # Per-trial column sums, always landing host-side int64.
-        return bk.to_numpy(mat.sum(axis=0)).astype(np.int64, copy=False)
+        # Per-trial column sums as int64.
+        return mat.sum(axis=0).astype(np.int64, copy=False)
 
     n, T = graph.n, trials
-    satisfied = bk.asarray(state.initial_satisfied())
+    satisfied = state.initial_satisfied()
     first_round = np.full((n, T), -1, dtype=np.int64)
-    first_round[bk.to_numpy(satisfied)] = 0
+    first_round[satisfied] = 0
     completed = np.zeros(T, dtype=bool)
     rounds = np.zeros(T, dtype=np.int64)
     transmissions = np.zeros(T, dtype=np.int64)
@@ -577,13 +527,13 @@ def _run_dense(
     # the batch pays the mean trial length, not T times the max.
     active = np.arange(T)
     counts0 = colsum(satisfied)
-    covered0 = counts0 if targets is None else colsum(satisfied[targets_b, :])
+    covered0 = counts0 if targets is None else colsum(satisfied[targets, :])
     done0 = covered0 >= need
     if done0.any():
         completed[done0] = True
         keep = ~done0
         active = active[keep]
-        satisfied = satisfied[:, bk.asarray(keep)]
+        satisfied = satisfied[:, keep]
         if active.size:
             face.select_trials(protocol, keep)
             network.channel.select_trials(keep)
@@ -592,14 +542,7 @@ def _run_dense(
     round_index = 0
     while round_index < max_rounds and active.size:
         eligible = state.transmit_eligible(satisfied)
-        # Protocols are host-side (their coins come from the counter RNG,
-        # always drawn on numpy): eligibility crosses to host, the
-        # produced mask crosses back.
-        mask = bk.asarray(
-            face.transmitters_batch(
-                protocol, round_index, bk.to_numpy(eligible), network
-            )
-        )
+        mask = face.transmitters_batch(protocol, round_index, eligible, network)
         mask = mask & eligible
         mask = network.channel.effective_transmitters(round_index, mask)
         transmissions[active] += colsum(mask)
@@ -613,7 +556,7 @@ def _run_dense(
         feedback = network.channel.feedback
         if feedback is not None:
             face.channel_feedback_batch(
-                protocol, round_index, bk.to_numpy(feedback), network
+                protocol, round_index, feedback, network
             )
         fresh = state.fold(round_index, mask, received, satisfied, network)
         if tel is not None:
@@ -638,20 +581,19 @@ def _run_dense(
         satisfied |= fresh
         # One flat index pass, split by divmod: much cheaper than the
         # per-axis nonzero on a sparse (n, active) frontier.
-        fresh_np = bk.to_numpy(fresh)
-        rows, cols = np.divmod(np.flatnonzero(fresh_np), fresh_np.shape[1])
+        rows, cols = np.divmod(np.flatnonzero(fresh), fresh.shape[1])
         first_round[rows, active[cols]] = round_index
         counts = colsum(satisfied)
         count_log.append((active, counts))
         if targets is None:
             covered = counts
         else:
-            covered = colsum(satisfied[targets_b, :])
+            covered = colsum(satisfied[targets, :])
         keep = covered < need
         if not keep.all():
             completed[active[~keep]] = True
             active = active[keep]
-            satisfied = satisfied[:, bk.asarray(keep)]
+            satisfied = satisfied[:, keep]
             face.select_trials(protocol, keep)
             network.channel.select_trials(keep)
             state.select_trials(keep)
@@ -978,7 +920,6 @@ def run_broadcast(
     seed=None,
     channel: ChannelModel | None = None,
     engine: str = "auto",
-    backend=None,
 ) -> BroadcastResult:
     """Run ``protocol`` on ``graph`` from ``source`` until full coverage or
     ``max_rounds`` (default ``50·n·log₂n``-ish safety cap).
@@ -998,6 +939,5 @@ def run_broadcast(
         trial_rngs=[as_rng(seed)],
         channel=channel,
         engine=engine,
-        backend=backend,
     )
     return batch.trial(0)

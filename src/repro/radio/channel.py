@@ -235,13 +235,10 @@ class ErasureChannel(ChannelModel):
                 f"channel was reset for {self._keys.shape[0]} trials but "
                 f"stepped with {trials}"
             )
-        # Coins are always drawn host-side (the counter RNG is pure numpy)
-        # and transferred onto the network's backend — a torch run consumes
-        # bit-identical per-trial streams to the numpy run.
         dropped = counter_coins(self._keys, round_index, transmitting.shape[0], self.p)
         if transmitting.ndim == 1:
             dropped = dropped[:, 0]
-        return received & ~network.backend.asarray(dropped)
+        return received & ~dropped
 
     def deliver_words(
         self, round_index: int, transmit_words: np.ndarray, network
@@ -437,15 +434,9 @@ class AdversarialJamming(ChannelModel):
         # round from effective_transmitters and deliver back to back.
         self._mask_round = -1
         self._masks = None
-        # Fault masks are built host-side and transferred through the
-        # network's backend; until reset runs the host backend stands in.
-        from repro.backend import HOST
-
-        self._backend = HOST
 
     def reset(self, network, rngs) -> None:
         self.schedule.validate(network.n)
-        self._backend = network.backend
         self._adj = None
         self._adj_csr = None
         self._events_applied = 0
@@ -472,7 +463,6 @@ class AdversarialJamming(ChannelModel):
         crashed, _ = self._round_masks(round_index, transmitting.shape[0])
         if not crashed.any():
             return transmitting
-        crashed = self._backend.asarray(crashed)
         if transmitting.ndim == 2:
             crashed = crashed[:, None]
         return transmitting & ~crashed
@@ -506,29 +496,18 @@ class AdversarialJamming(ChannelModel):
         self, round_index: int, transmitting: np.ndarray, network
     ) -> np.ndarray:
         n = transmitting.shape[0]
-        bk = network.backend
         # Idempotent re-filter so direct network.step callers get crash
         # semantics too (the engine has already applied it).
         transmitting = self.effective_transmitters(round_index, transmitting)
         adj = self._current_adjacency(round_index, network)
         if adj is None:
             counts = network.transmit_counts(transmitting)
-        elif bk.is_host:
-            counts = adj @ transmitting.astype(np.int32)
         else:
-            # Edge events rewrite a private host scipy structure; the
-            # product runs host-side and the counts transfer back.
-            counts = bk.asarray(adj @ bk.to_numpy(transmitting).astype(np.int32))
+            counts = adj @ transmitting.astype(np.int32)
         received = (counts == 1) & ~transmitting
         _, deaf = self._round_masks(round_index, n)
         if deaf.any():
-            if bk.is_host:
-                received[deaf] = False
-            else:
-                deaf_b = bk.asarray(deaf)
-                if received.ndim == 2:
-                    deaf_b = deaf_b[:, None]
-                received = received & ~deaf_b
+            received[deaf] = False
         return received
 
 

@@ -25,15 +25,11 @@ order-of-magnitude multi-trial speedup comes from.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro._util import count_dtype_for_degree
-from repro.backend import HOST, resolve_backend
 from repro.graphs.graph import Graph
 from repro.radio.channel import ChannelModel, ClassicCollision
-
-# Host namespace via the backend shim (results and packed-word state are
-# host-resident by contract); backend-active work goes through
-# ``self.backend`` instead.
-np = HOST.xp
 
 __all__ = ["RadioNetwork"]
 
@@ -45,18 +41,12 @@ class RadioNetwork:
     classic collision model.  Stateful channels (erasure, jamming) must be
     reset with per-trial generators before stepping — the broadcast engine
     does this automatically.
-
-    ``backend`` selects the array backend the dense kernels run on
-    (:mod:`repro.backend`): an :class:`~repro.backend.ArrayBackend`, a
-    name, or ``None`` for host numpy — the bit-for-bit default.
     """
 
     __slots__ = (
         "graph",
         "channel",
-        "backend",
         "_adj_cast",
-        "_value_op",
         "_count_dtype",
         "_tc_key",
         "_tc_val",
@@ -64,15 +54,9 @@ class RadioNetwork:
         "_eow_val",
     )
 
-    def __init__(
-        self,
-        graph: Graph,
-        channel: ChannelModel | None = None,
-        backend=None,
-    ) -> None:
+    def __init__(self, graph: Graph, channel: ChannelModel | None = None) -> None:
         self.graph = graph
         self.channel = channel if channel is not None else ClassicCollision()
-        self.backend = resolve_backend(backend)
         # Identity-keyed single-entry caches: when telemetry computes the
         # round's counts / exactly-one fold first, the channel's own call
         # with the *same* transmit object reuses it instead of re-running
@@ -90,7 +74,6 @@ class RadioNetwork:
         # Built lazily on the first dense step: bitset-engine runs gather
         # over the graph's plain-numpy CSR and never materialize scipy.
         self._adj_cast = None
-        self._value_op = None
 
     @property
     def n(self) -> int:
@@ -109,20 +92,17 @@ class RadioNetwork:
         if self._tc_key is transmitting:
             return self._tc_val
         if self._adj_cast is None:
-            self._adj_cast = self.backend.adjacency_operator(
-                self.graph, self._count_dtype
+            # copy=False: the int8 common case aliases scipy's own buffers.
+            self._adj_cast = self.graph.adjacency.astype(
+                self._count_dtype, copy=False
             )
-        return self.backend.neighbor_counts(self._adj_cast, transmitting)
+        return self._adj_cast @ transmitting.astype(self._count_dtype)
 
     def value_counts(self, values: np.ndarray) -> np.ndarray:
         """Exact delivered-value product ``A @ values`` — the kernel the
-        value workloads (aggregate, pipeline) fold each round.  Runs on
-        this network's backend; on host numpy it is literally
-        ``graph.adjacency @ values`` (scipy int32 @ int64 upcasts to
-        int64, exactly as the folds always computed it)."""
-        if self._value_op is None:
-            self._value_op = self.backend.value_operator(self.graph)
-        return self.backend.value_matmul(self._value_op, values)
+        value workloads (aggregate, pipeline) fold each round (scipy's
+        int32 adjacency @ int64 values upcasts to int64)."""
+        return self.graph.adjacency @ values
 
     def prime_transmit_counts(
         self, transmitting: np.ndarray, counts: np.ndarray
@@ -175,9 +155,9 @@ class RadioNetwork:
             *receive* the message this round, as decided by the active
             channel model.
         """
-        transmitting = self.backend.asarray(transmitting)
+        transmitting = np.asarray(transmitting)
         if (
-            not self.backend.is_bool(transmitting)
+            transmitting.dtype != bool
             or transmitting.ndim not in (1, 2)
             or transmitting.shape[0] != self.n
         ):

@@ -51,7 +51,6 @@ from repro._util import (
     spawn_seeds,
 )
 from repro._util.callspec import CallSpec as _CallSpec
-from repro.backend import BACKEND_NAMES
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import active_recorder, maybe_span
 from repro.radio.channel import ChannelSpec
@@ -295,22 +294,19 @@ def _coerce_scalar(key: str, value):
             )
         return value
     if key == "backend":
-        # The array-backend selector: a registry name, optionally with a
-        # ':device' suffix ("torch:cuda").  Kept as a string — resolution
-        # (and the graceful numpy fallback when the extra is missing)
-        # happens at run time, so specs stay buildable anywhere.
-        if not isinstance(value, str) or not value.strip():
-            raise ValueError(
-                f"scenario backend must be a backend name, got {value!r}"
-            )
-        value = value.strip().lower()
-        if value.partition(":")[0] not in BACKEND_NAMES:
-            raise ValueError(
-                f"scenario backend must name a registered array backend "
-                f"({', '.join(sorted(BACKEND_NAMES))}, optionally with a "
-                f"':device' suffix); got {value!r}"
-            )
-        return value
+        # Tombstone of the removed array-backend shim: every run is numpy,
+        # so `backend=numpy` (any case, any `:device`) parses as a no-op
+        # that the callers drop — it never reaches the canonical views.
+        if (
+            isinstance(value, str)
+            and value.strip().lower().partition(":")[0] == "numpy"
+        ):
+            return None
+        raise ValueError(
+            f"scenario backend={value!r} is no longer supported: the "
+            "array-backend shim was removed and every run uses numpy; "
+            "drop backend= from the spec"
+        )
     if key == "telemetry":
         # The one boolean scalar.  Accept bools, 0/1, and the usual
         # switch spellings so spec strings read `telemetry=on`.
@@ -386,13 +382,11 @@ class Scenario:
         ``extras``.  Off by default, and serialized only when on, so
         telemetry-off scenarios keep their pre-telemetry cache keys.
         Spec strings accept ``telemetry=on`` / ``telemetry=off``.
-    backend:
-        Array backend the dense engine runs on (:mod:`repro.backend`):
-        ``"numpy"`` (the bit-for-bit default), ``"torch"``, or a
-        device-suffixed form (``"torch:cuda"``).  Resolution happens at
-        run time — a missing optional extra degrades to numpy with one
-        ``RuntimeWarning`` — and the field is serialized only when
-        non-default, so pre-backend scenarios keep their cache keys.
+
+    The string, dict and override views still accept ``backend=numpy``
+    (the removed array-backend selector) as a no-op, so old specs keep
+    parsing to the same scenario and cache key; any other backend is an
+    eager ``ValueError``.
     """
 
     graph: GraphSpec
@@ -406,7 +400,6 @@ class Scenario:
     engine: str = "auto"
     memory_budget: int | None = None
     telemetry: bool = False
-    backend: str = "numpy"
 
     def __post_init__(self):
         object.__setattr__(
@@ -450,9 +443,6 @@ class Scenario:
             object.__setattr__(
                 self, "telemetry", _coerce_scalar("telemetry", self.telemetry)
             )
-        object.__setattr__(
-            self, "backend", _coerce_scalar("backend", self.backend)
-        )
         # `source` is a deprecated alias of the broadcast workload's own
         # parameter: canonicalize it into the workload segment so every
         # view (string/dict/pickle) has one spelling and spec-equal
@@ -496,7 +486,7 @@ class Scenario:
         and any segment may be a ``key=value`` assignment (``graph=``,
         ``protocol=``, ``channel=``, ``workload=``, ``trials=``,
         ``seed=``, ``source=``, ``max_rounds=``, ``engine=``,
-        ``memory_budget=``, ``telemetry=``, ``backend=``)::
+        ``memory_budget=``, ``telemetry=``)::
 
             "hypercube(10) | decay | erasure(0.05) | trials=64 | seed=3"
             "margulis(8) | decay | erasure(0.1) | gossip(k=16)"
@@ -556,6 +546,7 @@ class Scenario:
                 kwargs[key] = _coerce_component(key, raw)
             else:
                 kwargs[key] = _coerce_scalar(key, raw)
+        kwargs.pop("backend", None)  # checked tombstone, see _coerce_scalar
         return cls(**kwargs).validate()
 
     def describe(self) -> str:
@@ -584,8 +575,6 @@ class Scenario:
             parts.append(f"memory_budget={self.memory_budget}")
         if self.telemetry:
             parts.append("telemetry=on")
-        if self.backend != "numpy":
-            parts.append(f"backend={self.backend}")
         return " | ".join(parts)
 
     def to_dict(self) -> dict:
@@ -611,11 +600,6 @@ class Scenario:
             out["memory_budget"] = int(self.memory_budget)
         if self.telemetry:
             out["telemetry"] = True
-        # Non-default only: default-backend scenarios hash to exactly
-        # their pre-backend cache keys (and backend lands in ResultStore
-        # keys automatically whenever it is non-numpy).
-        if self.backend != "numpy":
-            out["backend"] = str(self.backend)
         return out
 
     @classmethod
@@ -637,6 +621,8 @@ class Scenario:
         for key in _SCALAR_FIELDS:
             if key in data:
                 kwargs[key] = data[key]
+        if "backend" in kwargs:
+            _coerce_scalar("backend", kwargs.pop("backend"))
         return cls(**kwargs)
 
     # ------------------------------------------------------------------
@@ -673,8 +659,7 @@ class Scenario:
 
         Keys are scenario fields (``graph``, ``protocol``, ``channel``,
         ``workload``, ``trials``, ``seed``, ``source``, ``max_rounds``,
-        ``engine``, ``memory_budget``, ``telemetry``, ``backend``) or
-        dotted paths
+        ``engine``, ``memory_budget``, ``telemetry``) or dotted paths
         one level into a component spec (``channel.erasure_p``,
         ``protocol.name``, ``graph.family``).  Component values may be
         spec objects, spec strings, or canonical dicts; scalar values may
@@ -705,6 +690,8 @@ class Scenario:
                 out = replace(out, **{head: _coerce_component(head, value)})
             elif head in _SCALAR_FIELDS:
                 updates = {head: _coerce_scalar(head, value)}
+                if head == "backend":
+                    continue  # checked tombstone, see _coerce_scalar
                 if (
                     head == "source"
                     and updates[head] is not None

@@ -59,9 +59,7 @@ def _run_realized(realized, scenario) -> BatchBroadcastResult:
     """The one engine invocation every scenario view shares — so the
     cached ``summary`` and ``result`` views of a spec can never disagree
     about how it was run."""
-    with maybe_span(
-        "engine.run", scenario=scenario.describe(), backend=scenario.backend
-    ):
+    with maybe_span("engine.run", scenario=scenario.describe()):
         return run_broadcast_batch(
             realized.built.graph,
             realized.protocol,
@@ -73,7 +71,6 @@ def _run_realized(realized, scenario) -> BatchBroadcastResult:
             memory_budget=scenario.memory_budget,
             workload=realized.workload,
             telemetry=scenario.telemetry,
-            backend=scenario.backend,
         )
 
 
@@ -96,9 +93,7 @@ def run_scenario_shard(scenario, trial_seeds: Sequence[int]) -> BatchBroadcastRe
     """
     scenario = _as_scenario(scenario)
     realized = scenario.build()
-    with maybe_span(
-        "engine.run_shard", trials=len(trial_seeds), backend=scenario.backend
-    ):
+    with maybe_span("engine.run_shard", trials=len(trial_seeds)):
         return run_broadcast_batch(
             realized.built.graph,
             realized.protocol,
@@ -110,7 +105,6 @@ def run_scenario_shard(scenario, trial_seeds: Sequence[int]) -> BatchBroadcastRe
             memory_budget=scenario.memory_budget,
             workload=realized.workload,
             telemetry=scenario.telemetry,
-            backend=scenario.backend,
         )
 
 

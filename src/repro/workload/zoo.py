@@ -27,14 +27,10 @@ adjacency mid-run and breaks that identity, so it is rejected eagerly.
 
 from __future__ import annotations
 
-from repro._util import check_positive_int
-from repro.backend import HOST
-from repro.workload.base import SetWorkloadState, Workload, WorkloadState
+import numpy as np
 
-# Host namespace via the backend shim: initial sets, per-trial draws and
-# extras are built host-side; the value folds run on the network's
-# backend (``self._bk``) via ``network.value_counts``.
-np = HOST.xp
+from repro._util import check_positive_int
+from repro.workload.base import SetWorkloadState, Workload, WorkloadState
 
 __all__ = [
     "AggregateWorkload",
@@ -147,36 +143,26 @@ class GossipWorkload(Workload):
 
 
 class _AggregateState(WorkloadState):
-    """Per-cell running aggregates folded by max under clean receptions.
+    """Per-cell running aggregates folded by max under clean receptions."""
 
-    Working arrays (``values``, ``target``) live on the network's backend;
-    extras stay host numpy.  On the host backend the masked-where fold
-    computes exactly the pre-backend ``np.maximum(..., out=, where=)``
-    in-place form.
-    """
-
-    def __init__(self, values, target, extras, backend=HOST):
+    def __init__(self, values, target, extras):
         super().__init__(extras)
-        self._bk = backend
-        self.values = backend.asarray(values)  # (n, active) int64 aggregates
-        self.target = backend.asarray(target)  # (active,) int64 targets
+        self.values = values  # (n, active) int64 working aggregates
+        self.target = target  # (active,) int64 per-trial convergence value
 
     def initial_satisfied(self) -> np.ndarray:
         return self.values >= self.target[None, :]
 
     def transmit_eligible(self, satisfied) -> np.ndarray:
         # Every node always holds a partial aggregate worth sharing.
-        return self._bk.ones_like(satisfied)
+        return np.ones_like(satisfied)
 
     def fold(self, round_index, transmitting, received, satisfied, network):
         sums = network.value_counts(transmitting * self.values)
-        self.values = self._bk.where(
-            received, self._bk.maximum(self.values, sums), self.values
-        )
+        np.maximum(self.values, sums, out=self.values, where=received)
         return (self.values >= self.target[None, :]) & ~satisfied
 
     def select_trials(self, keep) -> None:
-        keep = self._bk.asarray(keep)
         self.values = self.values[:, keep]
         self.target = self.target[keep]
 
@@ -227,24 +213,16 @@ class AggregateWorkload(Workload):
             estimate = np.exp2(target.astype(np.float64))
             truth = np.full(T, n, dtype=np.int64)
         return _AggregateState(
-            values,
-            target,
-            extras={"estimate": estimate, "truth": truth},
-            backend=network.backend,
+            values, target, extras={"estimate": estimate, "truth": truth}
         )
 
 
 class _PipelineState(WorkloadState):
-    """Per-cell consecutive-prefix counters for multi-message streaming.
+    """Per-cell consecutive-prefix counters for multi-message streaming."""
 
-    The prefix matrix ``h`` lives on the network's backend; the fold's
-    masked increment is the same expression on every backend.
-    """
-
-    def __init__(self, h, m, backend=HOST):
+    def __init__(self, h, m):
         super().__init__()
-        self._bk = backend
-        self.h = backend.asarray(h)  # (n, active) int64 prefix lengths
+        self.h = h  # (n, active) int64 consecutive-prefix lengths
         self.m = m
 
     def initial_satisfied(self) -> np.ndarray:
@@ -262,7 +240,7 @@ class _PipelineState(WorkloadState):
         return (self.h >= self.m) & ~satisfied
 
     def select_trials(self, keep) -> None:
-        self.h = self.h[:, self._bk.asarray(keep)]
+        self.h = self.h[:, keep]
 
 
 class PipelineWorkload(Workload):
@@ -299,4 +277,4 @@ class PipelineWorkload(Workload):
         n, T = network.graph.n, len(trial_rngs)
         h = np.zeros((n, T), dtype=np.int64)
         h[self.source, :] = self.m
-        return _PipelineState(h, self.m, backend=network.backend)
+        return _PipelineState(h, self.m)

@@ -14,9 +14,9 @@ class TestRegistry:
     def test_registry_is_clean(self):
         assert validate_registry(BENCH_DIR) == []
 
-    def test_twenty_two_experiments(self):
-        assert len(EXPERIMENTS) == 22
-        assert [e.id for e in EXPERIMENTS] == [f"E{i}" for i in range(1, 23)]
+    def test_twenty_one_experiments(self):
+        assert len(EXPERIMENTS) == 21
+        assert [e.id for e in EXPERIMENTS] == [f"E{i}" for i in range(1, 22)]
 
     def test_every_bench_file_registered(self):
         registered = {e.bench_file for e in EXPERIMENTS}

@@ -1,16 +1,16 @@
-"""Regenerate the pinned numpy-path fixtures (``fixtures/pinned.json``).
+"""Regenerate the repo-wide refactor guard (``fixtures/pinned.json``).
 
 The fixtures freeze the engine's observable outputs — per-trial rounds,
 completion, transmissions, and content digests of every result matrix —
-for a spread of scenarios at fixed seeds.  They were generated *before*
-the array-backend refactor landed, so ``tests/backend/test_pinned_fixtures.py``
-certifies that the numpy path through the backend shim is bit-for-bit the
-pre-refactor engine.
+for a spread of scenarios at fixed seeds, the expansion pipeline's
+estimates, and each pinned scenario's ``scenario_key`` (its cache
+identity).  ``tests/regression/test_pinned_fixtures.py`` replays them, so
+a refactor that claims to keep behaviour bit for bit must keep every pin.
 
 Run from the repo root to regenerate (only do this when an intentional,
-documented engine-semantics change lands)::
+documented engine-semantics or cache-key change lands)::
 
-    PYTHONPATH=src python tests/backend/make_fixtures.py
+    PYTHONPATH=src python tests/regression/make_fixtures.py
 """
 
 from __future__ import annotations
@@ -75,6 +75,16 @@ def batch_record(batch) -> dict:
     }
 
 
+def key_record(spec: str) -> str:
+    """The pinned cache identity of one scenario spec.  The empty salt
+    pins the canonical dict alone, independent of the installed package
+    version that ``code_salt`` would mix in."""
+    from repro.runtime import scenario_key
+    from repro.scenario import Scenario
+
+    return scenario_key(Scenario.from_string(spec), salt="")
+
+
 def expansion_record(graph: str, expansion: str, seed: int) -> dict:
     from repro.scenario.tasks import expansion_summary
 
@@ -101,6 +111,7 @@ def build() -> dict:
             )
             for graph, expansion, seed in EXPANSIONS
         },
+        "keys": {spec: key_record(spec) for spec in SCENARIOS},
     }
 
 

@@ -1,11 +1,11 @@
-"""Bit-for-bit certification of the numpy path through the backend shim.
+"""The repo-wide refactor guard: pinned digests and cache keys.
 
-``fixtures/pinned.json`` was generated *before* the array-backend
-refactor routed the dense engine, workloads, and expansion pipeline
-through :mod:`repro.backend`.  Replaying every pinned scenario and
-expansion measurement against those digests proves the refactored numpy
-path is byte-identical to the pre-backend engine — the shim's core
-contract (zero new tolerance on the host path).
+``fixtures/pinned.json`` freezes, at fixed seeds, the engine's result
+digests for a spread of scenarios (both engines, every channel and
+workload, trial compaction, memory-budget sharding, telemetry), the
+expansion pipeline's estimates, and every pinned scenario's
+``scenario_key``.  Replaying them proves a refactor kept results
+byte-identical and cache identities unchanged — zero new tolerance.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from make_fixtures import (  # sibling module; pytest adds this dir to sys.path
     SCENARIOS,
     batch_record,
     expansion_record,
+    key_record,
 )
 
 
@@ -35,10 +36,11 @@ def test_fixture_file_covers_every_pin(pinned):
         f"{graph} :: {expansion} :: seed={seed}"
         for graph, expansion, seed in EXPANSIONS
     }
+    assert set(pinned["keys"]) == set(SCENARIOS)
 
 
 @pytest.mark.parametrize("spec", SCENARIOS)
-def test_scenario_matches_pre_backend_digest(pinned, spec):
+def test_scenario_matches_pinned_digest(pinned, spec):
     from repro.scenario import Scenario
 
     assert batch_record(Scenario.from_string(spec).run()) == (
@@ -47,6 +49,11 @@ def test_scenario_matches_pre_backend_digest(pinned, spec):
 
 
 @pytest.mark.parametrize("graph,expansion,seed", EXPANSIONS)
-def test_expansion_matches_pre_backend_digest(pinned, graph, expansion, seed):
+def test_expansion_matches_pinned_digest(pinned, graph, expansion, seed):
     key = f"{graph} :: {expansion} :: seed={seed}"
     assert expansion_record(graph, expansion, seed) == pinned["expansions"][key]
+
+
+@pytest.mark.parametrize("spec", SCENARIOS)
+def test_scenario_key_matches_pin(pinned, spec):
+    assert key_record(spec) == pinned["keys"][spec]

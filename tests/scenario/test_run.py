@@ -168,13 +168,13 @@ class TestSummary:
 
     def test_run_experiment_registry_scenarios(self):
         # Every experiment-bound scenario is runnable (tiny smoke of the
-        # E1-E22 acceptance: simulation experiments route through Scenario).
+        # E1-E21 acceptance: simulation experiments route through Scenario).
         from repro.analysis import EXPERIMENTS
 
         bound = [e for e in EXPERIMENTS if e.scenario is not None]
         assert {e.id for e in bound} == {
             "E7", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19",
-            "E20", "E21", "E22",
+            "E20", "E21",
         }
         smoke = bound[0].scenario.with_overrides({"trials": 2})
         batch = smoke.run()

@@ -225,6 +225,49 @@ class TestOverrides:
             sc.with_overrides({"channel.nope": 1})
 
 
+class TestRetiredBackend:
+    """``backend=`` is a tombstone of the removed array-backend shim:
+    numpy spellings fold away, anything else fails eagerly."""
+
+    PLAIN = "hypercube(4) | decay | trials=4"
+
+    def key(self, scenario) -> str:
+        from repro.runtime import scenario_key
+
+        return scenario_key(scenario, salt="")
+
+    @pytest.mark.parametrize("spelling", ["numpy", "NUMPY:cpu", "numpy:cpu"])
+    def test_numpy_segment_keeps_the_plain_key(self, spelling):
+        plain = Scenario.from_string(self.PLAIN)
+        sc = Scenario.from_string(f"{self.PLAIN} | backend={spelling}")
+        assert sc == plain
+        assert self.key(sc) == self.key(plain)
+        assert "backend" not in sc.describe()
+
+    def test_numpy_override_keeps_the_plain_key(self):
+        plain = Scenario.from_string(self.PLAIN)
+        sc = plain.with_overrides({"backend": "numpy"})
+        assert sc == plain
+        assert self.key(sc) == self.key(plain)
+
+    def test_numpy_dict_entry_keeps_the_plain_key(self):
+        plain = Scenario.from_string(self.PLAIN)
+        sc = Scenario.from_dict({**plain.to_dict(), "backend": "numpy"})
+        assert sc == plain
+        assert self.key(sc) == self.key(plain)
+        assert "backend" not in sc.to_dict()
+
+    @pytest.mark.parametrize("spelling", ["torch", "torch:cuda", "jax"])
+    def test_other_backends_name_the_removal(self, spelling):
+        with pytest.raises(ValueError, match="array-backend shim was removed"):
+            Scenario.from_string(f"{self.PLAIN} | backend={spelling}")
+        plain = Scenario.from_string(self.PLAIN)
+        with pytest.raises(ValueError, match="drop backend="):
+            plain.with_overrides({"backend": spelling})
+        with pytest.raises(ValueError, match="array-backend shim was removed"):
+            Scenario.from_dict({**plain.to_dict(), "backend": spelling})
+
+
 class TestBuild:
     @pytest.mark.parametrize("graph", GRAPH_STRINGS)
     def test_every_family_builds(self, graph):

@@ -24,6 +24,7 @@ INVALID_SPECS = [
         "erasure probability must lie in [0, 1]",
     ),
     ("hypercube(3) | decay | trials=soon", "must be an integer"),
+    ("hypercube(3) | decay | backend=torch", "array-backend shim was removed"),
 ]
 
 

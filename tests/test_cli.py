@@ -244,6 +244,23 @@ class TestScenarioFlags:
             main(["hops", "--scenario", "chain(4, 2) | source=1",
                   "--reps", "2"])
 
+    def test_cli_rejects_unknown_backend(self):
+        # The array-backend shim is gone: any non-numpy backend is the
+        # tombstone's clean error, and the --backend flag no longer exists.
+        with pytest.raises(SystemExit, match="array-backend shim was removed"):
+            main(["broadcast", "--scenario", "hypercube(4) | decay | trials=2",
+                  "--reps", "1", "-S", "backend=torch"])
+        with pytest.raises(SystemExit):
+            main(["broadcast", "--reps", "1", "--backend", "numpy"])
+
+    def test_numpy_backend_override_still_runs(self, capsys):
+        argv = ["broadcast", "--scenario", "hypercube(4) | decay | trials=2",
+                "--reps", "1"]
+        assert main(argv + ["-S", "backend=numpy"]) == 0
+        with_backend = capsys.readouterr().out
+        assert main(argv) == 0
+        assert with_backend == capsys.readouterr().out
+
     def test_bad_graph_override_fails_before_running(self):
         # Eager Scenario.validate: the out-of-domain family parameter is a
         # clean SystemExit at resolution time, not a mid-sweep crash.
