@@ -95,13 +95,73 @@ _NODE_HASH_CACHE: dict[int, np.ndarray] = {}
 
 
 def _node_hashes(n: int) -> np.ndarray:
+    """``(n, 1)`` uint32 node lane hashes, murmur's first step applied.
+
+    A lattice cell starts as ``node ^ key_round`` and the finalizer's
+    first step is ``z ^= z >> 16``.  A right shift distributes over xor,
+    so that step is the same step applied to each side before they meet —
+    here once per ``n`` and in :func:`_key_round_hashes` once per ``(T,)``
+    key vector — and the ``(rows, T)`` lattice skips it.
+    """
     cached = _NODE_HASH_CACHE.get(n)
     if cached is None:
         with np.errstate(over="ignore"):
             mixed = _splitmix(np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN)
-        cached = (mixed >> np.uint64(32)).astype(np.uint32)[:, None]
+        lanes = (mixed >> np.uint64(32)).astype(np.uint32)
+        cached = (lanes ^ (lanes >> np.uint32(16)))[:, None]
         _NODE_HASH_CACHE[n] = cached
     return cached
+
+
+def _key_round_hashes(keys: np.ndarray, round_index: int) -> np.ndarray:
+    """``(T,)`` uint32 key/round lane hashes, murmur's first step applied
+    (the other half of :func:`_node_hashes`).  Mixed in 64 bits on the
+    cheap ``(T,)`` side."""
+    with np.errstate(over="ignore"):
+        ctr = np.full(1, round_index + 1, dtype=np.uint64) * _GOLDEN
+        lanes = (_splitmix(keys + ctr) >> np.uint64(32)).astype(np.uint32)
+    return lanes ^ (lanes >> np.uint32(16))
+
+
+def _lattice_blocks(
+    keys: np.ndarray,
+    round_index: int,
+    nh: np.ndarray,
+    block: int,
+    out: np.ndarray | None = None,
+):
+    """Yield ``(start, z)``: consecutive ``block``-row pieces of the
+    ``(len(nh), T)`` hash lattice, finalized except for murmur's last
+    ``z ^= z >> 16`` (:func:`_finish`).
+
+    Each piece lands in the matching rows of ``out`` when given, else in
+    one reused buffer (consume it before the next step).  It starts as a
+    contiguous tiled key row xored with a broadcast node column — the
+    other way round, broadcasting the short key row, costs a numpy inner
+    loop per lattice row.  Array ufuncs wrap silently, so the passes need
+    no errstate guard.
+    """
+    count = nh.shape[0]
+    rows = min(block, count)
+    tiled = np.tile(_key_round_hashes(keys, round_index), (rows, 1))
+    tmp = np.empty_like(tiled)
+    buf = np.empty_like(tiled) if out is None else None
+    for s in range(0, count, block):
+        m = min(block, count - s)
+        dest = buf[:m] if out is None else out[s : s + m]
+        z = np.bitwise_xor(tiled[:m], nh[s : s + m], out=dest)
+        z *= _MURMUR_A
+        t = np.right_shift(z, np.uint32(13), out=tmp[:m])
+        z ^= t
+        z *= _MURMUR_B
+        yield s, z
+
+
+def _finish(z: np.ndarray) -> np.ndarray:
+    """Murmur's last step, in place (skippable for thresholds that pass
+    :func:`_threshold_exact_without_final_shift`)."""
+    z ^= z >> np.uint32(16)
+    return z
 
 
 def derive_keys(rngs) -> np.ndarray:
@@ -120,13 +180,32 @@ def derive_keys(rngs) -> np.ndarray:
 
 #: Row-block size (in lattice elements) for the murmur finalizer: small
 #: enough that a block and its shift/multiply temporaries stay cache-
-#: resident across the six passes, which is ~3× faster than streaming the
-#: whole ``(n, T)`` lattice through memory once per pass.
-_BLOCK_ELEMS = 1 << 17
+#: resident across the passes, which is ~3× faster than streaming the
+#: whole ``(n, T)`` lattice through memory once per pass.  At 128 KiB of
+#: uint32 the temporaries also stay under glibc's mmap threshold, so they
+#: reuse heap memory instead of faulting in fresh pages on every call
+#: (twice the size measured ~2.5× slower on ``(4096, 16)`` lattices).
+_BLOCK_ELEMS = 1 << 15
+
+
+def _threshold_exact_without_final_shift(threshold: int) -> bool:
+    """Whether ``hash < threshold`` can skip murmur's last ``z ^= z >> 16``.
+
+    That step leaves the top 16 bits of ``z`` unchanged, and leaves ``z``
+    itself unchanged when they are zero.  So the comparison is the same
+    before and after it when the threshold is a multiple of ``2^16`` (only
+    the top bits decide) or at most ``2^16`` (both sides are below it only
+    with zero top bits).  Decay's ``2^(32-i)`` thresholds always qualify.
+    """
+    return threshold <= 1 << 16 or threshold & 0xFFFF == 0
 
 
 def _counter_bits(
-    keys: np.ndarray, round_index: int, n: int, rows: np.ndarray | None = None
+    keys: np.ndarray,
+    round_index: int,
+    n: int,
+    rows: np.ndarray | None = None,
+    final_shift: bool = True,
 ) -> np.ndarray:
     """``(n, len(keys))`` uint32 hash lattice over (key, round, node).
 
@@ -134,28 +213,22 @@ def _counter_bits(
     result is exactly the full lattice indexed at those rows — the hash is
     a pure elementwise function of ``(key, round, node)``, so a restricted
     evaluation is bit-identical to slicing the full one.
+    ``final_shift=False`` omits the finalizer's last xor-shift, for
+    threshold comparisons it cannot change
+    (:func:`_threshold_exact_without_final_shift`).
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    trials = keys.shape[0]
-    with np.errstate(over="ignore"):
-        # Mix key and round on the cheap (T,) side in 64 bits, nodes once
-        # per n (cached); the only (rows, T) work is one row-blocked
-        # murmur3 finalizer pass in 32-bit lanes.
-        ctr = np.full(1, round_index + 1, dtype=np.uint64) * _GOLDEN
-        kr = (_splitmix(keys + ctr) >> np.uint64(32)).astype(np.uint32)
-        nh = _node_hashes(n)
-        if rows is not None:
-            nh = nh[np.asarray(rows)]
-        count = nh.shape[0]
-        out = np.empty((count, trials), dtype=np.uint32)
-        block = max(1, _BLOCK_ELEMS // max(1, trials))
-        for s in range(0, count, block):
-            z = np.bitwise_xor(nh[s : s + block], kr[None, :], out=out[s : s + block])
-            z ^= z >> np.uint32(16)
-            z *= _MURMUR_A
-            z ^= z >> np.uint32(13)
-            z *= _MURMUR_B
-            z ^= z >> np.uint32(16)
+    nh = _node_hashes(n)
+    if rows is not None:
+        nh = nh[np.asarray(rows)]
+    out = np.empty((nh.shape[0], keys.shape[0]), dtype=np.uint32)
+    # Key and round are mixed on the cheap (T,) side, nodes once per n
+    # (cached); the only (rows, T) work is the row-blocked murmur3
+    # finalizer in 32-bit lanes.
+    block = max(1, _BLOCK_ELEMS // max(1, keys.shape[0]))
+    for _, z in _lattice_blocks(keys, round_index, nh, block, out=out):
+        if final_shift:
+            _finish(z)
     return out
 
 
@@ -197,7 +270,9 @@ def counter_coins(
         return np.ones((count, trials), dtype=bool)
     if threshold <= 0:
         return np.zeros((count, trials), dtype=bool)
-    return _counter_bits(keys, round_index, n, rows) < np.uint32(threshold)
+    final_shift = not _threshold_exact_without_final_shift(threshold)
+    bits = _counter_bits(keys, round_index, n, rows, final_shift)
+    return bits < np.uint32(threshold)
 
 
 def counter_coin_blocks(
@@ -234,19 +309,6 @@ def counter_coin_blocks(
             yield s, template[: min(block, count - s)]
         return
     thr = np.uint32(threshold)
-    with np.errstate(over="ignore"):
-        ctr = np.full(1, round_index + 1, dtype=np.uint64) * _GOLDEN
-        kr = (_splitmix(keys + ctr) >> np.uint64(32)).astype(np.uint32)
-    buf = np.empty((min(block, count), trials), dtype=np.uint32)
-    # Array-scalar integer ufuncs wrap silently, so the murmur passes need
-    # no errstate guard — keeping the loop free of context-manager
-    # overhead (and of state that would leak across yields).
-    for s in range(0, count, block):
-        hi = min(s + block, count)
-        z = np.bitwise_xor(nh[s:hi], kr[None, :], out=buf[: hi - s])
-        z ^= z >> np.uint32(16)
-        z *= _MURMUR_A
-        z ^= z >> np.uint32(13)
-        z *= _MURMUR_B
-        z ^= z >> np.uint32(16)
-        yield s, z < thr
+    final_shift = not _threshold_exact_without_final_shift(threshold)
+    for s, z in _lattice_blocks(keys, round_index, nh, block):
+        yield s, (_finish(z) if final_shift else z) < thr

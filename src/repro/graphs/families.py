@@ -43,21 +43,45 @@ def _csr_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     ``(u[i], v[i])`` are simple edges (no self-loops), possibly repeated;
     both directions are emitted, sorted, and deduplicated in vectorized
     numpy — no per-edge Python tuples and no duplicate-scanning
-    :class:`Graph` constructor pass.
+    :class:`Graph` constructor pass.  One sort of the ``row * n + col``
+    key orders the pairs exactly as a ``(row, col)`` lexsort would, at a
+    fraction of the cost.
     """
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    if rows.shape[0]:
-        keep = np.ones(rows.shape[0], dtype=bool)
-        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        rows = rows[keep]
-        cols = cols[keep]
+    key = np.concatenate([u * n + v, v * n + u])
+    key.sort()
+    if key.shape[0]:
+        keep = np.ones(key.shape[0], dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    rows, cols = np.divmod(key, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return Graph.from_csr(n, indptr, cols, validate=False)
+
+
+#: Bit budget of the repair loop's composite sort key: ``(key << shift) |
+#: index`` must stay a non-negative int64 to sort like a stable argsort.
+_COMPOSITE_KEY_BITS = 63
+
+
+def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for non-negative ``key < bound``.
+
+    Packs each element's index below its key and sorts the packed values
+    once — equal keys then order by index, which is exactly the stable
+    order, and a plain sort of int64 beats a stable argsort severalfold.
+    Falls back to the stable argsort when the packed key would not fit in
+    :data:`_COMPOSITE_KEY_BITS` bits.
+    """
+    size = key.shape[0]
+    shift = max(1, (size - 1).bit_length())
+    if (max(1, bound - 1).bit_length() + shift) > _COMPOSITE_KEY_BITS:
+        return np.argsort(key, kind="stable")
+    packed = key << np.int64(shift)
+    packed |= np.arange(size, dtype=np.int64)
+    packed.sort()
+    packed &= np.int64((1 << shift) - 1)
+    return packed
 
 
 def _random_regular_direct(n: int, d: int, gen: np.random.Generator) -> Graph:
@@ -77,7 +101,7 @@ def _random_regular_direct(n: int, d: int, gen: np.random.Generator) -> Graph:
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         key = lo * n + hi
-        order = np.argsort(key, kind="stable")
+        order = _stable_order(key, n * n)
         sorted_key = key[order]
         bad = u == v
         # Mark every repeat of an unordered pair past its first occurrence.

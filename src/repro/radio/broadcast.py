@@ -74,11 +74,6 @@ _ENGINES = ("auto", "dense", "bitset")
 #: packed working set and CSR gathers dominate.
 _AUTO_BITSET_MIN_N = 32768
 
-#: Fresh-bit rows per first-informed scatter chunk in the bitset loop:
-#: keeps the unpacked bool and nonzero index transients bounded by the
-#: chunk, not by the frontier width.
-_SCATTER_ROW_BLOCK = 2048
-
 #: Rounds between drains of the bitset engine's transmission tally: caps
 #: its counter-plane stack at ``log2`` of this many ``(n, W)`` layers.
 _TALLY_DRAIN_ROUNDS = 32
@@ -643,16 +638,17 @@ def _run_bitset(
     Only set-semantics workloads run here (``_resolve_engine`` guarantees
     it): satisfaction is a bit, so the workload's whole contribution is
     the packed initial matrix — the fold is the engine's own
-    ``received & ~informed``.
+    ``received & ~informed``.  First-informed rounds accrue as bit-sliced
+    planes (:class:`~repro.radio.bitset.FirstInformedPlanes`), decoded to
+    the ``(n, T)`` int64 result once at the end.
     """
     from repro.radio.bitset import (
+        FirstInformedPlanes,
         TransmissionTally,
-        any_neighbor_words,
-        any_neighbor_words_at,
         full_mask_words,
         neighbor_fold_words,
         pack_bool_matrix,
-        scatter_neighbor_words,
+        row_flags,
         unpack_words,
         word_column_counts,
     )
@@ -675,12 +671,10 @@ def _run_bitset(
     running = trial_mask.copy()
     active_mask = np.ones(T, dtype=bool)
     # Rows with any informed bit, maintained incrementally: the engine's
-    # hint to the protocol's word face (uninformed rows cannot transmit)
-    # and the restriction for the popcount passes below.
+    # hint to the protocol's word face (uninformed rows cannot transmit).
     informed_any = initial.any(axis=1)
 
-    first_round = np.full((n, T), -1, dtype=np.int64)
-    first_round[initial] = 0
+    first_informed = FirstInformedPlanes(n, informed_words.shape[1])
     completed = np.zeros(T, dtype=bool)
     rounds = np.zeros(T, dtype=np.int64)
     transmissions = np.zeros(T, dtype=np.int64)
@@ -702,41 +696,12 @@ def _run_bitset(
         running = pack_bool_matrix(active_mask[None, :])[0]
 
     # Energy totals accrue through bit-sliced counter planes, drained
-    # (transposed + popcounted) every few dozen rounds instead of paying a
-    # 64×64 transpose per round.
+    # (column-counted) every few dozen rounds instead of counting every
+    # round.  With telemetry on, the exact per-round transmitter counts
+    # carry the totals instead.
     tally = TransmissionTally()
     tel = TelemetryAccumulator(T) if telemetry else None
-    tel_zeros = np.zeros(T, dtype=np.int64)
-
-    def tel_rows(words_mat: np.ndarray) -> np.ndarray:
-        # flatnonzero on the single word column skips the bool cast a
-        # reduction over the trial axis would pay.
-        if words_mat.shape[1] == 1:
-            return np.flatnonzero(words_mat[:, 0])
-        return np.flatnonzero(words_mat.any(axis=1))
-
-    def tel_nnz(words_mat: np.ndarray) -> int:
-        # Row-count probe: SIMD count_nonzero costs a fraction of
-        # materializing the index vector, so dense rounds can pick the
-        # full-matrix path without ever allocating row indices.
-        if words_mat.shape[1] == 1:
-            return int(np.count_nonzero(words_mat[:, 0]))
-        return int(np.count_nonzero(words_mat.any(axis=1)))
-
-    def tel_counts_at(words_mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # Per-trial counts restricted to the rows that can contribute —
-        # exact (all-zero rows add nothing to any column) and much
-        # cheaper in the sparse rounds decay spends most of its schedule
-        # in; near-dense matrices fall through to the full popcount (the
-        # gather stops paying for itself around 90% row density).
-        if rows.size == 0:
-            return tel_zeros
-        if 10 * rows.size >= 9 * n:
-            return word_column_counts(words_mat)[:T]
-        return word_column_counts(words_mat[rows])[:T]
-
-    def tel_counts(words_mat: np.ndarray) -> np.ndarray:
-        return tel_counts_at(words_mat, tel_rows(words_mat))
+    no_counts = np.zeros(T, dtype=np.int64)
 
     round_index = 0
     informed_rows = np.flatnonzero(informed_any)
@@ -756,53 +721,36 @@ def _run_bitset(
             tw = pack_bool_matrix(mask & informed)
         tw &= running
         if tel is None:
-            # With telemetry on, the exact per-round transmitter counts
-            # below already carry the energy totals (transmissions is
-            # their running sum), so the tally's counter planes are
-            # skipped entirely rather than paid twice.
             tally.add(tw)
             if round_index % _TALLY_DRAIN_ROUNDS == _TALLY_DRAIN_ROUNDS - 1:
                 drained = tally.drain(T)
                 if drained is not None:
                     transmissions += drained
-        if tel is not None:
+        else:
             # One pair fold yields both reception and collision structure:
             # exactly-one is primed into the network's identity cache so
             # the channel's deliver reuses it — the fold runs once either
-            # way, telemetry's net cost is popcounts plus one OR fold.
+            # way.  Transmitters are counted now, against the informed
+            # state they were drawn from.
             once, twice = neighbor_fold_words(graph.csr, tw)
-            # Victim rows are a subset of twice's nonzero rows, so the
-            # mask and its counts are built on that restriction directly.
-            vic_nnz = tel_nnz(twice)
-            if vic_nnz == 0:
-                vict_counts = tel_zeros
-            elif 10 * vic_nnz < 9 * n:
-                vic_rows = tel_rows(twice)
-                vict_counts = word_column_counts(
-                    twice[vic_rows] & ~tw[vic_rows]
-                )[:T]
-            else:
-                vict_counts = word_column_counts(twice & ~tw)[:T]
-            # twice is dead after the victim counts — reduce the pair to
-            # exactly-one in place rather than allocating a third plane.
-            np.invert(twice, out=twice)
-            np.bitwise_and(once, twice, out=once)
+            tx_counts, tx_rows = _transmitter_counts(
+                tw, informed_words, running, np.where(active_mask, counts, 0), T
+            )
+            np.bitwise_and(once, ~twice, out=once)
             network.prime_exactly_one_words(tw, once)
+            # twice is dead past exactly-one: reduce it to the collision
+            # victims (silent, >= 2 transmitting neighbours) in place.
+            np.bitwise_and(twice, ~tw, out=twice)
         received_words = network.step_words(tw, round_index)
         fresh = received_words & ~informed_words
         round_index += 1
         rounds[active_mask] += 1
         informed_words |= fresh
-        newly = None
-        touched = np.flatnonzero(fresh.any(axis=1))
+        newly = no_counts
+        touched = np.flatnonzero(row_flags(fresh))
         if touched.size:
             informed_any[touched] = True
-            # Row-blocked scatter: bounds the unpack/nonzero transients to
-            # a few MiB however wide the frontier gets.
-            for s in range(0, touched.size, _SCATTER_ROW_BLOCK):
-                blk = touched[s : s + _SCATTER_ROW_BLOCK]
-                rr, tt = np.nonzero(unpack_words(fresh[blk], T))
-                first_round[blk[rr], tt] = round_index
+            first_informed.record(fresh, round_index)
             fresh_touched = fresh[touched]
             newly = word_column_counts(fresh_touched)[:T]
             counts = counts + newly
@@ -814,72 +762,11 @@ def _run_bitset(
                 informed_rows = np.flatnonzero(informed_any)
         count_rows.append(counts)
         if tel is not None:
-            # Wasted transmissions only exist at transmitter rows, so the
-            # neighbour-OR fold is evaluated there alone when sparse (and
-            # the gathered tw rows are reused for the transmitter counts);
-            # the restricted fold stops winning around 60% row density.
-            # Past that — the blast rounds — almost nobody *receives*, so
-            # the fold flips to a push from the scarce receiver rows.
-            tx_nnz = tel_nnz(tw)
-            recv_nnz = tel_nnz(received_words)
-            # Row indices are materialized only for genuinely sparse
-            # matrices; the scatter trigger (below 1/(4d) density) is
-            # always inside that regime.
-            recv_rows = (
-                tel_rows(received_words)
-                if recv_nnz and 10 * recv_nnz < 9 * n
-                else None
-            )
-            if tx_nnz == 0:
-                tx_counts = wasted_counts = tel_zeros
-            elif 5 * tx_nnz < 3 * n:
-                tx_rows = tel_rows(tw)
-                tw_sub = tw[tx_rows]
-                tx_counts = word_column_counts(tw_sub)[:T]
-                if recv_nnz == 0:
-                    # No receptions anywhere: every transmission in every
-                    # trial was wasted, no fold needed.
-                    wasted_counts = tx_counts
-                else:
-                    heard_sub = any_neighbor_words_at(
-                        graph.csr, received_words, tx_rows
-                    )
-                    # The fold result is freshly allocated — mask it in
-                    # place instead of building a third m-row plane.
-                    np.invert(heard_sub, out=heard_sub)
-                    heard_sub &= tw_sub
-                    wasted_counts = word_column_counts(heard_sub)[:T]
-            else:
-                tx_counts = word_column_counts(tw)[:T]
-                if recv_nnz == 0:
-                    wasted_counts = tx_counts
-                else:
-                    if (
-                        recv_rows is not None
-                        and 4 * graph.csr.max_degree * recv_nnz < n
-                    ):
-                        heard = scatter_neighbor_words(
-                            graph.csr, received_words, recv_rows
-                        )
-                    else:
-                        heard = any_neighbor_words(graph.csr, received_words)
-                    np.invert(heard, out=heard)
-                    heard &= tw
-                    wasted_counts = tel_counts(heard)
+            tel.append_full(**_bitset_telemetry_row(
+                graph.csr, tw, tx_rows, tx_counts, received_words, twice,
+                newly, T,
+            ))
             transmissions += tx_counts
-            if recv_nnz == 0:
-                recv_counts = tel_zeros
-            elif recv_rows is None:
-                recv_counts = word_column_counts(received_words)[:T]
-            else:
-                recv_counts = word_column_counts(received_words[recv_rows])[:T]
-            tel.append_full(
-                transmitters=tx_counts,
-                receptions=recv_counts,
-                collision_victims=vict_counts,
-                newly_informed=newly if newly is not None else tel_zeros,
-                wasted_transmissions=wasted_counts,
-            )
         if targets is None:
             covered = counts
         done = (covered >= need) & active_mask
@@ -906,10 +793,75 @@ def _run_bitset(
         rounds=rounds,
         completed=completed,
         informed_per_round=informed_per_round,
-        first_informed_round=first_round,
+        first_informed_round=first_informed.decode(informed_words, T),
         transmissions=transmissions,
         extras=extras,
     )
+
+
+def _transmitter_counts(tw, informed_words, running, informed_counts, trials):
+    """Per-trial transmitter counts, and ``tw``'s nonzero rows (``None``
+    when most rows transmit).
+
+    Transmitters are a subset of the informed cells of running trials, so
+    when ``tw`` is dense (decay's high-probability rounds) the sparse
+    complement — informed, running, silent — is counted and subtracted
+    from the informed counts the engine already keeps.
+    """
+    from repro.radio.bitset import row_flags, sparse_column_counts
+
+    flags = row_flags(tw)
+    nnz = int(np.count_nonzero(flags))
+    if 2 * nnz <= tw.shape[0]:
+        counts, _ = sparse_column_counts(tw, trials, flags)
+        return counts, np.flatnonzero(flags)
+    idle = informed_words & ~tw
+    idle &= running
+    idle_counts, _ = sparse_column_counts(idle, trials)
+    return informed_counts - idle_counts, None
+
+
+def _bitset_telemetry_row(
+    csr, tw, tx_rows, tx_counts, received, victims, newly, trials
+) -> dict:
+    """One round's telemetry counts on the packed engine.
+
+    ``newly_informed`` is the engine's own fresh count and
+    ``transmitters`` was counted before the fold (``tx_rows`` lists the
+    transmitting rows, ``None`` when most rows transmit).  Each remaining
+    plane is counted over its nonzero rows only when they are few
+    (:func:`~repro.radio.bitset.sparse_column_counts`).  A wasted
+    transmitter is one with no receiving neighbour: when nobody received,
+    that is every transmitter; otherwise the neighbour OR of the received
+    words is evaluated at the transmitter rows by whichever kernel the
+    measured densities make cheapest.
+    """
+    from repro.radio.bitset import neighbor_or_at, row_flags, sparse_column_counts
+
+    recv_flags = row_flags(received)
+    recv_counts, recv_nnz = sparse_column_counts(received, trials, recv_flags)
+    victim_counts, _ = sparse_column_counts(victims, trials)
+    if recv_nnz == 0 or not tx_counts.any():
+        wasted_counts = tx_counts
+    else:
+        recv_rows = np.flatnonzero(recv_flags)
+        if tx_rows is None:
+            heard = neighbor_or_at(csr, received, None, recv_rows)
+            tw_at = tw
+        else:
+            heard = neighbor_or_at(csr, received, tx_rows, recv_rows)
+            tw_at = tw[tx_rows]
+        # The OR result is freshly allocated: mask it in place.
+        np.invert(heard, out=heard)
+        heard &= tw_at
+        wasted_counts, _ = sparse_column_counts(heard, trials)
+    return {
+        "transmitters": tx_counts,
+        "receptions": recv_counts,
+        "collision_victims": victim_counts,
+        "newly_informed": newly,
+        "wasted_transmissions": wasted_counts,
+    }
 
 
 def run_broadcast(

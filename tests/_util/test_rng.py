@@ -1,9 +1,20 @@
 """Unit tests for the seeding helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro._util.rng import as_rng, spawn_seeds
+from repro._util.rng import (
+    _counter_bits,
+    _threshold_exact_without_final_shift,
+    as_rng,
+    counter_coin_blocks,
+    counter_coins,
+    counter_uniforms,
+    spawn_seeds,
+)
+from repro.radio.bitset import pack_bool_matrix, packed_counter_coins
 
 
 class TestAsRng:
@@ -46,3 +57,88 @@ class TestSpawnSeeds:
         seeds = spawn_seeds(9, 4)
         streams = [np.random.default_rng(s).random() for s in seeds]
         assert len(set(streams)) == 4
+
+
+#: Both shortcut conditions at and around their edges, plus two
+#: thresholds where the final xor-shift does matter.
+SHORTCUT_THRESHOLDS = (
+    1,
+    2**16 - 1,
+    2**16,
+    2**16 + 1,
+    3 * 2**16,
+    2**31,
+    math.ceil(0.3 * 2**32),
+)
+
+
+def _full_finalizer(z: np.ndarray) -> np.ndarray:
+    return z ^ (z >> np.uint32(16))
+
+
+class TestExactCoinShortcut:
+    """Skipping murmur's final ``z ^= z >> 16`` is exact for thresholds
+    that are multiples of 2^16 or at most 2^16 — the step keeps the top
+    16 bits, and keeps ``z`` whole when they are zero."""
+
+    def test_shortcut_condition(self):
+        applies = {
+            thr: _threshold_exact_without_final_shift(thr)
+            for thr in SHORTCUT_THRESHOLDS
+        }
+        assert applies == {
+            1: True,
+            2**16 - 1: True,
+            2**16: True,
+            2**16 + 1: False,
+            3 * 2**16: True,
+            2**31: True,
+            math.ceil(0.3 * 2**32): False,
+        }
+
+    @pytest.mark.parametrize("thr", SHORTCUT_THRESHOLDS)
+    def test_comparison_unchanged_near_every_boundary(self, thr):
+        # Pre-finalizer values straddling the threshold and every 2^16
+        # boundary around it, plus a uniform sample.
+        rng = np.random.default_rng(thr)
+        near = np.arange(-3, 4, dtype=np.int64)
+        hi = thr >> 16
+        anchors = [thr, hi << 16, (hi + 1) << 16, thr & 0xFFFF]
+        probes = np.concatenate(
+            [(a + near) % 2**32 for a in anchors]
+            + [rng.integers(0, 2**32, size=200_000, dtype=np.int64)]
+        ).astype(np.uint32)
+        skip = probes < np.uint32(thr)
+        full = _full_finalizer(probes) < np.uint32(thr)
+        if _threshold_exact_without_final_shift(thr):
+            assert np.array_equal(skip, full)
+        else:
+            assert not np.array_equal(skip, full)
+
+    @pytest.mark.parametrize("thr", SHORTCUT_THRESHOLDS)
+    def test_counter_coins_match_the_full_hash(self, thr):
+        keys = np.random.default_rng(5).integers(
+            0, 2**64, size=7, dtype=np.uint64
+        )
+        p = thr / 2**32
+        assert math.ceil(p * 2.0**32) == thr
+        for round_index in (0, 3, 17):
+            full = _counter_bits(keys, round_index, 300) < np.uint32(thr)
+            assert np.array_equal(counter_coins(keys, round_index, 300, p), full)
+            blocks = np.concatenate(
+                [c for _, c in counter_coin_blocks(keys, round_index, 300, p, block=64)]
+            )
+            assert np.array_equal(blocks, full)
+            assert np.array_equal(
+                packed_counter_coins(keys, round_index, 300, p),
+                pack_bool_matrix(full),
+            )
+
+    def test_counter_uniforms_keep_the_full_hash(self):
+        keys = np.arange(1, 5, dtype=np.uint64)
+        bits = _counter_bits(keys, 2, 50)
+        shortcut = _counter_bits(keys, 2, 50, final_shift=False)
+        assert np.array_equal(bits, _full_finalizer(shortcut))
+        assert np.array_equal(
+            counter_uniforms(keys, 2, 50), bits * 2.0**-32
+        )

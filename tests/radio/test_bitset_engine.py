@@ -9,11 +9,13 @@ channels, and word-boundary trial counts, then the packed kernels and
 the :class:`MemoryBudget` column sharder are unit-tested on their own.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro._util import counter_coin_blocks, counter_coins, parse_byte_size
-from repro.graphs import random_regular
+from repro.graphs import families, random_regular
 from repro.graphs.graph import CSRAdjacency, Graph
 from repro.radio import (
     DecayProtocol,
@@ -155,10 +157,17 @@ def test_pack_bool_matrix_validates_shape():
         unpack_words(np.zeros((4, 1), dtype=np.uint64), 65)
 
 
-@pytest.mark.parametrize("shape", [(64, 3), (1, 1), (130, 2)])
+#: Row counts on both sides of the unpack cutoff (64) and of the 15-row
+#: nibble and 17-word byte groupings of the lane sums.
+@pytest.mark.parametrize(
+    "shape",
+    [(64, 3), (1, 1), (130, 2)]
+    + [(n, w) for n in (14, 15, 63, 254, 255, 256, 1021) for w in (1, 3)],
+)
 def test_word_column_counts_matches_unpacked_sum(shape):
     rng = np.random.default_rng(7)
     words = rng.integers(0, 2**63, size=shape, dtype=np.uint64)
+    words[::5] = np.uint64(2**64 - 1)  # saturate every lane
     counts = word_column_counts(words)
     expect = unpack_words(words, shape[1] * 64).sum(axis=0)
     assert np.array_equal(counts, expect)
@@ -408,13 +417,86 @@ def test_graph_from_csr_round_trip_and_validation():
 
 
 def test_random_regular_builds_direct_csr_at_scale():
-    graph = random_regular(5000, 4, rng=0)
+    # The direct sampler is the n >= 50,000 path; call it at small n so
+    # tier-1 covers it (random_regular itself routes small n elsewhere).
+    graph = families._random_regular_direct(5000, 4, np.random.default_rng(0))
     assert (graph.degrees == 4).all()
     assert graph.csr.gather_plan()[0] == "regular"
+    edges = graph.edges()
+    assert (edges[:, 0] < edges[:, 1]).all()  # simple: no loops
+    assert np.unique(edges, axis=0).shape[0] == edges.shape[0]  # no repeats
     with pytest.raises(ValueError, match="even"):
         random_regular(5, 3)
     with pytest.raises(ValueError, match="d < n"):
         random_regular(4, 5)
+
+
+def _csr_digest(graph) -> str:
+    h = hashlib.sha256()
+    for arr in (graph.csr.indptr, graph.csr.indices):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}|{arr.shape}|".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+#: CSR digests of the direct sampler, recorded with the ``lexsort`` /
+#: stable-``argsort`` implementation the single-key sorts replaced.
+#: ``(12, 9)`` at seed 3 stalls and breaks up good edges eight times.
+DIRECT_SAMPLER_DIGESTS = {
+    (1000, 4, 0): "2934dff42fab5425",
+    (200, 8, 1): "a81a6726d38f3872",
+    (12, 9, 3): "309a69b9170aee97",
+    (5000, 16, 2): "125c98d11c3b6d4d",
+}
+
+
+@pytest.mark.parametrize("n, d, seed", sorted(DIRECT_SAMPLER_DIGESTS))
+def test_direct_sampler_csr_is_pinned(n, d, seed, monkeypatch):
+    def build():
+        return families._random_regular_direct(n, d, np.random.default_rng(seed))
+
+    graph = build()
+    assert (graph.degrees == d).all()
+    assert _csr_digest(graph) == DIRECT_SAMPLER_DIGESTS[(n, d, seed)]
+    # A composite key wider than the budget takes the stable-argsort
+    # fallback, with the same graph.
+    monkeypatch.setattr(families, "_COMPOSITE_KEY_BITS", 8)
+    assert _csr_digest(build()) == DIRECT_SAMPLER_DIGESTS[(n, d, seed)]
+
+
+def test_stable_order_matches_stable_argsort(monkeypatch):
+    rng = np.random.default_rng(9)
+    for size, bound in ((1, 1), (2, 1), (50, 7), (1000, 40), (4097, 10**6)):
+        key = rng.integers(0, bound, size=size, dtype=np.int64)
+        expect = np.argsort(key, kind="stable")
+        assert np.array_equal(families._stable_order(key, bound), expect)
+    # Keys of 2^40 and 2^20 indices need 61 bits: still packed.  A 64-bit
+    # budget overrun must fall back rather than wrap.
+    key = rng.integers(0, 2**40, size=2**20, dtype=np.int64)
+    key[::7] = key[0]  # plenty of ties
+    expect = np.argsort(key, kind="stable")
+    assert np.array_equal(families._stable_order(key, 2**40), expect)
+    calls = []
+    original = np.argsort
+    monkeypatch.setattr(
+        np, "argsort", lambda *a, **k: calls.append(k) or original(*a, **k)
+    )
+    assert np.array_equal(families._stable_order(key, 2**44), expect)
+    assert calls == [{"kind": "stable"}]
+
+
+@pytest.mark.parametrize("side", [7, 20])
+def test_margulis_direct_csr_matches_edge_list_path(side, monkeypatch):
+    from repro.graphs import margulis_expander
+
+    expect = {7: "06e4d6c67215b42c", 20: "99a33c74aa1a0960"}[side]
+    legacy = margulis_expander(side)  # below the threshold: Graph(edges)
+    monkeypatch.setattr(families, "_DIRECT_SAMPLER_MIN_N", 1)
+    direct = margulis_expander(side)  # straight to CSR
+    assert _csr_digest(direct) == expect
+    assert np.array_equal(direct.csr.indptr, legacy.csr.indptr)
+    assert np.array_equal(direct.csr.indices, legacy.csr.indices)
 
 
 def test_margulis_expander_is_regular_csr():
@@ -496,8 +578,8 @@ class TestTelemetryKernels:
 
 
 class TestWordColumnCountsBincountPath:
-    """word_column_counts picks a byte-bincount path above a row
-    threshold; both paths must agree exactly."""
+    """word_column_counts on large inputs (SWAR lane sums with row
+    remainders) must agree exactly with an unpacked sum."""
 
     @pytest.mark.parametrize("n", [2047, 2048, 2049, 5000])
     @pytest.mark.parametrize("w", [1, 2, 5])
@@ -520,3 +602,226 @@ class TestWordColumnCountsBincountPath:
         view = big[:, 1:3]  # non-contiguous column slice
         expect = unpack_words(np.ascontiguousarray(view), 128).sum(axis=0)
         assert np.array_equal(word_column_counts(view), expect)
+
+
+class TestCountAndFoldKernels:
+    """The sparse count wrapper, the neighbour-OR kernel choice and the
+    bit-sliced first-informed planes."""
+
+    @pytest.mark.parametrize("trials", [64, 130])
+    def test_folds_across_row_blocks(self, trials, monkeypatch):
+        from repro.radio import bitset
+        from repro.radio.bitset import any_neighbor_words, neighbor_fold_words
+
+        # Blocks of a few rows, so block edges fall everywhere.
+        monkeypatch.setattr(bitset, "_FOLD_BLOCK_WORDS", 7)
+        graph = random_regular(50, 6, rng=4)
+        network = RadioNetwork(graph)
+        mask = np.random.default_rng(trials).random((50, trials)) < 0.3
+        words = pack_bool_matrix(mask)
+        counts = network.transmit_counts(mask)
+        once, twice = neighbor_fold_words(graph.csr, words)
+        assert np.array_equal(unpack_words(once, trials), counts >= 1)
+        assert np.array_equal(unpack_words(twice, trials), counts >= 2)
+        got = exactly_one_words(graph.csr, words)
+        assert np.array_equal(unpack_words(got, trials), counts == 1)
+        heard = any_neighbor_words(graph.csr, words)
+        assert np.array_equal(unpack_words(heard, trials), counts >= 1)
+
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.3, 1.0])
+    def test_sparse_column_counts(self, density):
+        from repro.radio.bitset import row_flags, sparse_column_counts
+
+        rng = np.random.default_rng(3)
+        words = rng.integers(0, 2**64, size=(400, 2), dtype=np.uint64)
+        words[rng.random(400) >= density] = 0
+        counts, nnz = sparse_column_counts(words, 100)
+        assert nnz == int(np.count_nonzero(words.any(axis=1)))
+        assert np.array_equal(counts, unpack_words(words, 100).sum(axis=0))
+        again, _ = sparse_column_counts(words, 100, row_flags(words))
+        assert np.array_equal(again, counts)
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_neighbor_or_at_every_kernel_choice(self, w):
+        from repro.radio.bitset import any_neighbor_words, neighbor_or_at
+
+        graph = random_regular(300, 6, rng=1)
+        rng = np.random.default_rng(2)
+        full_rows = np.arange(300)
+        for src_frac, row_frac in ((0.01, 0.9), (0.9, 0.05), (0.9, 0.9)):
+            words = rng.integers(0, 2**64, size=(300, w), dtype=np.uint64)
+            words[rng.random(300) >= src_frac] = 0
+            src = np.flatnonzero(words.any(axis=1))
+            full = any_neighbor_words(graph.csr, words)
+            rows = np.flatnonzero(rng.random(300) < row_frac)
+            got = neighbor_or_at(graph.csr, words, rows, src)
+            assert np.array_equal(got, full[rows])
+            assert np.array_equal(neighbor_or_at(graph.csr, words, None, src), full)
+            assert np.array_equal(
+                neighbor_or_at(graph.csr, words, full_rows, src), full
+            )
+
+    def test_neighbor_or_at_irregular_graph(self):
+        from repro.graphs import cplus_graph
+        from repro.radio.bitset import any_neighbor_words, neighbor_or_at
+
+        csr = cplus_graph(9).csr
+        words = np.zeros((csr.n, 1), dtype=np.uint64)
+        words[[1, 4]] = np.uint64(5)
+        rows = np.array([0, 2, 3])
+        assert np.array_equal(
+            neighbor_or_at(csr, words, rows, np.array([1, 4])),
+            any_neighbor_words(csr, words)[rows],
+        )
+
+    @pytest.mark.parametrize("trials", [1, 64, 65, 130])
+    def test_first_informed_planes_round_trip(self, trials, monkeypatch):
+        from repro.radio import bitset
+        from repro.radio.bitset import FirstInformedPlanes
+
+        # Small decode blocks, so the row blocking itself is exercised.
+        monkeypatch.setattr(bitset, "_DECODE_ROW_BLOCK", 7)
+        n = 40
+        rng = np.random.default_rng(trials)
+        expect = np.full((n, trials), -1, dtype=np.int64)
+        expect[rng.random((n, trials)) < 0.1] = 0  # initially informed
+        informed = pack_bool_matrix(expect == 0)
+        planes = FirstInformedPlanes(n, informed.shape[1])
+        for r in range(1, 300):  # crosses every plane width up to 2^8
+            fresh = (expect == -1) & (rng.random((n, trials)) < 0.01)
+            if r in (1, 2, 64, 128, 256):
+                fresh[r % n] = expect[r % n] == -1
+            expect[fresh] = r
+            packed = pack_bool_matrix(fresh)
+            planes.record(packed, r)
+            informed |= packed
+        assert (expect == -1).any() and (expect > 255).any()
+        assert np.array_equal(planes.decode(informed, trials), expect)
+
+
+def _run_three_ways(graph, protocol, trials, channel_factory=None, **kw):
+    """Dense, bitset, and memory-budget-sharded bitset runs of one batch
+    (the shard width is about a third of the batch)."""
+    shard = max(1, trials // 3)
+    budget = MemoryBudget(
+        MemoryBudget._PER_TRIAL_NODE_BYTES["bitset"] * graph.n * shard
+    )
+    return [
+        run_broadcast_batch(
+            graph, protocol(), trials=trials, engine=engine,
+            memory_budget=mb,
+            channel=channel_factory() if channel_factory else None, **kw,
+        )
+        for engine, mb in (("dense", None), ("bitset", None), ("bitset", budget))
+    ]
+
+
+def _assert_three_equal(runs, context):
+    dense, bitset, sharded = runs
+    for other, name in ((bitset, "bitset"), (sharded, "sharded")):
+        assert_batches_equal(dense, other, f"{context}: {name}")
+        assert sorted(dense.extras) == sorted(other.extras), context
+        for key in dense.extras:
+            assert np.array_equal(dense.extras[key], other.extras[key]), (
+                f"{context}: {name} extras {key}"
+            )
+
+
+class _BatchOnlyCoins(DecayProtocol):
+    """A randomized protocol without the packed-word face: the bitset
+    engine drives it through its pack/unpack adapter."""
+
+    words_native = False
+
+
+class _LegacyDecay(DecayProtocol):
+    """Overrides only the single-run hook, so the engine runs it through
+    the per-trial clone adapter."""
+
+    def transmitters(self, round_index, informed, network):
+        return super().transmitters(round_index, informed, network)
+
+
+class TestEngineEquivalenceCases:
+    """dense ≡ bitset ≡ sharded, telemetry on and off, over the shapes
+    the packed loop's running mask, first-informed planes and telemetry
+    counts must get right."""
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+    def test_word_boundaries_and_staggered_completion(self, trials, telemetry):
+        graph = random_regular(60, 4, rng=3)
+        runs = _run_three_ways(
+            graph, DecayProtocol, trials, seed=21, telemetry=telemetry
+        )
+        _assert_three_equal(runs, f"T={trials}")
+        dense = runs[0]
+        assert dense.completed.all()
+        if trials > 1:
+            # Trials finish in different rounds: the running mask changes
+            # while the batch is still going.
+            assert np.unique(dense.rounds).size > 1
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+    def test_row_blocked_folds(self, telemetry, monkeypatch):
+        from repro.radio import bitset
+
+        monkeypatch.setattr(bitset, "_FOLD_BLOCK_WORDS", 16)
+        graph = random_regular(60, 4, rng=3)
+        runs = _run_three_ways(
+            graph, DecayProtocol, 65, seed=21, telemetry=telemetry
+        )
+        _assert_three_equal(runs, "16-word fold blocks")
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+    def test_non_completing_run_at_small_cap(self, telemetry):
+        graph = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        for cap in (1, 5, 17):
+            runs = _run_three_ways(
+                graph, DecayProtocol, 70, seed=4, max_rounds=cap,
+                telemetry=telemetry,
+            )
+            _assert_three_equal(runs, f"max_rounds={cap}")
+            assert not runs[0].completed.any()
+            assert (runs[0].rounds == cap).all()
+            assert (runs[0].first_informed_round[4:] == -1).all()
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+    def test_round_counts_cross_plane_widths(self, telemetry):
+        # Flooding a 70-path takes 69 rounds: first-informed values cross
+        # every power of two up to 64.  Decay on the 40-path runs hundreds.
+        for spec, protocol in (("path(70)", FloodingProtocol),
+                               ("path(40)", DecayProtocol)):
+            graph = Scenario.from_string(f"{spec} | decay").graph.build().graph
+            runs = _run_three_ways(
+                graph, protocol, 65, seed=8, telemetry=telemetry
+            )
+            _assert_three_equal(runs, spec)
+            assert runs[0].first_informed_round.max() >= 64
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+    def test_erasure_channel(self, telemetry):
+        from repro.radio.channel import ErasureChannel
+
+        graph = random_regular(60, 4, rng=5)
+        runs = _run_three_ways(
+            graph, DecayProtocol, 65, seed=6, telemetry=telemetry,
+            channel_factory=lambda: ErasureChannel(0.3),
+        )
+        _assert_three_equal(runs, "erasure(0.3)")
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize(
+        "protocol", [_BatchOnlyCoins, _LegacyDecay, "collision-backoff"],
+        ids=["batch-only", "legacy-hooks", "collision-backoff"],
+    )
+    def test_adapter_protocols(self, protocol, telemetry):
+        from repro.radio.protocols import CollisionBackoffProtocol
+
+        if protocol == "collision-backoff":
+            protocol = CollisionBackoffProtocol
+        graph = random_regular(40, 4, rng=7)
+        runs = _run_three_ways(
+            graph, protocol, 65, seed=9, telemetry=telemetry, max_rounds=200
+        )
+        _assert_three_equal(runs, protocol.__name__)
