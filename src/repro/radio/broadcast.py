@@ -53,7 +53,7 @@ from repro._util import as_rng, spawn_seeds
 from repro.graphs.graph import Graph
 from repro.obs.telemetry import TELEMETRY_PREFIX, TelemetryAccumulator
 from repro.radio.channel import ChannelModel, ClassicCollision
-from repro.radio.network import RadioNetwork
+from repro.radio.network import ColumnCounter, RadioNetwork
 from repro.radio.protocols import BroadcastProtocol, legacy_hooks_specialized
 from repro.workload import BroadcastWorkload, as_workload
 
@@ -251,10 +251,16 @@ class MemoryBudget:
     """Byte ceiling for one batch run's trial working set.
 
     The engine's per-round working set scales as ``trials × n``:
-    roughly 18 bytes per (trial, node) on the dense backend (bool state
-    matrices, integer count matrix, int64 first-informed output) and
-    roughly 10 on the bitset backend (the int64 first-informed output
-    dominates; packed state adds ~0.5).  :meth:`max_trials` inverts that
+    roughly 28 bytes per (trial, node) on the dense backend and roughly 10
+    on the bitset backend (the int64 first-informed output dominates;
+    packed state adds ~0.5).  Dense counts the int64 first-informed
+    output (8), a round's uint32 coin lattice (4) and bool or int8
+    matrices (coins, transmit, neighbour counts, receptions, fresh cells),
+    and the first-informed scatter's int64 indices, which grow with the
+    round's fresh cells.  Set workloads peak at ~26 under tracemalloc
+    (decay gossip on ``random_regular(4096, 8)``, T = 64, erasure and
+    telemetry on); value workloads (aggregate, pipeline) add their own
+    int64 per-cell state on top.  :meth:`max_trials` inverts that
     estimate, and :func:`run_broadcast_batch` splits any larger batch into
     sequential column shards of at most that many trials, merging the
     shard results with :func:`merge_batches` — bit-for-bit equal to the
@@ -266,7 +272,7 @@ class MemoryBudget:
 
     # Working-set estimates, bytes per (trial, node); deliberately coarse —
     # the budget is a planning ceiling, not an allocator.
-    _PER_TRIAL_NODE_BYTES = {"dense": 18, "bitset": 10}
+    _PER_TRIAL_NODE_BYTES = {"dense": 28, "bitset": 10}
 
     def __post_init__(self) -> None:
         if int(self.limit_bytes) < 1:
@@ -501,9 +507,7 @@ def _run_dense(
     targets = network.channel.coverage_targets(network)
     need = graph.n if targets is None else int(np.count_nonzero(targets))
 
-    def colsum(mat):
-        # Per-trial column sums as int64.
-        return mat.sum(axis=0).astype(np.int64, copy=False)
+    colsum = ColumnCounter()
 
     n, T = graph.n, trials
     satisfied = state.initial_satisfied()
@@ -521,14 +525,20 @@ def _run_dense(
     # (only the slowest trials still running) cost proportionally less —
     # the batch pays the mean trial length, not T times the max.
     active = np.arange(T)
+    # Satisfied and covered counts are counted once here and then kept
+    # running: the fold contract makes each round's fresh cells disjoint
+    # from the satisfied ones, so a per-trial bincount of the fresh cells
+    # advances both exactly.
     counts0 = colsum(satisfied)
     covered0 = counts0 if targets is None else colsum(satisfied[targets, :])
+    counts, covered = counts0, covered0
     done0 = covered0 >= need
     if done0.any():
         completed[done0] = True
         keep = ~done0
         active = active[keep]
         satisfied = satisfied[:, keep]
+        counts, covered = counts[keep], covered[keep]
         if active.size:
             face.select_trials(protocol, keep)
             network.channel.select_trials(keep)
@@ -540,7 +550,8 @@ def _run_dense(
         mask = face.transmitters_batch(protocol, round_index, eligible, network)
         mask = mask & eligible
         mask = network.channel.effective_transmitters(round_index, mask)
-        transmissions[active] += colsum(mask)
+        transmitters = colsum(mask)
+        transmissions[active] += transmitters
         if tel is not None:
             # The channel's own sparse product, pulled forward and primed
             # into the network's identity cache: victims read it here, the
@@ -554,6 +565,11 @@ def _run_dense(
                 protocol, round_index, feedback, network
             )
         fresh = state.fold(round_index, mask, received, satisfied, network)
+        # One flat index pass, split by divmod: much cheaper than the
+        # per-axis nonzero on a sparse (n, active) frontier.
+        rows, cols = np.divmod(np.flatnonzero(fresh), fresh.shape[1])
+        first_round[rows, active[cols]] = round_index + 1
+        newly = np.bincount(cols, minlength=active.size)
         if tel is not None:
             # Victims are counted against the base adjacency on every
             # channel (the legacy tracer's convention: lossy channels show
@@ -563,10 +579,10 @@ def _run_dense(
             # neighbour is a delivery credit.
             tel.append_active(
                 active,
-                transmitters=colsum(mask),
+                transmitters=transmitters,
                 receptions=colsum(received),
                 collision_victims=colsum((tcounts >= 2) & ~mask),
-                newly_informed=colsum(fresh),
+                newly_informed=newly,
                 wasted_transmissions=colsum(
                     mask & ~(network.transmit_counts(received) > 0)
                 ),
@@ -574,21 +590,20 @@ def _run_dense(
         round_index += 1
         rounds[active] += 1
         satisfied |= fresh
-        # One flat index pass, split by divmod: much cheaper than the
-        # per-axis nonzero on a sparse (n, active) frontier.
-        rows, cols = np.divmod(np.flatnonzero(fresh), fresh.shape[1])
-        first_round[rows, active[cols]] = round_index
-        counts = colsum(satisfied)
+        counts = counts + newly
         count_log.append((active, counts))
         if targets is None:
             covered = counts
         else:
-            covered = colsum(satisfied[targets, :])
+            covered = covered + np.bincount(
+                cols[targets[rows]], minlength=active.size
+            )
         keep = covered < need
         if not keep.all():
             completed[active[~keep]] = True
             active = active[keep]
             satisfied = satisfied[:, keep]
+            counts, covered = counts[keep], covered[keep]
             face.select_trials(protocol, keep)
             network.channel.select_trials(keep)
             state.select_trials(keep)

@@ -31,7 +31,47 @@ from repro._util import count_dtype_for_degree
 from repro.graphs.graph import Graph
 from repro.radio.channel import ChannelModel, ClassicCollision
 
-__all__ = ["RadioNetwork"]
+__all__ = ["ColumnCounter", "RadioNetwork"]
+
+#: Elements per float32 row block of :class:`ColumnCounter`.  A block's
+#: column sums are at most its row count, far below 2^24, so every float32
+#: partial sum is an exact integer whatever order BLAS adds in.
+_COLUMN_BLOCK_ELEMS = 1 << 15
+
+
+class ColumnCounter:
+    """Per-column ``True`` counts of ``(n, T)`` bool matrices, as int64.
+
+    Equal to ``mat.sum(axis=0)``, several times faster on the tall, narrow
+    matrices of the dense engine: row blocks of at most
+    ``_COLUMN_BLOCK_ELEMS`` elements are cast into one reused float32
+    buffer, reduced by a ``ones @ block`` sgemv and added into the int64
+    result.  Exact at any ``n`` (each block's sums stay below 2^24), and
+    no ``(n, T)`` transient is allocated.  One instance serves a whole run;
+    its buffers grow to the widest block seen.
+    """
+
+    __slots__ = ("_buf", "_ones")
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0, dtype=np.float32)
+        self._ones = np.empty(0, dtype=np.float32)
+
+    def __call__(self, mat: np.ndarray) -> np.ndarray:
+        n, T = mat.shape
+        out = np.zeros(T, dtype=np.int64)
+        rows = max(1, min(n, _COLUMN_BLOCK_ELEMS // max(1, T)))
+        if self._buf.size < rows * T:
+            self._buf = np.empty(rows * T, dtype=np.float32)
+        if self._ones.size < rows:
+            self._ones = np.ones(rows, dtype=np.float32)
+        buf = self._buf[: rows * T].reshape(rows, T)
+        for start in range(0, n, rows):
+            block = mat[start : start + rows]
+            k = block.shape[0]
+            np.copyto(buf[:k], block)
+            out += (self._ones[:k] @ buf[:k]).astype(np.int64)
+        return out
 
 
 class RadioNetwork:

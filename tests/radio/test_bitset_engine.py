@@ -252,7 +252,8 @@ def test_exactly_one_words_matches_neighbor_counts(regular):
 def test_memory_budget_max_trials():
     budget = MemoryBudget(10 * 1000 * 4)
     assert budget.max_trials(1000, "bitset") == 4
-    assert budget.max_trials(1000, "dense") == 2
+    assert budget.max_trials(1000, "dense") == 1
+    assert MemoryBudget(28 * 1000 * 3).max_trials(1000, "dense") == 3
     assert MemoryBudget(1).max_trials(10**9) == 1  # always at least one
     with pytest.raises(ValueError, match=">= 1 byte"):
         MemoryBudget(0)
