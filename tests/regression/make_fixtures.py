@@ -44,6 +44,20 @@ SCENARIOS = (
 EXPANSIONS = (
     ("margulis(4)", "sampled(samples=30)", 1),
     ("hypercube(4)", "sampled(samples=20)", 3),
+    ("random_regular(200, 8)",
+     "portfolio(samples=40, max_set_bits=64, include_balls=false)", 5),
+)
+
+#: Seeded boundary graphs ``G_S`` for the per-algorithm portfolio pins:
+#: ``(label, graph seed, set size)`` draws a ``random_regular(200, 8)``
+#: and a uniform set of that size from ``default_rng(seed)``; sizes span
+#: the portfolio arm's candidate range.
+PORTFOLIO_CASES = tuple(
+    (f"random_regular(200, 8) seed={seed} |S|={size}", seed, size)
+    for seed, size in zip(range(20), (
+        1, 2, 3, 5, 8, 12, 16, 20, 24, 28,
+        32, 36, 40, 44, 48, 52, 56, 60, 64, 100,
+    ))
 )
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "pinned.json")
@@ -97,6 +111,27 @@ def expansion_record(graph: str, expansion: str, seed: int) -> dict:
     }
 
 
+def portfolio_record(seed: int, size: int) -> dict:
+    """Every portfolio member's ``(algorithm, subset, unique_count)`` on
+    one seeded ``G_S``."""
+    from repro.graphs.families import random_regular
+    from repro.spokesman import spokesman_portfolio
+
+    gen = np.random.default_rng(seed)
+    graph = random_regular(200, 8, rng=gen)
+    subset = gen.choice(200, size=size, replace=False)
+    gs, _, _ = graph.boundary_bipartite(subset)
+    _, results = spokesman_portfolio(gs, rng=gen)
+    return {
+        name: {
+            "algorithm": res.algorithm,
+            "subset": digest(res.subset),
+            "unique_count": int(res.unique_count),
+        }
+        for name, res in sorted(results.items())
+    }
+
+
 def build() -> dict:
     from repro.scenario import Scenario
 
@@ -110,6 +145,10 @@ def build() -> dict:
                 graph, expansion, seed
             )
             for graph, expansion, seed in EXPANSIONS
+        },
+        "portfolio": {
+            label: portfolio_record(seed, size)
+            for label, seed, size in PORTFOLIO_CASES
         },
         "keys": {spec: key_record(spec) for spec in SCENARIOS},
     }

@@ -3,7 +3,8 @@
 ``fixtures/pinned.json`` freezes, at fixed seeds, the engine's result
 digests for a spread of scenarios (both engines, every channel and
 workload, trial compaction, memory-budget sharding, telemetry), the
-expansion pipeline's estimates, and every pinned scenario's
+expansion pipeline's estimates, every spokesman portfolio member's
+answer on seeded boundary graphs, and every pinned scenario's
 ``scenario_key``.  Replaying them proves a refactor kept results
 byte-identical and cache identities unchanged — zero new tolerance.
 """
@@ -17,10 +18,12 @@ import pytest
 from make_fixtures import (  # sibling module; pytest adds this dir to sys.path
     EXPANSIONS,
     FIXTURE_PATH,
+    PORTFOLIO_CASES,
     SCENARIOS,
     batch_record,
     expansion_record,
     key_record,
+    portfolio_record,
 )
 
 
@@ -36,6 +39,7 @@ def test_fixture_file_covers_every_pin(pinned):
         f"{graph} :: {expansion} :: seed={seed}"
         for graph, expansion, seed in EXPANSIONS
     }
+    assert set(pinned["portfolio"]) == {label for label, _, _ in PORTFOLIO_CASES}
     assert set(pinned["keys"]) == set(SCENARIOS)
 
 
@@ -52,6 +56,11 @@ def test_scenario_matches_pinned_digest(pinned, spec):
 def test_expansion_matches_pinned_digest(pinned, graph, expansion, seed):
     key = f"{graph} :: {expansion} :: seed={seed}"
     assert expansion_record(graph, expansion, seed) == pinned["expansions"][key]
+
+
+@pytest.mark.parametrize("label,seed,size", PORTFOLIO_CASES)
+def test_portfolio_members_match_pin(pinned, label, seed, size):
+    assert portfolio_record(seed, size) == pinned["portfolio"][label]
 
 
 @pytest.mark.parametrize("spec", SCENARIOS)
