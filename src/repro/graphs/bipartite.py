@@ -45,6 +45,21 @@ def _csr_from_edges(
     return indptr, cols.astype(np.int64, copy=False)
 
 
+def _gather_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate CSR rows: returns ``(pos, entries)`` where ``entries``
+    holds the rows ``rows`` back to back and ``pos[i]`` is the position in
+    ``rows`` that ``entries[i]`` came from."""
+    rows = np.asarray(rows, dtype=np.int64)
+    lo = indptr[rows]
+    lengths = indptr[rows + 1] - lo
+    pos = np.arange(rows.size).repeat(lengths)
+    # Entry i of the output sits at i − (entries before its row) + lo.
+    shift = lo - (lengths.cumsum() - lengths)
+    return pos, indices[np.arange(pos.size) + shift[pos]]
+
+
 class BipartiteGraph:
     """An undirected bipartite graph with sides ``L`` (left) and ``R`` (right).
 
@@ -198,6 +213,20 @@ class BipartiteGraph:
         """Sorted left-neighbours of right vertex ``v`` (read-only view)."""
         lo, hi = self._right_indptr[v], self._right_indptr[v + 1]
         return self._right_indices[lo:hi]
+
+    def neighbors_of_lefts(
+        self, us: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Right-neighbours of several left vertices, back to back: returns
+        ``(pos, rights)`` with ``rights[i]`` a neighbour of ``us[pos[i]]``."""
+        return _gather_rows(self._left_indptr, self._left_indices, us)
+
+    def neighbors_of_rights(
+        self, vs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Left-neighbours of several right vertices, back to back: returns
+        ``(pos, lefts)`` with ``lefts[i]`` a neighbour of ``vs[pos[i]]``."""
+        return _gather_rows(self._right_indptr, self._right_indices, vs)
 
     def edges(self) -> np.ndarray:
         """All edges as an ``(m, 2)`` array of ``(left, right)`` pairs."""

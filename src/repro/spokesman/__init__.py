@@ -21,7 +21,7 @@ from repro.spokesman.naive_greedy import naive_greedy_trace, spokesman_naive_gre
 from repro.spokesman.partition import (
     PartitionState,
     procedure_partition,
-    spokesman_partition,
+    procedure_partition_batch,
 )
 from repro.spokesman.portfolio import (
     DETERMINISTIC_ALGORITHMS,
@@ -38,6 +38,7 @@ from repro.spokesman.sampling import (
     spokesman_sampling_all_scales,
 )
 from repro.spokesman.threshold_partition import (
+    spokesman_partition,
     spokesman_threshold_partition,
     spokesman_threshold_sweep,
     threshold_population,
@@ -55,6 +56,7 @@ __all__ = [
     "naive_greedy_trace",
     "nonisolated_right_count",
     "procedure_partition",
+    "procedure_partition_batch",
     "spokesman_degree_classes",
     "spokesman_exact",
     "spokesman_greedy_add",

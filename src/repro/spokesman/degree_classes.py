@@ -21,7 +21,11 @@ import numpy as np
 from repro.expansion.bounds import OPTIMAL_DEGREE_CLASS_BASE
 from repro.graphs.bipartite import BipartiteGraph
 from repro.spokesman.base import SpokesmanResult, evaluate_subset
-from repro.spokesman.partition import procedure_partition
+from repro.spokesman.partition import (
+    PartitionState,
+    _best_uni,
+    procedure_partition_batch,
+)
 
 __all__ = ["degree_class_members", "spokesman_degree_classes"]
 
@@ -50,6 +54,25 @@ def degree_class_members(
     return out
 
 
+def _class_populations(
+    gs: BipartiteGraph, c: float = OPTIMAL_DEGREE_CLASS_BASE
+) -> list[np.ndarray]:
+    """One population per non-empty degree class."""
+    return [
+        gs._as_right_mask(members) for _i, members in degree_class_members(gs, c)
+    ]
+
+
+def _class_finish(
+    gs: BipartiteGraph, states: list[PartitionState]
+) -> SpokesmanResult:
+    """Best class's ``S_uni`` (the lowest class wins ties)."""
+    best = _best_uni(gs, states, ["degree-classes"] * len(states))
+    if best is None:
+        return evaluate_subset(gs, [], "degree-classes")
+    return best
+
+
 def spokesman_degree_classes(
     gs: BipartiteGraph, c: float | None = None
 ) -> SpokesmanResult:
@@ -60,14 +83,5 @@ def spokesman_degree_classes(
     """
     if c is None:
         c = OPTIMAL_DEGREE_CLASS_BASE
-    best: SpokesmanResult | None = None
-    for _i, members in degree_class_members(gs, c):
-        state = procedure_partition(gs, members)
-        cand = evaluate_subset(
-            gs, np.flatnonzero(state.s_uni), "degree-classes"
-        )
-        if best is None or cand.unique_count > best.unique_count:
-            best = cand
-    if best is None:
-        return evaluate_subset(gs, [], "degree-classes")
-    return best
+    states = procedure_partition_batch(gs, _class_populations(gs, c))
+    return _class_finish(gs, states)

@@ -1,4 +1,4 @@
-"""Procedure Partition (Appendix A.1.2) and the Lemma A.3 algorithm.
+"""Procedure Partition (Appendix A.1.2).
 
 Procedure Partition splits ``N`` into ``(N_uni, N_many, N_tmp)`` and ``S``
 into ``(S_uni, S_tmp)`` subject to the partition conditions:
@@ -15,14 +15,16 @@ The greedy rule: repeatedly move the ``S_tmp`` vertex maximizing
 neighbours fall to ``N_many``, its ``N_tmp`` neighbours rise to ``N_uni``),
 stopping when every gain is ``≤ 0``.
 
-Lemma A.3 then runs the procedure on the sub-population ``N^{2δ}`` of right
-vertices with degree ``≤ 2δ`` (at least half of ``N``) and extracts
-``S' = S_uni`` with ``|Γ¹_S(S')| ≥ γ/(8δ)``.
+The partition-family algorithms (Lemma A.3 and its thresholds, the degree
+classes, the recursion) each run the procedure on a few right
+sub-populations of one ``G_S``; :func:`procedure_partition_batch` runs a
+whole set of them in one lockstep pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,11 +34,21 @@ from repro.spokesman.base import SpokesmanResult, evaluate_subset
 __all__ = [
     "PartitionState",
     "procedure_partition",
-    "spokesman_partition",
+    "procedure_partition_batch",
 ]
 
-#: Right-vertex labels used by :class:`PartitionState`.
+#: Right-vertex labels used by :class:`PartitionState`.  The order is the
+#: order a vertex moves in (``TMP → UNI → MANY``), which the batch kernel
+#: relies on.
 TMP, UNI, MANY, EXCLUDED = 0, 1, 2, 3
+
+#: The gain of a vertex already moved to ``S_uni``: below every live gain.
+_PEELED = np.iinfo(np.int64).min
+
+#: Gain change of a relabelled right vertex's left neighbours, by its old
+#: label: ``TMP → UNI`` costs 1 tmp and 2 for a new uni (−3), ``UNI →
+#: MANY`` returns the 2 (+2).
+_GAIN_CHANGE = np.array([-3, 2])
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,89 @@ class PartitionState:
         return problems
 
 
+def procedure_partition_batch(
+    gs: BipartiteGraph, populations: Sequence
+) -> list[PartitionState]:
+    """Run Procedure Partition once per population, all in lockstep.
+
+    ``populations[k]`` is a bool mask, an index list, or ``None`` (all
+    non-isolated right vertices), exactly as for :func:`procedure_partition`;
+    entry ``k`` of the result equals ``procedure_partition(gs,
+    populations[k])`` field for field.
+
+    Each run keeps one row of ``gains = |N_tmp(v)| − 2·|N_uni(v)|``, with
+    peeled vertices pinned at the int64 minimum.  A lockstep step takes one
+    row-wise argmax over the runs still improving (first index on ties, as
+    the serial rule), relabels the chosen vertices' right neighbours
+    (``TMP → UNI``, ``UNI → MANY``), and applies the resulting gain changes
+    — ``−3`` per ``TMP → UNI``, ``+2`` per ``UNI → MANY`` — to the
+    neighbours' left neighbours with one weighted bincount.  One step's
+    updates commute (a CSR row holds distinct vertices, and runs own
+    disjoint rows), so every run sees the serial gains step for step.
+
+    Memory is ``O(K·(n_left + n_right) + |E|)`` for ``K`` populations: the
+    neighbourhoods are gathered as CSR slices.
+    """
+    k = len(populations)
+    n_left = gs.n_left
+    managed = np.empty((k, gs.n_right), dtype=bool)
+    managed[:] = gs.right_degrees >= 1
+    for i, population in enumerate(populations):
+        if population is not None:
+            managed[i] &= gs._as_right_mask(np.asarray(population))
+
+    labels = np.where(managed, np.int8(TMP), np.int8(EXCLUDED))
+    s_uni = np.zeros((k, n_left), dtype=bool)
+    steps = np.zeros(k, dtype=np.int64)
+    # ``gains`` holds the rows of the ``active`` runs only: a finished
+    # run's gains are never read again.
+    active = np.arange(k if n_left else 0)
+    gains = np.zeros((active.size, n_left), dtype=np.int64)
+    if active.size:
+        gains[:] = (gs.left_matrix @ managed.T.astype(np.int32)).T
+
+    while active.size:
+        v = gains.argmax(axis=1)
+        rows = np.arange(active.size)
+        improving = gains[rows, v] > 0
+        if not improving.all():
+            active, v, gains = active[improving], v[improving], gains[improving]
+            rows = rows[: active.size]
+            if not active.size:
+                break
+        steps[active] += 1
+        s_uni[active, v] = True
+        gains[rows, v] = _PEELED
+
+        slot, r = gs.neighbors_of_lefts(v)
+        run = active[slot]
+        label = labels[run, r]
+        moved = label <= UNI
+        slot, run, r, label = slot[moved], run[moved], r[moved], label[moved]
+        labels[run, r] = label + 1  # TMP → UNI, UNI → MANY
+
+        # Every left neighbour of a relabelled vertex still in S_tmp.
+        edge, u = gs.neighbors_of_rights(r)
+        live = ~s_uni[run[edge], u]
+        edge, u = edge[live], u[live]
+        delta = np.bincount(
+            slot[edge] * n_left + u,
+            weights=_GAIN_CHANGE[label[edge]],
+            minlength=gains.size,
+        )
+        gains += delta.astype(np.int64).reshape(gains.shape)
+
+    return [
+        PartitionState(
+            s_uni=s_uni[i].copy(),
+            s_tmp=~s_uni[i],
+            labels=labels[i].copy(),
+            steps=int(steps[i]),
+        )
+        for i in range(k)
+    ]
+
+
 def procedure_partition(
     gs: BipartiteGraph, right_subset=None
 ) -> PartitionState:
@@ -109,56 +204,17 @@ def procedure_partition(
         (default: all non-isolated).  Vertices outside it are ``EXCLUDED``
         and never influence gains.
     """
-    if right_subset is None:
-        managed = gs.right_degrees >= 1
-    else:
-        managed = gs._as_right_mask(np.asarray(right_subset))
-        managed = managed & (gs.right_degrees >= 1)
-
-    labels = np.full(gs.n_right, EXCLUDED, dtype=np.int8)
-    labels[managed] = TMP
-    in_stmp = np.ones(gs.n_left, dtype=bool)
-    in_suni = np.zeros(gs.n_left, dtype=bool)
-
-    # Per-left-vertex counts of TMP / UNI neighbours, updated incrementally.
-    tmp_count = gs.left_cover_counts(managed).astype(np.int64)
-    uni_count = np.zeros(gs.n_left, dtype=np.int64)
-
-    steps = 0
-    while in_stmp.any():
-        gains = tmp_count - 2 * uni_count
-        gains[~in_stmp] = np.iinfo(np.int64).min
-        v = int(np.argmax(gains))
-        if gains[v] <= 0:
-            break
-        steps += 1
-        in_stmp[v] = False
-        in_suni[v] = True
-        for r in gs.neighbors_of_left(v):
-            r = int(r)
-            if labels[r] == UNI:
-                labels[r] = MANY
-                uni_count[gs.neighbors_of_right(r)] -= 1
-            elif labels[r] == TMP:
-                labels[r] = UNI
-                tmp_count[gs.neighbors_of_right(r)] -= 1
-                uni_count[gs.neighbors_of_right(r)] += 1
-
-    return PartitionState(
-        s_uni=in_suni, s_tmp=in_stmp, labels=labels, steps=steps
-    )
+    return procedure_partition_batch(gs, [right_subset])[0]
 
 
-def spokesman_partition(gs: BipartiteGraph) -> SpokesmanResult:
-    """Lemma A.3's algorithm: Procedure Partition on ``N^{2δ}``.
-
-    Guarantee: ``unique_count ≥ γ/(8δ)`` where ``δ`` is the average degree
-    of the non-isolated right vertices and ``γ`` their number.
-    """
-    deg = gs.right_degrees
-    nonisolated = deg >= 1
-    if not nonisolated.any():
-        return evaluate_subset(gs, [], "partition")
-    delta = float(deg[nonisolated].mean())
-    state = procedure_partition(gs, nonisolated & (deg <= 2 * delta))
-    return evaluate_subset(gs, np.flatnonzero(state.s_uni), "partition")
+def _best_uni(
+    gs: BipartiteGraph, states: list[PartitionState], names: list[str]
+) -> SpokesmanResult | None:
+    """The best ``S_uni`` among ``states`` (the earliest wins ties), named
+    after its state; ``None`` for no states.  All payoffs come from one
+    batched cover count."""
+    if not states:
+        return None
+    payoffs = gs.unique_cover_counts_batch(np.stack([s.s_uni for s in states]))
+    best = int(np.argmax(payoffs))
+    return evaluate_subset(gs, np.flatnonzero(states[best].s_uni), names[best])

@@ -18,13 +18,28 @@ import numpy as np
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.graph import Graph
 from repro.spokesman.base import SpokesmanResult
-from repro.spokesman.degree_classes import spokesman_degree_classes
+from repro.spokesman.degree_classes import (
+    _class_finish,
+    _class_populations,
+    spokesman_degree_classes,
+)
 from repro.spokesman.greedy_add import spokesman_greedy_add
 from repro.spokesman.naive_greedy import spokesman_naive_greedy
-from repro.spokesman.partition import spokesman_partition
-from repro.spokesman.recursive import spokesman_recursive
+from repro.spokesman.partition import procedure_partition_batch
+from repro.spokesman.recursive import (
+    _level_populations,
+    _recursive_finish,
+    spokesman_recursive,
+)
 from repro.spokesman.sampling import spokesman_sampling, spokesman_sampling_all_scales
-from repro.spokesman.threshold_partition import spokesman_threshold_sweep
+from repro.spokesman.threshold_partition import (
+    _partition_finish,
+    _partition_populations,
+    _sweep_finish,
+    _sweep_populations,
+    spokesman_partition,
+    spokesman_threshold_sweep,
+)
 
 __all__ = [
     "DETERMINISTIC_ALGORITHMS",
@@ -44,6 +59,17 @@ DETERMINISTIC_ALGORITHMS = {
     "greedy-add": spokesman_greedy_add,
 }
 
+#: The Procedure Partition family: name → ``(populations, finish)``, the
+#: two steps each member's public function runs around its own
+#: :func:`procedure_partition_batch` call.  Every population is a bool
+#: mask over the right side, so equal populations compare by their bytes.
+_PARTITION_FAMILY = {
+    "partition": (_partition_populations, _partition_finish),
+    "threshold-sweep": (_sweep_populations, _sweep_finish),
+    "degree-classes": (_class_populations, _class_finish),
+    "recursive": (_level_populations, _recursive_finish),
+}
+
 #: Name → callable(gs, rng) for the randomized algorithms.
 RANDOMIZED_ALGORITHMS = {
     "sampling": spokesman_sampling,
@@ -60,12 +86,24 @@ def spokesman_portfolio(
     ``(best, per_algorithm_results)``.
 
     Guarantee: ``best.unique_count ≥ γ·MG(δ)`` (Corollary A.16) whenever the
-    portfolio includes the partition-family algorithms.
+    portfolio includes the partition-family algorithms.  The selected
+    partition-family members share one
+    :func:`~repro.spokesman.partition.procedure_partition_batch` call, which
+    peels each distinct population once; every member's result equals its
+    own function's.
     """
+    selected = [
+        name for name in DETERMINISTIC_ALGORITHMS
+        if include is None or name in include
+    ]
+    states = _peel_family(gs, [n for n in selected if n in _PARTITION_FAMILY])
     results: dict[str, SpokesmanResult] = {}
-    for name, fn in DETERMINISTIC_ALGORITHMS.items():
-        if include is None or name in include:
-            results[name] = fn(gs)
+    for name in selected:
+        if name in states:
+            _, finish = _PARTITION_FAMILY[name]
+            results[name] = finish(gs, states[name])
+        else:
+            results[name] = DETERMINISTIC_ALGORITHMS[name](gs)
     for name, fn in RANDOMIZED_ALGORITHMS.items():
         if include is None or name in include:
             results[name] = fn(gs, rng)
@@ -73,6 +111,23 @@ def spokesman_portfolio(
         raise ValueError(f"no known algorithm selected from {include!r}")
     best = max(results.values(), key=lambda r: r.unique_count)
     return best, results
+
+
+def _peel_family(gs: BipartiteGraph, names: list[str]) -> dict[str, list]:
+    """Each named family member's partition states, from one lockstep
+    batch over the distinct populations of all of them."""
+    populations = {name: _PARTITION_FAMILY[name][0](gs) for name in names}
+    distinct: dict[bytes, np.ndarray] = {}
+    for masks in populations.values():
+        for mask in masks:
+            distinct.setdefault(mask.tobytes(), mask)
+    peeled = dict(
+        zip(distinct, procedure_partition_batch(gs, list(distinct.values())))
+    )
+    return {
+        name: [peeled[mask.tobytes()] for mask in masks]
+        for name, masks in populations.items()
+    }
 
 
 def wireless_lower_bound_of_set(

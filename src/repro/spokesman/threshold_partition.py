@@ -9,24 +9,37 @@ Lemma A.3-style edge accounting gives ``|N_uni| ≥ |N^{tδ}| / (2·t·δ)``
 (the ``t = 2`` case is exactly ``γ/(8δ)``) — a trade-off between the
 population kept (large ``t``) and per-vertex degree slack (small ``t``).
 
-:func:`spokesman_threshold_partition` runs one threshold;
+:func:`spokesman_threshold_partition` runs one threshold, and
+:func:`spokesman_partition` (Lemma A.3) is its ``t = 2`` run;
 :func:`spokesman_threshold_sweep` tries a geometric ladder of thresholds
 and keeps the best (still polynomial, dominates Lemma A.3's fixed choice).
+All of them peel their thresholds' populations in one
+:func:`~repro.spokesman.partition.procedure_partition_batch` call.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.spokesman.base import SpokesmanResult, evaluate_subset
-from repro.spokesman.partition import procedure_partition
+from repro.spokesman.base import SpokesmanResult
+from repro.spokesman.partition import (
+    PartitionState,
+    _best_uni,
+    procedure_partition_batch,
+)
 
 __all__ = [
+    "spokesman_partition",
     "spokesman_threshold_partition",
     "spokesman_threshold_sweep",
     "threshold_population",
 ]
+
+#: The sweep's default geometric ladder of thresholds.
+SWEEP_THRESHOLDS = (1.5, 2.0, 3.0, 4.0, 8.0)
 
 
 def threshold_population(gs: BipartiteGraph, t: float) -> np.ndarray:
@@ -45,6 +58,24 @@ def threshold_population(gs: BipartiteGraph, t: float) -> np.ndarray:
     return nonisolated & (deg <= t * delta)
 
 
+def _sweep_populations(
+    gs: BipartiteGraph, thresholds: tuple[float, ...] = SWEEP_THRESHOLDS
+) -> list[np.ndarray]:
+    """The sweep's populations: ``N^{tδ}`` for each threshold ``t``."""
+    if not thresholds:
+        raise ValueError("thresholds must name at least one threshold")
+    return [threshold_population(gs, t) for t in thresholds]
+
+
+def _sweep_finish(
+    gs: BipartiteGraph,
+    states: list[PartitionState],
+    thresholds: tuple[float, ...] = SWEEP_THRESHOLDS,
+) -> SpokesmanResult:
+    """Best ``S_uni`` over the threshold runs (the earliest wins ties)."""
+    return _best_uni(gs, states, [f"partition[t={t:g}]" for t in thresholds])
+
+
 def spokesman_threshold_partition(
     gs: BipartiteGraph, t: float = 2.0
 ) -> SpokesmanResult:
@@ -53,23 +84,35 @@ def spokesman_threshold_partition(
     Guarantee: with ``m = |N^{tδ}| ≥ (1 − 1/t)·γ``, the partition
     accounting yields ``unique_count ≥ m / (2·t·δ)``.
     """
-    population = threshold_population(gs, t)
-    if not population.any():
-        return evaluate_subset(gs, [], f"partition[t={t:g}]")
-    state = procedure_partition(gs, population)
-    return evaluate_subset(
-        gs, np.flatnonzero(state.s_uni), f"partition[t={t:g}]"
-    )
+    return spokesman_threshold_sweep(gs, (t,))
 
 
 def spokesman_threshold_sweep(
-    gs: BipartiteGraph, thresholds: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 8.0)
+    gs: BipartiteGraph, thresholds: tuple[float, ...] = SWEEP_THRESHOLDS
 ) -> SpokesmanResult:
-    """Best threshold from a geometric ladder — dominates any fixed ``t``."""
-    best: SpokesmanResult | None = None
-    for t in thresholds:
-        cand = spokesman_threshold_partition(gs, t)
-        if best is None or cand.unique_count > best.unique_count:
-            best = cand
-    assert best is not None
-    return best
+    """Best threshold from a geometric ladder — dominates any fixed ``t``.
+
+    Raises ``ValueError`` for an empty ladder.
+    """
+    states = procedure_partition_batch(gs, _sweep_populations(gs, thresholds))
+    return _sweep_finish(gs, states, thresholds)
+
+
+# Lemma A.3's two steps are the sweep's, on the single threshold t = 2.
+def _partition_populations(gs: BipartiteGraph) -> list[np.ndarray]:
+    return _sweep_populations(gs, (2.0,))
+
+
+def _partition_finish(
+    gs: BipartiteGraph, states: list[PartitionState]
+) -> SpokesmanResult:
+    return replace(_sweep_finish(gs, states, (2.0,)), algorithm="partition")
+
+
+def spokesman_partition(gs: BipartiteGraph) -> SpokesmanResult:
+    """Lemma A.3's algorithm: the ``t = 2`` threshold run, on ``N^{2δ}``.
+
+    Guarantee: ``unique_count ≥ γ/(8δ)`` where ``δ`` is the average degree
+    of the non-isolated right vertices and ``γ`` their number.
+    """
+    return replace(spokesman_threshold_partition(gs, 2.0), algorithm="partition")

@@ -4,7 +4,37 @@ import numpy as np
 import pytest
 
 from repro.graphs import BipartiteGraph, core_graph, random_bipartite
-from repro.spokesman import spokesman_exact, spokesman_greedy_add
+from repro.spokesman import (
+    evaluate_subset,
+    spokesman_exact,
+    spokesman_greedy_add,
+    spokesman_portfolio,
+)
+
+
+def recomputed_greedy_add(gs, max_passes=10_000):
+    """The oracle: recompute both gain vectors from the cover counts with
+    sparse mat-vecs on every pass."""
+    member = np.zeros(gs.n_left, dtype=bool)
+    counts = np.zeros(gs.n_right, dtype=np.int32)
+    left = gs.left_matrix
+    for _ in range(max_passes):
+        zero = (counts == 0).astype(np.int32)
+        one = (counts == 1).astype(np.int32)
+        two = (counts == 2).astype(np.int32)
+        gain_add = left @ zero - left @ one
+        gain_remove = left @ two - left @ one
+        gain = np.where(member, gain_remove, gain_add)
+        best = int(np.argmax(gain))
+        if gain[best] <= 0:
+            break
+        if member[best]:
+            member[best] = False
+            counts[gs.neighbors_of_left(best)] -= 1
+        else:
+            member[best] = True
+            counts[gs.neighbors_of_left(best)] += 1
+    return evaluate_subset(gs, np.flatnonzero(member), "greedy-add")
 
 
 class TestGreedyAdd:
@@ -44,6 +74,38 @@ class TestGreedyAdd:
     def test_empty(self):
         gs = BipartiteGraph(3, 3, [])
         assert spokesman_greedy_add(gs).unique_count == 0
+
+    def test_empty_left_side(self):
+        gs = BipartiteGraph(0, 4, [])
+        result = spokesman_greedy_add(gs)
+        assert result.unique_count == 0
+        assert result.subset.size == 0
+        best, results = spokesman_portfolio(gs, rng=0)
+        assert best.unique_count == 0
+        assert results["greedy-add"].subset.size == 0
+
+    @pytest.mark.parametrize("max_passes", [3, 10_000])
+    def test_incremental_gains_match_recomputed(self, max_passes):
+        # Remove moves are rare (a few percent of random instances take
+        # one), so one case sweeps many seeded instances.
+        for seed in range(200):
+            gen = np.random.default_rng(700 + seed)
+            gs = random_bipartite(
+                int(gen.integers(1, 30)),
+                int(gen.integers(1, 60)),
+                float(gen.uniform(0.05, 0.4)),
+                rng=gen,
+            )
+            got = spokesman_greedy_add(gs, max_passes=max_passes)
+            want = recomputed_greedy_add(gs, max_passes=max_passes)
+            assert np.array_equal(got.subset, want.subset), seed
+            assert got.unique_count == want.unique_count, seed
+
+    @pytest.mark.parametrize("s", [4, 8, 16])
+    def test_incremental_gains_match_recomputed_core(self, s):
+        gs = core_graph(s)
+        got = spokesman_greedy_add(gs)
+        assert np.array_equal(got.subset, recomputed_greedy_add(gs).subset)
 
     def test_deterministic(self, core8):
         a = spokesman_greedy_add(core8)

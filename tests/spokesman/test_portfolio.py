@@ -26,6 +26,35 @@ class TestPortfolio:
         best, results = spokesman_portfolio(core8, rng=0, include=["partition"])
         assert set(results) == {"partition"}
 
+    @pytest.mark.parametrize(
+        "include",
+        [
+            None,
+            ["partition", "threshold-sweep"],
+            ["degree-classes", "recursive", "greedy-add"],
+            ["recursive"],
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shared_peel_matches_each_algorithm(self, include, seed):
+        # The portfolio peels the partition family's populations in one
+        # batch; every member must still answer exactly as when run alone.
+        gen = np.random.default_rng(950 + seed)
+        gs = random_bipartite(
+            int(gen.integers(1, 40)),
+            int(gen.integers(1, 60)),
+            float(gen.uniform(0.05, 0.5)),
+            rng=gen,
+        )
+        _, results = spokesman_portfolio(gs, rng=0, include=include)
+        for name, result in results.items():
+            if name not in DETERMINISTIC_ALGORITHMS:
+                continue
+            alone = DETERMINISTIC_ALGORITHMS[name](gs)
+            assert result.algorithm == alone.algorithm
+            assert np.array_equal(result.subset, alone.subset), name
+            assert result.unique_count == alone.unique_count
+
     def test_unknown_include_raises(self, core8):
         with pytest.raises(ValueError):
             spokesman_portfolio(core8, rng=0, include=["nope"])

@@ -81,6 +81,10 @@ class TestThresholdSweep:
         # Large thresholds admit the full population; payoff beats A.3's.
         assert sweep.unique_count >= spokesman_partition(gs).unique_count
 
+    def test_rejects_empty_ladder(self, core8):
+        with pytest.raises(ValueError, match="thresholds"):
+            spokesman_threshold_sweep(core8, thresholds=())
+
     def test_deterministic(self, core8):
         a = spokesman_threshold_sweep(core8)
         b = spokesman_threshold_sweep(core8)
