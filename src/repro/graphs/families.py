@@ -9,6 +9,8 @@ Margulis–Gabber–Galil and chordal-cycle graphs give fully explicit expanders
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from repro._util import as_rng, check_positive_int
@@ -30,10 +32,10 @@ __all__ = [
 ]
 
 #: Above this vertex count the randomized/explicit expander builders go
-#: straight to CSR (:meth:`Graph.from_csr`) instead of routing through
-#: networkx or edge-list canonicalization — the datacenter-scale path.
-#: Below it, the legacy constructions are kept verbatim so existing seeds
-#: keep producing bit-identical graphs.
+#: straight to CSR (:meth:`Graph.from_csr`) instead of replaying the
+#: pairing-with-repair sampler or canonicalizing an edge list — the
+#: datacenter-scale path.  Below it, the legacy constructions are kept
+#: so existing seeds keep producing bit-identical graphs.
 _DIRECT_SAMPLER_MIN_N = 50_000
 
 
@@ -128,7 +130,7 @@ def _random_regular_direct(n: int, d: int, gen: np.random.Generator) -> Graph:
     raise RuntimeError(
         f"random_regular pairing failed to mix for n={n}, d={d}; "
         "this regime (d close to n) needs the exact sampler — "
-        f"use n < {_DIRECT_SAMPLER_MIN_N} to route through networkx"
+        f"use n < {_DIRECT_SAMPLER_MIN_N} for the pairing-with-repair sampler"
     )
 
 
@@ -183,17 +185,80 @@ def hypercube(dimension: int) -> Graph:
     return Graph(n, np.concatenate(edges))
 
 
+def _suitable(edges: set[int], potential_edges: dict[int, int], n: int) -> bool:
+    """networkx's ``_suitable`` check, with edges held as ``lo*n + hi`` keys.
+
+    Whether some pair of leftover stub nodes can still be joined.  The
+    loop is kept as networkx wrote it — including the inner swap that
+    rebinds ``s1`` — so attempts fail (and restart) exactly when
+    networkx's would.
+    """
+    if not potential_edges:
+        return True
+    for s1 in potential_edges:
+        for s2 in potential_edges:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 * n + s2 not in edges:
+                return True
+    return False
+
+
+def _try_pairing(n: int, d: int, rnd: random.Random) -> np.ndarray | None:
+    """One ``_try_creation`` attempt of networkx's sampler, pass by pass.
+
+    Each pass shuffles the stub list with ``rnd`` (the very same
+    ``random.shuffle`` calls, so the stream stays in lockstep), pairs
+    consecutive stubs as ``(lo, hi)``, and accepts a pair iff it is no
+    self-loop, not an edge from an earlier pass, and the first of its key
+    in this pass.  Rejected pairs' endpoints become the next pass's
+    stubs, in networkx's ``potential_edges`` insertion order (first
+    appearance in the ``lo0, hi0, lo1, hi1, …`` stream, a self-loop
+    counting twice).  Returns the accepted ``lo*n + hi`` keys, or
+    ``None`` when the leftover stubs cannot be joined.
+    """
+    accepted = np.empty(0, dtype=np.int64)
+    edges: set[int] = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        rnd.shuffle(stubs)
+        flat = np.array(stubs, dtype=np.int64)
+        lo = np.minimum(flat[0::2], flat[1::2])
+        hi = np.maximum(flat[0::2], flat[1::2])
+        keys = lo * n + hi
+        candidate = np.flatnonzero((lo != hi) & ~np.isin(keys, accepted))
+        _, first = np.unique(keys[candidate], return_index=True)
+        take = candidate[first]
+        fresh = keys[take]
+        accepted = np.concatenate([accepted, fresh])
+        rejected = np.ones(keys.shape[0], dtype=bool)
+        rejected[take] = False
+        stream = np.column_stack([lo[rejected], hi[rejected]]).ravel()
+        nodes, at, counts = np.unique(stream, return_index=True, return_counts=True)
+        order = np.argsort(at)
+        nodes, counts = nodes[order], counts[order]
+        edges.update(fresh.tolist())
+        if not _suitable(edges, dict(zip(nodes.tolist(), counts.tolist())), n):
+            return None
+        stubs = np.repeat(nodes, counts).tolist()
+    return accepted
+
+
 def random_regular(n: int, d: int, rng=None) -> Graph:
     """Random simple ``d``-regular graph.
 
-    Below ``n = 50,000`` this delegates to networkx's pairing-with-repair
-    sampler (Steger–Wormald style) — kept verbatim so existing seeds keep
-    producing bit-identical graphs.  At datacenter scale it switches to a
-    vectorized configuration-model pairing that builds the CSR directly
-    (:func:`_random_regular_direct`): no networkx node objects, no Python
-    edge tuples — a few ``n·d``-length numpy passes.  Random regular
-    graphs are near-Ramanujan w.h.p. (Friedman), so they serve as the
-    generic good expander throughout.
+    Below ``n = 50,000`` this replays networkx's pairing-with-repair
+    sampler (Steger–Wormald style; ``nx.random_regular_graph``) in numpy:
+    the same ``random.Random(seed)`` shuffle stream and the same accept
+    and repair rules (:func:`_try_pairing`), so existing seeds keep
+    producing bit-identical graphs without importing networkx.  At
+    datacenter scale it switches to a vectorized configuration-model
+    pairing (:func:`_random_regular_direct`), which draws different
+    graphs.  Both build the CSR directly — no Python edge tuples.
+    Random regular graphs are near-Ramanujan w.h.p. (Friedman), so they
+    serve as the generic good expander throughout.
     """
     check_positive_int(n, "n")
     check_positive_int(d, "d")
@@ -204,11 +269,13 @@ def random_regular(n: int, d: int, rng=None) -> Graph:
     gen = as_rng(rng)
     if n >= _DIRECT_SAMPLER_MIN_N:
         return _random_regular_direct(n, d, gen)
-    import networkx as nx
-
-    seed = int(gen.integers(0, 2**32 - 1))
-    g = nx.random_regular_graph(d, n, seed=seed)
-    return Graph(n, np.array(sorted((min(a, b), max(a, b)) for a, b in g.edges())))
+    # networkx seeds its sampler with random.Random(int seed).
+    rnd = random.Random(int(gen.integers(0, 2**32 - 1)))
+    keys = _try_pairing(n, d, rnd)
+    while keys is None:
+        keys = _try_pairing(n, d, rnd)
+    lo, hi = np.divmod(keys, n)
+    return _csr_from_pairs(n, lo, hi)
 
 
 def margulis_expander(side: int) -> Graph:

@@ -6,8 +6,9 @@ The execution layer under every sweep and bench:
   process-pool :class:`ParallelExecutor` behind one interface; per-task
   derived seeds make their results bit-for-bit identical.
 * :mod:`repro.runtime.store` — the content-addressed :class:`ResultStore`
-  (JSON + ``.npz`` payloads under ``results/cache/``) keyed by
-  (function, params, seed, code salt).
+  (a JSON document plus, when the result holds arrays, one narrowed
+  ``uint8`` array blob in a ``.npz`` sidecar, under ``results/cache/``)
+  keyed by (function, params, seed, code salt).
 * :mod:`repro.runtime.manifest` — :class:`SweepManifest`, the persisted
   task ledger that makes interrupted sweeps resumable.
 * :mod:`repro.runtime.tasks` — picklable task functions the CLI and

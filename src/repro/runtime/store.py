@@ -10,10 +10,14 @@ so warm reruns are pure cache replays and interrupted runs resume where
 they stopped (see :mod:`repro.runtime.manifest`).
 
 Payloads persist under ``results/cache/`` as one JSON document per task;
-numpy arrays inside a result are split out into an ``.npz`` sidecar so
+numpy arrays inside a result are packed into one ``uint8`` blob, the only
+member of an ``.npz`` sidecar.  Integer arrays are stored in the narrowest
+integer dtype of their signedness that holds their values, and the JSON
+document's ``layout`` records each array's original dtype and shape, so
 dtypes and shapes survive the round trip bit for bit.  Corrupted entries
-(truncated JSON, missing sidecar, undecodable payload) are discarded and
-treated as misses — the cache can always be rebuilt by recomputing.
+(truncated JSON, missing sidecar, a failed zip CRC, a size mismatch,
+undecodable payload) are discarded and treated as misses — the cache can
+always be rebuilt by recomputing.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import hashlib
 import importlib
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -94,6 +99,11 @@ def _encode(obj: Any, arrays: list[np.ndarray] | None, inline: bool) -> Any:
         if inline:
             return obj.tolist()
         if arrays is not None:
+            if obj.dtype.hasobject:
+                raise TypeError(
+                    f"cannot persist an array of dtype {obj.dtype} in the "
+                    "result store; object arrays have no byte layout"
+                )
             arrays.append(obj)
             return {_KIND: "ndarray", "ref": len(arrays) - 1}
         data = np.ascontiguousarray(obj)
@@ -165,6 +175,64 @@ def _decode(obj: Any, arrays: list[np.ndarray]) -> Any:
             target = getattr(target, part)
         return target(**{k: _decode(v, arrays) for k, v in obj["fields"].items()})
     raise ValueError(f"unknown payload marker {kind!r}")
+
+
+_SIGNED = (np.int8, np.int16, np.int32, np.int64)
+_UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def _stored_dtype(arr: np.ndarray) -> np.dtype:
+    """The dtype ``arr`` is stored in: integers shrink to the narrowest
+    native dtype of the same signedness holding their ``[min, max]``;
+    everything else is stored as it is."""
+    if arr.dtype.kind not in "iu":
+        return arr.dtype
+    ladder = _SIGNED if arr.dtype.kind == "i" else _UNSIGNED
+    if arr.size == 0:
+        return np.dtype(ladder[0])
+    lo, hi = int(arr.min()), int(arr.max())
+    for candidate in ladder[:-1]:
+        info = np.iinfo(candidate)
+        if info.min <= lo and hi <= info.max:
+            return np.dtype(candidate)
+    return np.dtype(ladder[-1])
+
+
+def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list]:
+    """Concatenate the arrays' C-order bytes, narrowed, into one ``uint8``
+    blob; returns it with the ``[original descr, stored descr, shape]``
+    layout that :func:`_unpack` inverts."""
+    stored = [a.astype(_stored_dtype(a), copy=False) for a in arrays]
+    blob = np.empty(sum(s.nbytes for s in stored), dtype=np.uint8)
+    layout, offset = [], 0
+    for original, narrow in zip(arrays, stored):
+        blob[offset : offset + narrow.nbytes] = narrow.reshape(-1).view(np.uint8)
+        offset += narrow.nbytes
+        layout.append([
+            np.lib.format.dtype_to_descr(original.dtype),
+            np.lib.format.dtype_to_descr(narrow.dtype),
+            list(original.shape),
+        ])
+    return blob, layout
+
+
+def _unpack(blob: np.ndarray, layout: list) -> list[np.ndarray]:
+    """Invert :func:`_pack`: slice the blob and widen each array back to its
+    original dtype.  Every array is a fresh, writeable copy."""
+    arrays, offset = [], 0
+    for original, narrow, shape in layout:
+        dtype = np.lib.format.descr_to_dtype(narrow)
+        count = math.prod(shape)
+        view = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+        offset += count * dtype.itemsize
+        arrays.append(
+            view.reshape(shape).astype(
+                np.lib.format.descr_to_dtype(original), copy=True
+            )
+        )
+    if offset != blob.size:
+        raise ValueError("array blob longer than its layout")
+    return arrays
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -375,12 +443,14 @@ class ResultStore:
                 raise ValueError("payload/key mismatch")
             arrays: list[np.ndarray] = []
             if payload.get("arrays"):
+                # The zip CRC-32 of the blob member is the integrity check.
                 with np.load(npz_path) as znp:
-                    arrays = [znp[f"arr{i}"] for i in range(payload["arrays"])]
+                    arrays = _unpack(znp["blob"], payload["layout"])
             return _decode(payload["value"], arrays)
         except Exception:
             # Anything past a parsed JSON document — key mismatch, missing
-            # or unreadable sidecar, undecodable payload — is a corrupted
+            # or unreadable sidecar, bad CRC, no layout (an entry written
+            # before the blob format), undecodable payload — is a corrupted
             # entry: drop it so recomputation heals the store.
             self.discard(key)
             raise KeyError(key) from None
@@ -388,11 +458,11 @@ class ResultStore:
     def contains(self, key: str) -> bool:
         """Whether ``key`` holds a well-formed entry, without decoding it.
 
-        Parses the JSON header and checks the ``.npz`` sidecar exists when
-        arrays are referenced — cheap enough for manifest progress scans
-        over large payloads (the full decode happens once, in :meth:`get`).
-        Corruption counts as absent and is discarded; the hit/miss
-        counters are untouched.
+        Parses the JSON header and checks the ``.npz`` sidecar exists and a
+        ``layout`` describes it when arrays are referenced — cheap enough
+        for manifest progress scans over large payloads (the full decode
+        happens once, in :meth:`get`).  Corruption counts as absent and is
+        discarded; the hit/miss counters are untouched.
         """
         json_path, npz_path = self._paths(key)
         try:
@@ -400,8 +470,11 @@ class ResultStore:
                 payload = json.load(fh)
             if payload.get("key") != key:
                 raise ValueError("payload/key mismatch")
-            if payload.get("arrays") and not os.path.isfile(npz_path):
-                raise ValueError("missing npz sidecar")
+            if payload.get("arrays"):
+                if "layout" not in payload:
+                    raise ValueError("entry predates the array blob")
+                if not os.path.isfile(npz_path):
+                    raise ValueError("missing npz sidecar")
             return True
         except FileNotFoundError:
             return False
@@ -454,13 +527,17 @@ class ResultStore:
 
         The ``.npz`` sidecar (if any) lands before the JSON document, so a
         crash mid-put never leaves a JSON entry pointing at missing arrays.
+        Raises ``TypeError``, writing nothing, for an unsupported payload
+        (including object-dtype arrays).
         """
         rec = active_recorder()
         start = time.perf_counter()
         arrays: list[np.ndarray] = []
         encoded = _encode(value, arrays=arrays, inline=False)
         json_path, npz_path = self._paths(key)
+        payload = {"key": key, "salt": self.salt, "arrays": len(arrays), "value": encoded}
         if arrays:
+            blob, payload["layout"] = _pack(arrays)
             os.makedirs(os.path.dirname(npz_path), exist_ok=True)
             # The suffix must end in ".npz" or np.savez appends one, writing
             # past the temp name and breaking the atomic replace.
@@ -469,13 +546,12 @@ class ResultStore:
             )
             os.close(fd)
             try:
-                np.savez(tmp, **{f"arr{i}": a for i, a in enumerate(arrays)})
+                np.savez(tmp, blob=blob)
                 os.replace(tmp, npz_path)
             except BaseException:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
                 raise
-        payload = {"key": key, "salt": self.salt, "arrays": len(arrays), "value": encoded}
         if meta:
             payload["meta"] = _encode(meta, arrays=None, inline=True)
         _atomic_write_bytes(

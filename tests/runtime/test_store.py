@@ -205,6 +205,137 @@ class TestCrashMidWrite:
         assert not store.contains("8" * 64)
 
 
+def _extremes_and_narrowable():
+    cases = [np.array([True, False, True])]
+    for dtype in (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64):
+        info = np.iinfo(dtype)
+        cases.append(np.array([info.min, 0, info.max], dtype=dtype))
+        cases.append(np.array([0, 1, min(100, info.max)], dtype=dtype))
+    cases += [
+        np.array([-5, -1, 3], dtype=np.int64),
+        np.array([-(2**40), 7], dtype=np.int64),
+        np.array([1, -300, 2**20], dtype=">i8"),
+        np.array([np.nan, -0.0, np.inf, 1.5], dtype=np.float32),
+        np.array([np.nan, -0.0, -np.inf, 1e300], dtype=np.float64),
+        np.array([1 + 2j, np.nan - 0.0j], dtype=np.complex128),
+        np.array(np.int64(-3)),  # 0-d
+        np.zeros((0, 3), dtype=np.int64),
+        np.asfortranarray(np.arange(12, dtype=np.int32).reshape(3, 4)),
+    ]
+    return cases
+
+
+class TestArrayBlob:
+    """Every entry's arrays live in one narrow ``uint8`` blob, the only
+    member of the ``.npz`` sidecar; reads widen them back losslessly."""
+
+    def _npz(self, store, key):
+        return os.path.join(store.objects_dir, key[:2], key + ".npz")
+
+    def _json(self, store, key):
+        return os.path.join(store.objects_dir, key[:2], key + ".json")
+
+    def test_round_trip_is_bit_and_dtype_identical(self, store):
+        arrays = _extremes_and_narrowable()
+        store.put("1" * 64, {"arrays": arrays})
+        got = store.get("1" * 64)["arrays"]
+        assert len(got) == len(arrays)
+        for want, have in zip(arrays, got):
+            assert have.dtype == want.dtype  # byte order included
+            assert have.shape == want.shape
+            assert np.ascontiguousarray(have).tobytes() == (
+                np.ascontiguousarray(want).tobytes()
+            )
+
+    def test_returned_arrays_are_writeable_and_independent(self, store):
+        arrays = _extremes_and_narrowable()
+        store.put("2" * 64, arrays)
+        got = store.get("2" * 64)
+        for i, a in enumerate(got):
+            assert a.flags.writeable and a.flags.owndata
+            for b in got[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_sidecar_is_one_narrow_blob(self, store):
+        key = "3" * 64
+        store.put(key, {"rounds": np.arange(1000, dtype=np.int64)})
+        with np.load(self._npz(store, key)) as znp:
+            assert znp.files == ["blob"]
+            blob = znp["blob"]
+        assert blob.dtype == np.uint8 and blob.nbytes == 1000 * 2  # int16
+        layout = json.loads(open(self._json(store, key)).read())["layout"]
+        assert layout == [["<i8", "<i2", [1000]]]
+
+    def test_service_result_keeps_int64(self, store):
+        from repro.scenario import Scenario
+
+        result = Scenario.from_string(
+            "cycle(12) | decay | gossip(k=2) | trials=3 | seed=4"
+        ).run()
+        store.put("4" * 64, result)
+        got = store.get("4" * 64)
+        assert type(got) is type(result)
+        for field in ("rounds", "first_informed_round"):
+            want, have = getattr(result, field), getattr(got, field)
+            assert have.dtype == want.dtype
+            np.testing.assert_array_equal(have, want)
+
+    def test_object_arrays_are_rejected_before_writing(self, store):
+        key = "5" * 64
+        with pytest.raises(TypeError, match="cannot persist"):
+            store.put(key, {"x": np.array([1, "y"], dtype=object)})
+        assert not os.path.exists(self._json(store, key))
+        assert not os.path.exists(self._npz(store, key))
+        with pytest.raises(KeyError):
+            store.get(key)
+
+    def _assert_miss_and_discarded(self, store, key, probe):
+        if probe == "contains":
+            assert not store.contains(key)
+        else:
+            with pytest.raises(KeyError):
+                store.get(key)
+        assert not os.path.exists(self._json(store, key))
+        assert not os.path.exists(self._npz(store, key))
+        assert not store.contains(key)
+
+    def test_flipped_blob_byte_is_a_miss(self, store):
+        key = "6" * 64
+        store.put(key, {"arr": np.full(1000, 7, dtype=np.int64)})
+        raw = bytearray(open(self._npz(store, key), "rb").read())
+        at = raw.find(bytes([7]) * 1000) + 500
+        raw[at] ^= 0x01
+        with open(self._npz(store, key), "wb") as fh:
+            fh.write(raw)
+        self._assert_miss_and_discarded(store, key, "get")  # zip CRC-32
+
+    def test_truncated_sidecar_is_a_miss(self, store):
+        key = "7" * 64
+        store.put(key, {"arr": np.arange(500)})
+        raw = open(self._npz(store, key), "rb").read()
+        with open(self._npz(store, key), "wb") as fh:
+            fh.write(raw[: len(raw) // 2])
+        self._assert_miss_and_discarded(store, key, "get")
+
+    @pytest.mark.parametrize("probe", ["get", "contains"])
+    def test_pre_blob_entry_is_a_miss(self, store, probe):
+        # An entry in the earlier format: one npz member per array and no
+        # ``layout`` in the JSON document.  There is no reader for it.
+        key = "a" * 64
+        os.makedirs(os.path.dirname(self._json(store, key)), exist_ok=True)
+        np.savez(self._npz(store, key), arr0=np.arange(3))
+        document = {
+            "key": key,
+            "salt": store.salt,
+            "arrays": 1,
+            "value": {"arr": {"__kind__": "ndarray", "ref": 0}},
+        }
+        with open(self._json(store, key), "w") as fh:
+            json.dump(document, fh)
+        self._assert_miss_and_discarded(store, key, probe)
+
+
 class TestStoreManagement:
     def test_stats_and_clear(self, store):
         for i in range(3):
