@@ -220,8 +220,8 @@ def _extremes_and_narrowable():
         np.array([np.nan, -0.0, -np.inf, 1e300], dtype=np.float64),
         np.array([1 + 2j, np.nan - 0.0j], dtype=np.complex128),
         np.array(np.int64(-3)),  # 0-d
-        np.zeros((0, 3), dtype=np.int64),
         np.asfortranarray(np.arange(12, dtype=np.int32).reshape(3, 4)),
+        np.zeros((0, 3), dtype=np.int64),  # last: ends exactly at the blob's end
     ]
     return cases
 
@@ -247,6 +247,13 @@ class TestArrayBlob:
             assert np.ascontiguousarray(have).tobytes() == (
                 np.ascontiguousarray(want).tobytes()
             )
+
+    def test_empty_blob_round_trips(self, store):
+        store.put("0" * 64, [np.zeros((0, 2), dtype=np.int64), np.zeros(0, bool)])
+        got = store.get("0" * 64)
+        assert [(a.dtype, a.shape) for a in got] == [
+            (np.dtype(np.int64), (0, 2)), (np.dtype(bool), (0,))
+        ]
 
     def test_returned_arrays_are_writeable_and_independent(self, store):
         arrays = _extremes_and_narrowable()
