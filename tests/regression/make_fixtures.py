@@ -46,6 +46,8 @@ EXPANSIONS = (
     ("hypercube(4)", "sampled(samples=20)", 3),
     ("random_regular(200, 8)",
      "portfolio(samples=40, max_set_bits=64, include_balls=false)", 5),
+    ("random_regular(200, 8)",
+     "sampled(samples=50, max_set_bits=24, include_balls=false)", 1),
 )
 
 #: Seeded boundary graphs ``G_S`` for the per-algorithm portfolio pins:
