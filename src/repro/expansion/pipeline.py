@@ -18,8 +18,9 @@ batched replacement:
   (:func:`_best_unique_batch`) — the subset-lattice DP of
   :func:`~repro.expansion.subsets.graph_subset_profile` run over each
   candidate's *distinct multi-vertex boundary masks* (64 to a machine
-  word) and only the vertices those masks involve, in slabs of
-  candidates sharing a lattice width, with a weight-plane popcount.
+  word) and only the vertices that no dominance rule forces into an
+  optimum, in slabs of candidates sharing a lattice width, with a
+  weight-plane popcount.
   That turns the per-candidate cost from ``O(D·2^k)`` vectorized passes
   into ``O(⌈D/64⌉·2^k')`` word ops — the ≥ 10× win E17 pins;
 * :func:`evaluate_candidates` shards the candidate list contiguously
@@ -63,8 +64,10 @@ _GROUP_CHUNK = 1024
 MAX_LATTICE_BITS = 24
 
 #: Cells (rows × ``2^k'``) per lattice slab: the four DP buffers stay
-#: cache-resident.  On the n≈200 benchmark's candidates 2^16 ran fastest
-#: of 2^12..2^20; 2^20 took ~1.6× the CPU time and ~32 MiB more peak RSS.
+#: cache-resident.  After bit forcing the n≈200 benchmark's lattices are
+#: tiny, and 2^10..2^20 time alike there within run-to-run noise; 2^16
+#: bounds the buffers of the wide lattices that forcing leaves (2^20 took
+#: ~1.6× the CPU time and ~32 MiB more peak RSS on 16-bit lattices).
 _SLAB_CELLS = 1 << 16
 
 
@@ -145,12 +148,21 @@ def _best_unique_batch(
     grouped by candidate (ascending).  Three exact reductions:
 
     * a *singleton* mask ``{b}`` is covered once exactly when ``b ∈ S'``:
-      a per-bit weight;
-    * a *free* bit — in no multi-bit mask — only ever adds its singleton
-      weight (≥ 0), so some optimum contains it: its weight is a
-      constant and the lattice runs over the ``k' ≤ k`` *involved* bits;
-    * the multi masks, 64 lanes to a uint64 row (a candidate with more
-      takes several rows), sweep the subset-lattice DP of
+      a per-bit weight ``s_b``;
+    * a *forced* bit is in some optimum.  Given the forced set ``F``
+      (empty at first), a multi mask is *live* while ``|F ∩ m| ≤ 1`` and
+      ``W_b`` sums the live masks' weights on ``b``; every ``b ∉ F`` with
+      ``s_b ≥ W_b`` joins ``F``, until nothing changes.  For any
+      ``x ⊇ F`` without ``b``, adding ``b`` gains ``s_b`` and loses at
+      most the live masks ``x`` hits once through ``b``, so
+      ``f(x ∪ {b}) ≥ f(x)``; ``W`` only shrinks as ``F`` grows.  A free
+      bit (in no multi mask) is the case ``W_b = 0``.  The forced
+      singletons, and every mask ``F`` hits once with no unforced bit,
+      are a constant; masks ``F`` hits twice are dropped; the rest,
+      restricted to the ``k' ≤ k`` unforced bits, start the lattice
+      already hit once where ``F`` hits them once;
+    * the remaining masks, 64 lanes to a uint64 row (a candidate with
+      more takes several rows), sweep the subset-lattice DP of
       :func:`~repro.expansion.subsets.graph_subset_profile` in
       ``(rows, 2^k')`` slabs of candidates sharing ``k'``; a lane of
       weight ``w`` counts ``popcount(once)`` once plus
@@ -173,39 +185,65 @@ def _best_unique_batch(
 
     multi = (width > 1) & (weights > 0)
     m_cand, m_mask, m_weight = cand_of[multi], masks[multi], weights[multi]
-    owners, first, per_owner = np.unique(
-        m_cand, return_index=True, return_counts=True
-    )
-    involved = np.zeros(count, dtype=np.uint64)
-    if owners.size:
-        involved[owners] = np.bitwise_or.reduceat(m_mask, first)
-    is_involved = ((involved[:, None] >> bits) & np.uint64(1)).astype(bool)
-    best = np.where(is_involved, 0, single_weight).sum(axis=1)
-    k_inv = is_involved.sum(axis=1)
-    if not owners.size:
+    # (lane, bit) incidence of the multi masks; cell = candidate·k + bit.
+    mi, bi = np.nonzero((m_mask[:, None] >> bits) & np.uint64(1))
+    cell = m_cand[mi] * k + bi
+    is_forced = np.zeros((count, k), dtype=bool)
+    forced = np.zeros(count, dtype=np.uint64)
+    hits = np.zeros(m_cand.size, dtype=np.uint8)  # |F ∩ m| per lane
+    while True:
+        live = np.where(hits <= 1, m_weight, 0)
+        shared = np.bincount(cell, weights=live[mi], minlength=count * k)
+        new = (single_weight >= shared.reshape(count, k)) & ~is_forced
+        if not new.any():
+            break
+        is_forced |= new
+        forced = (is_forced.astype(np.uint64) << bits).sum(axis=1)
+        hits = popcount_u64(forced[m_cand] & m_mask)
+
+    best = np.where(is_forced, single_weight, 0).sum(axis=1)
+    unforced = ~is_forced
+    k_free = unforced.sum(axis=1)
+    hit_once = hits == 1
+    # Lanes hit once by F and by no unforced bit: covered in every x ⊇ F.
+    rest = m_mask & ~forced[m_cand]
+    done = hit_once & (rest == 0)
+    np.add.at(best, m_cand[done], m_weight[done])
+    keep = (hits <= 1) & (rest != 0)
+    if not keep.any():
         return best
 
-    # Relabel each candidate's involved bits 0..k'-1 in order.
-    rank = np.cumsum(is_involved, axis=1) - is_involved
-    inv_single = np.zeros((count, k), dtype=np.int64)
-    ci, bi = np.nonzero(is_involved)
-    inv_single[ci, rank[ci, bi]] = single_weight[ci, bi]
+    # Relabel each candidate's unforced bits 0..k'-1 in order.
+    rank = np.cumsum(unforced, axis=1) - unforced
+    free_single = np.zeros((count, k), dtype=np.int64)
+    ci, bj = np.nonzero(unforced)
+    free_single[ci, rank[ci, bj]] = single_weight[ci, bj]
 
-    # Rows: 64 lanes of one candidate's multi masks each.
-    pos = np.arange(m_cand.size) - np.repeat(first, per_owner)
+    l_cand, l_weight = m_cand[keep], m_weight[keep]
+    owners, first, per_owner = np.unique(
+        l_cand, return_index=True, return_counts=True
+    )
+    # Rows: 64 lanes of one candidate's kept masks each.
+    pos = np.arange(l_cand.size) - np.repeat(first, per_owner)
     lane_bit = np.uint64(1) << (pos % 64).astype(np.uint64)
     rows_of = np.zeros(count, dtype=np.int64)
     rows_of[owners] = (per_owner + 63) // 64
     row_start = np.cumsum(rows_of) - rows_of
-    row_id = row_start[m_cand] + pos // 64
+    row_id = row_start[l_cand] + pos // 64
     row_first = np.flatnonzero(np.diff(row_id, prepend=-1))
-    # adj[r, b']: the lanes of row r whose mask holds involved bit b'.
-    mi, bi = np.nonzero((m_mask[:, None] >> bits) & np.uint64(1))
-    lanes = np.zeros((m_cand.size, k), dtype=np.uint64)
-    lanes[mi, rank[m_cand[mi], bi]] = lane_bit[mi]
+    # adj[r, b']: the lanes of row r whose mask holds unforced bit b'.
+    lane_of = np.cumsum(keep) - 1
+    on = keep[mi] & unforced[m_cand[mi], bi]
+    li, lb = lane_of[mi[on]], bi[on]
+    lanes = np.zeros((l_cand.size, int(k_free[owners].max())), dtype=np.uint64)
+    lanes[li, rank[l_cand[li], lb]] = lane_bit[li]
     adj = np.bitwise_or.reduceat(lanes, row_first, axis=0)
+    # pre_hit[r]: the lanes of row r that F already hits once.
+    pre_hit = np.bitwise_or.reduceat(
+        np.where(hit_once[keep], lane_bit, np.uint64(0)), row_first
+    )
     # planes[r, j]: the lanes of row r whose weight - 1 has bit j set.
-    extra = m_weight - 1
+    extra = l_weight - 1
     depth = int(extra.max()).bit_length()
     plane_bits = (extra[:, None] >> np.arange(depth)) & 1
     planes = np.bitwise_or.reduceat(
@@ -215,9 +253,9 @@ def _best_unique_batch(
 
     # Slabs: consecutive candidates of one k', about _SLAB_CELLS cells.
     slabs = []
-    for kp in np.unique(k_inv[owners]):
+    for kp in np.unique(k_free[owners]):
         kp = int(kp)
-        cands = np.flatnonzero(k_inv == kp)
+        cands = owners[k_free[owners] == kp]
         offset = np.cumsum(rows_of[cands]) - rows_of[cands]
         cuts = np.flatnonzero(
             np.diff(offset // max(1, _SLAB_CELLS >> kp), prepend=-1)
@@ -232,19 +270,20 @@ def _best_unique_batch(
             int(nrows.sum())
         )
         best[part] += _lattice_slab(
-            adj[rows, :kp], planes[rows], starts, inv_single[part, :kp],
-            buffers,
+            adj[rows, :kp], planes[rows], pre_hit[rows], starts,
+            free_single[part, :kp], buffers,
         )
     return best
 
 
-def _lattice_slab(adj, planes, starts, single, buffers) -> np.ndarray:
+def _lattice_slab(adj, planes, pre_hit, starts, single, buffers) -> np.ndarray:
     """Best weighted unique count of each candidate of one slab.
 
-    ``adj`` is ``(rows, k')``, ``planes`` ``(rows, depth)``, ``starts``
-    each candidate's first row and ``single`` its ``(k',)`` involved-bit
-    singleton weights; ``buffers`` are four uint64 scratch arrays of at
-    least ``rows·2^k'`` cells.
+    ``adj`` is ``(rows, k')``, ``planes`` ``(rows, depth)``, ``pre_hit``
+    each row's lanes already hit once before any bit is chosen,
+    ``starts`` each candidate's first row and ``single`` its ``(k',)``
+    unforced-bit singleton weights; ``buffers`` are four uint64 scratch
+    arrays of at least ``rows·2^k'`` cells.
     """
     rows, kp = adj.shape
     size = 1 << kp
@@ -254,8 +293,8 @@ def _lattice_slab(adj, planes, starts, single, buffers) -> np.ndarray:
     # Lanes hit exactly once / at least once by each subset x, built up
     # bit by bit: x | {b} from x for every x < 2^b.
     not_adj = ~adj
-    once[:, 0] = 0
-    seen[:, 0] = 0
+    once[:, 0] = pre_hit
+    seen[:, 0] = pre_hit
     for b in range(kp):
         h = 1 << b
         po, ps = once[:, :h], seen[:, :h]
@@ -333,7 +372,9 @@ def evaluate_candidate_shard(
     Module-level and all-plain-data so :class:`ParallelExecutor` workers
     can evaluate shards; values are exact, so any sharding of the
     candidate list concatenates back to the serial answer bit for bit.
-    Raises ``ValueError`` if ``size_cap`` exceeds :data:`MAX_LATTICE_BITS`.
+    Raises ``ValueError`` if ``size_cap`` exceeds :data:`MAX_LATTICE_BITS`,
+    or if a scored candidate repeats a vertex or names one outside
+    ``[0, n)``.
     """
     _check_lattice_width(size_cap)
     values = np.full(len(candidates), np.inf)
@@ -347,11 +388,21 @@ def evaluate_candidate_shard(
         group = np.stack(
             [np.asarray(candidates[i], dtype=np.int64) for i in indices]
         )
-        # Candidates are sets — dedupe repeats (BFS balls of nearby
-        # vertices often coincide) and score each distinct set once.
-        distinct, inverse = np.unique(
-            np.sort(group, axis=1), axis=0, return_inverse=True
+        # Candidates are sets of vertices — reject anything else, then
+        # dedupe repeats (BFS balls of nearby vertices often coincide) and
+        # score each distinct set once.
+        ordered = np.sort(group, axis=1)
+        bad = (
+            (ordered[:, 0] < 0) | (ordered[:, -1] >= graph.n)
+            | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
         )
+        if bad.any():
+            first = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"candidate {indices[first]} ({group[first].tolist()}) is "
+                f"not a set of distinct vertices in [0, {graph.n})"
+            )
+        distinct, inverse = np.unique(ordered, axis=0, return_inverse=True)
         bests = np.concatenate([
             _group_best_unique(
                 adjacency, graph.n, distinct[lo : lo + _GROUP_CHUNK]
@@ -391,7 +442,9 @@ def evaluate_candidates(
     candidate list, and every value is an exact ``best/|S|`` ratio, so the
     returned array is identical whatever the worker count.  Raises
     ``ValueError`` before any work if ``size_cap`` exceeds
-    :data:`MAX_LATTICE_BITS`.
+    :data:`MAX_LATTICE_BITS`, and from the shard that holds it if a
+    candidate is not a vertex set (the message names its vertices, and
+    its index within that shard).
     """
     _check_lattice_width(size_cap)
     return _map_shards(

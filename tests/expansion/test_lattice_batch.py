@@ -1,8 +1,9 @@
 """The batched unique-coverage lattice against a pure-Python brute force.
 
 ``_best_unique_batch`` scores every candidate of a size group in slabs of
-``(rows, 2^k')`` words after dropping free bits; these tests pin it to
-``max_{S'} Σ_m w_m·[|S' ∩ m| = 1]`` enumerated subset by subset.
+``(rows, 2^k')`` words after forcing dominated bits out of the lattice;
+these tests pin it to ``max_{S'} Σ_m w_m·[|S' ∩ m| = 1]`` enumerated
+subset by subset.
 """
 
 import numpy as np
@@ -53,6 +54,18 @@ def candidate(draw, k, min_multi=0, max_multi=12, singletons=True):
     weights = draw(st.lists(st.integers(1, 9), min_size=len(masks),
                             max_size=len(masks)))
     return masks, weights
+
+
+@st.composite
+def forcing_candidate(draw, k):
+    """Heavy singletons over light multi masks: most bits are forced, and
+    forcing two bits of a mask frees the bits it shared with them."""
+    masks = draw(st.lists(multi_bit(k), max_size=16))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(masks),
+                            max_size=len(masks)))
+    heavy = draw(st.lists(st.integers(0, 12), min_size=k, max_size=k))
+    masks += [1 << b for b in range(k)]
+    return masks, weights + heavy
 
 
 @st.composite
@@ -149,6 +162,96 @@ class TestAgainstBruteForce:
             cands.append((masks, [int(w) for w in gen.integers(1, 4, 7)]))
         expected = [brute_force(k, m, w) for m, w in cands]
         assert run_batch(k, cands).tolist() == expected
+
+
+class TestForcedBits:
+    @pytest.mark.parametrize("k,masks,weights,expected", [
+        # Bit 0 is forced (5 ≥ 3); the shared lane 0b11 is then hit once
+        # and still live, so bit 1 (1 < 3) is not: {0} scores 8, {0, 1} 6.
+        (2, [0b01, 0b10, 0b11], [5, 1, 3], 8),
+        # All three bits forced in one pass.
+        (3, [1, 2, 4, 0b011, 0b111], [2, 2, 1, 1, 1], 5),
+        # A cascade: forcing bits 0 and 1 hits 0b111 twice, which frees
+        # bit 2 (1 ≥ 0) on the next pass.
+        (3, [1, 2, 4, 0b111], [6, 6, 1, 5], 13),
+    ])
+    def test_hand_cases(self, k, masks, weights, expected):
+        assert brute_force(k, masks, weights) == expected
+        assert max_unique_coverage_lattice(k, masks, weights) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, MAX_K).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(
+            forcing_candidate(k), min_size=1, max_size=6))))
+    def test_heavy_singletons(self, group):
+        k, cands = group
+        expected = [brute_force(k, m, w) for m, w in cands]
+        assert run_batch(k, cands).tolist() == expected
+
+    def test_pre_hit_lanes_span_several_rows(self):
+        # Bit 0 is forced, so each of the 127 multi masks through it
+        # enters the lattice already hit once; with the other 120 they
+        # fill four 64-lane rows, pre-hit lanes in every one.
+        k = 8
+        masks = [m for m in range(1 << k) if m.bit_count() >= 2]
+        weights = [1 + m % 3 for m in masks]
+        masks.append(1)
+        weights.append(400)
+        expected = brute_force(k, masks, weights)
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            slab = pipeline._lattice_slab
+
+            def tap(adj, planes, pre_hit, *rest):
+                seen.append(pre_hit.copy())
+                return slab(adj, planes, pre_hit, *rest)
+
+            mp.setattr(pipeline, "_lattice_slab", tap)
+            assert max_unique_coverage_lattice(k, masks, weights) == expected
+        (pre_hit,) = seen
+        assert pre_hit.size == 4 and pre_hit.all()
+
+    def test_reduction_fires_on_benchmark_sized_candidates(self):
+        # Uniform 16-vertex sets of random_regular(200, 8) involve all 16
+        # bits; forcing leaves at most 10 to the lattice (seeded).
+        graph = random_regular(200, 8, rng=0)
+        gen = np.random.default_rng(0)
+        candidates = [gen.choice(200, size=16, replace=False)
+                      for _ in range(300)]
+        widths = []
+        with pytest.MonkeyPatch.context() as mp:
+            slab = pipeline._lattice_slab
+
+            def tap(adj, *rest):
+                widths.append(adj.shape[1])
+                return slab(adj, *rest)
+
+            mp.setattr(pipeline, "_lattice_slab", tap)
+            evaluate_candidate_shard(graph, candidates, 16)
+        assert widths and max(widths) <= 12
+
+
+class TestNonSetCandidates:
+    @pytest.mark.parametrize("bad", [[0, 1, 1], [0, -1], [0, 99]],
+                             ids=["repeat", "negative", "past_n"])
+    def test_rejected_with_its_index(self, bad):
+        # A repeat used to score as a smaller set, a negative id wrapped
+        # round to vertex n - 1, and an id past n raised IndexError.
+        graph = hypercube(4)
+        candidates = [np.array([2, 3]), np.array(bad)]
+        with pytest.raises(ValueError, match=r"candidate 1 \(\[0, "):
+            evaluate_candidate_shard(graph, candidates, 3)
+        with pytest.raises(ValueError, match=r"candidate 1 \(\[0, "):
+            evaluate_candidates(graph, candidates, 3)
+        with pytest.raises(ValueError, match="not a set of distinct"):
+            evaluate_candidates(graph, candidates, 3, executor=2)
+
+    def test_unscored_widths_are_not_checked(self):
+        # Candidates wider than size_cap are skipped, not scored.
+        values = evaluate_candidate_shard(
+            hypercube(4), [np.array([0, 0, 0, 0]), np.array([0, 1])], 3
+        )
+        assert values[0] == np.inf and np.isfinite(values[1])
 
 
 class TestShardEqualsPerSetExact:
