@@ -32,7 +32,8 @@ The portfolio arm (:func:`portfolio_candidate_values` over
 :func:`repro.spokesman.portfolio.wireless_lower_bounds_of_sets`) scores
 the same candidates with the polynomial-time spokesman portfolio instead
 of exact enumeration — usable at candidate widths where ``2^k``
-enumeration is off the table.  Each per-set payoff certifies that set's
+enumeration is off the table — running it once over a shard's stacked
+boundary graphs.  Each per-set payoff certifies that set's
 expansion from below, so the minimum lower-bounds the *candidate
 minimum* (the exact arm's value on the same candidates), not ``βw(G)``
 itself.
@@ -47,6 +48,7 @@ from repro.graphs.graph import Graph
 from repro.obs.tracing import traced
 
 __all__ = [
+    "check_vertex_sets",
     "enumerate_candidates",
     "evaluate_candidate_shard",
     "evaluate_candidates",
@@ -374,9 +376,10 @@ def evaluate_candidate_shard(
     candidate list concatenates back to the serial answer bit for bit.
     Raises ``ValueError`` if ``size_cap`` exceeds :data:`MAX_LATTICE_BITS`,
     or if a scored candidate repeats a vertex or names one outside
-    ``[0, n)``.
+    ``[0, n)`` (:func:`check_vertex_sets`).
     """
     _check_lattice_width(size_cap)
+    check_vertex_sets(graph, candidates, size_cap)
     values = np.full(len(candidates), np.inf)
     by_size: dict[int, list[int]] = {}
     for i, cand in enumerate(candidates):
@@ -388,21 +391,11 @@ def evaluate_candidate_shard(
         group = np.stack(
             [np.asarray(candidates[i], dtype=np.int64) for i in indices]
         )
-        # Candidates are sets of vertices — reject anything else, then
-        # dedupe repeats (BFS balls of nearby vertices often coincide) and
+        # Dedupe repeats (BFS balls of nearby vertices often coincide) and
         # score each distinct set once.
-        ordered = np.sort(group, axis=1)
-        bad = (
-            (ordered[:, 0] < 0) | (ordered[:, -1] >= graph.n)
-            | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        distinct, inverse = np.unique(
+            np.sort(group, axis=1), axis=0, return_inverse=True
         )
-        if bad.any():
-            first = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"candidate {indices[first]} ({group[first].tolist()}) is "
-                f"not a set of distinct vertices in [0, {graph.n})"
-            )
-        distinct, inverse = np.unique(ordered, axis=0, return_inverse=True)
         bests = np.concatenate([
             _group_best_unique(
                 adjacency, graph.n, distinct[lo : lo + _GROUP_CHUNK]
@@ -413,19 +406,51 @@ def evaluate_candidate_shard(
     return values
 
 
-def _map_shards(fn, make_call, count: int, executor) -> np.ndarray:
+def check_vertex_sets(graph: Graph, candidates, size_cap: int | None) -> None:
+    """Reject a scored candidate (size ``1..size_cap``; any non-empty one
+    for ``None``) that repeats a vertex or names one outside ``[0, n)``.
+
+    The message names the first such candidate by its index in
+    ``candidates`` and lists its vertices.  Both scoring arms call it on
+    each shard, and on the caller's whole list before splitting it.
+    """
+    sizes = np.array([np.asarray(c).size for c in candidates], dtype=np.int64)
+    cap = sizes.max(initial=0) if size_cap is None else size_cap
+    scored = np.flatnonzero((sizes >= 1) & (sizes <= cap))
+    if not scored.size:
+        return
+    owner = np.repeat(scored, sizes[scored])
+    ids = np.concatenate([candidates[i] for i in scored]).astype(np.int64)
+    outside = (ids < 0) | (ids >= graph.n)
+    # Sorted keys owner·n + id meet their repeats next door.
+    span = max(graph.n, 1)
+    key = np.sort(owner * span + np.where(outside, 0, ids))
+    repeats = key[1:][key[1:] == key[:-1]] // span
+    bad = np.concatenate([owner[outside], repeats])
+    if bad.size:
+        first = int(bad.min())
+        raise ValueError(
+            f"candidate {first} ({np.asarray(candidates[first]).tolist()}) is "
+            f"not a set of distinct vertices in [0, {graph.n})"
+        )
+
+
+def _map_shards(fn, make_call, count: int, executor, check) -> np.ndarray:
     """Shard ``count`` candidates contiguously across an executor.
 
     ``make_call(indices)`` builds one shard's kwargs; the per-shard value
     arrays concatenate back in candidate order.  Per-candidate values are
     exact (and seeds pre-derived), so the shard layout can never perturb
-    the result.
+    the result.  ``check()`` validates the whole candidate list before it
+    is split, so an error names the caller's index; unsplit, ``fn``
+    checks the list itself.
     """
     from repro.runtime.executor import as_executor
 
     exec_ = as_executor(executor)
     if exec_.jobs <= 1 or count <= 1:
         return fn(**make_call(np.arange(count)))
+    check()
     shards = np.array_split(np.arange(count), min(exec_.jobs, count))
     parts = exec_.map(fn, [make_call(s) for s in shards if s.size])
     return np.concatenate(parts)
@@ -442,9 +467,8 @@ def evaluate_candidates(
     candidate list, and every value is an exact ``best/|S|`` ratio, so the
     returned array is identical whatever the worker count.  Raises
     ``ValueError`` before any work if ``size_cap`` exceeds
-    :data:`MAX_LATTICE_BITS`, and from the shard that holds it if a
-    candidate is not a vertex set (the message names its vertices, and
-    its index within that shard).
+    :data:`MAX_LATTICE_BITS`, or if a scored candidate is not a vertex
+    set (the message names its index in ``candidates`` and its vertices).
     """
     _check_lattice_width(size_cap)
     return _map_shards(
@@ -456,6 +480,7 @@ def evaluate_candidates(
         },
         len(candidates),
         executor,
+        lambda: check_vertex_sets(graph, candidates, size_cap),
     )
 
 
@@ -470,7 +495,8 @@ def portfolio_candidate_values(
     :func:`repro.spokesman.portfolio.wireless_lower_bounds_of_sets`
     (polynomial-time, so ``size_cap`` may far exceed the exact
     enumeration width) under its own pre-derived seed, sharded like
-    :func:`evaluate_candidates`.  The certification is per set — a
+    :func:`evaluate_candidates`, and rejected like it if a scored
+    candidate is not a vertex set.  The certification is per set — a
     minimum over these values bounds the candidate minimum, not βw.
     """
     from repro.spokesman.portfolio import wireless_lower_bounds_of_sets
@@ -485,6 +511,7 @@ def portfolio_candidate_values(
         },
         len(candidates),
         executor,
+        lambda: check_vertex_sets(graph, candidates, size_cap),
     )
 
 

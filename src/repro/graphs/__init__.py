@@ -19,7 +19,7 @@ from repro.graphs.arboricity import (
     expander_arboricity_lower_bound,
     nash_williams_density,
 )
-from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.bipartite import BipartiteGraph, BlockBipartite
 from repro.graphs.broadcast_chain import BroadcastChain, broadcast_chain
 from repro.graphs.core_graph import (
     CoreGraphLayout,
@@ -81,6 +81,7 @@ from repro.graphs.worst_case import (
 
 __all__ = [
     "BipartiteGraph",
+    "BlockBipartite",
     "BroadcastChain",
     "CoreGraphLayout",
     "GeneralizedCore",

@@ -17,12 +17,19 @@ vectorized comparison, never a Python loop over vertices.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["BipartiteGraph"]
+__all__ = ["BipartiteGraph", "BlockBipartite"]
+
+#: Columns per sparse product in :meth:`BlockBipartite.unique_counts`: bounds
+#: its ``(n_right, columns)`` cover counts (the all-scales sampler scores
+#: ~48 draws per block).
+_COUNT_COLUMNS = 16
 
 
 def _csr_from_edges(
@@ -350,39 +357,6 @@ class BipartiteGraph:
         mask = self._as_right_mask(right_subset)
         return self.left_matrix @ mask.astype(np.int32)
 
-    def cover_counts_batch(self, left_subsets: np.ndarray) -> np.ndarray:
-        """Coverage counts for a whole batch of subsets at once.
-
-        Parameters
-        ----------
-        left_subsets:
-            ``(batch, n_left)`` boolean matrix, one candidate ``S'`` per row.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(batch, n_right)`` integer matrix of per-right-vertex
-            coverage counts — a single sparse mat-mat product, so evaluating
-            hundreds of random candidates (the sampling algorithms' inner
-            loop) costs one BLAS-like pass instead of a Python loop.
-        """
-        left_subsets = np.asarray(left_subsets)
-        if (
-            left_subsets.ndim != 2
-            or left_subsets.shape[1] != self.n_left
-            or left_subsets.dtype != bool
-        ):
-            raise ValueError(
-                f"expected a (batch, {self.n_left}) bool matrix, got "
-                f"{left_subsets.dtype} array of shape {left_subsets.shape}"
-            )
-        return (self.biadjacency @ left_subsets.T.astype(np.int32)).T
-
-    def unique_cover_counts_batch(self, left_subsets: np.ndarray) -> np.ndarray:
-        """``|Γ¹_S(S')|`` for every row of a ``(batch, n_left)`` bool matrix."""
-        counts = self.cover_counts_batch(left_subsets)
-        return (counts == 1).sum(axis=1)
-
     # ------------------------------------------------------------------
     # Subgraphs and transforms
     # ------------------------------------------------------------------
@@ -465,3 +439,147 @@ class BipartiteGraph:
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for u, v in self.edges():
             yield int(u), int(v)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockBipartite:
+    """A block-diagonal stack of bipartite graphs.
+
+    Block ``c`` owns the left ids ``left_offsets[c]:left_offsets[c + 1]``
+    and the right ids ``right_offsets[c]:right_offsets[c + 1]`` of
+    ``graph``, in each block's own order; no edge crosses two blocks.  So
+    one flat array over a stacked side holds a per-vertex state of every
+    block at once, and one sparse product over ``graph`` evaluates one set
+    per block.  Kernels that keep several rows per block pad each row to
+    the widest block (:meth:`padded_ids`) instead of the stacked width.
+    """
+
+    graph: BipartiteGraph
+    left_offsets: np.ndarray
+    right_offsets: np.ndarray
+
+    @classmethod
+    def single(cls, gs: BipartiteGraph) -> "BlockBipartite":
+        """``gs`` as a stack of one block."""
+        return cls(
+            gs,
+            np.array([0, gs.n_left], dtype=np.int64),
+            np.array([0, gs.n_right], dtype=np.int64),
+        )
+
+    @property
+    def count(self) -> int:
+        """Number of blocks."""
+        return self.left_offsets.size - 1
+
+    def _offsets(self, side: str) -> np.ndarray:
+        return self.left_offsets if side == "left" else self.right_offsets
+
+    def sizes(self, side: str) -> np.ndarray:
+        """Each block's number of ``side`` (``"left"``/``"right"``) vertices."""
+        return np.diff(self._offsets(side))
+
+    @cached_property
+    def left_block(self) -> np.ndarray:
+        """The block of every stacked left vertex."""
+        return np.repeat(np.arange(self.count), self.sizes("left"))
+
+    @cached_property
+    def right_block(self) -> np.ndarray:
+        """The block of every stacked right vertex."""
+        return np.repeat(np.arange(self.count), self.sizes("right"))
+
+    def block_sums(self, values: np.ndarray, side: str) -> np.ndarray:
+        """Per-block int64 sums of ``values`` over one side (axis 0);
+        empty blocks sum to 0."""
+        values = np.asarray(values)
+        sizes = self.sizes(side)
+        out = np.zeros((sizes.size,) + values.shape[1:], dtype=np.int64)
+        filled = sizes > 0
+        if filled.any():
+            starts = self._offsets(side)[:-1][filled]
+            # reduceat accumulates in a cast copy: int32 unless wider.
+            acc = np.promote_types(values.dtype, np.int32)
+            out[filled] = np.add.reduceat(values, starts, axis=0, dtype=acc)
+        return out
+
+    def nonzero_means(self, values: np.ndarray, side: str) -> np.ndarray:
+        """Per-block mean of the non-zero entries of a non-negative integer
+        array over one side (0 for a block without one): the exact integer
+        sum over the count, as ``mean`` gives."""
+        count = self.block_sums(values != 0, side)
+        return self.block_sums(values, side) / np.maximum(count, 1)
+
+    def padded_ids(self, side: str) -> np.ndarray:
+        """``(count, widest block)`` stacked ids of each block's ``side``
+        vertices in order, padded with the side's size (one past the last
+        id)."""
+        offsets = self._offsets(side)
+        sizes = np.diff(offsets)
+        cols = np.arange(int(sizes.max(initial=0)))
+        return np.where(
+            cols < sizes[:, None], offsets[:-1, None] + cols, offsets[-1]
+        )
+
+    def padded(self, values: np.ndarray, side: str, fill) -> np.ndarray:
+        """A flat per-vertex array of one side as ``(count, widest block)``
+        rows, one per block, padded with ``fill``."""
+        return np.append(values, np.asarray(fill, dtype=values.dtype))[
+            self.padded_ids(side)
+        ]
+
+    def unpadded(self, rows: np.ndarray, side: str) -> np.ndarray:
+        """The inverse of :meth:`padded`: one row per block back to a flat
+        per-vertex array of the side."""
+        block = self.left_block if side == "left" else self.right_block
+        return rows[block, np.arange(block.size) - self._offsets(side)[block]]
+
+    def unique_counts(self, chosen: np.ndarray) -> np.ndarray:
+        """``|Γ¹(S')|`` of every block for each column of ``chosen``.
+
+        ``chosen`` is an ``(n_left, L)`` bool matrix whose column ``l``
+        holds one subset ``S'`` per block; returns ``(count, L)`` payoffs
+        from sparse mat-mat products of :data:`_COUNT_COLUMNS` columns.
+        """
+        out = np.zeros((self.count, chosen.shape[1]), dtype=np.int64)
+        for lo in range(0, chosen.shape[1], _COUNT_COLUMNS):
+            part = chosen[:, lo : lo + _COUNT_COLUMNS].astype(np.int32)
+            cover = self.graph.biadjacency @ part
+            np.equal(cover, 1, out=cover, casting="unsafe")  # 1 iff covered once
+            out[:, lo : lo + _COUNT_COLUMNS] = self.block_sums(cover, "right")
+        return out
+
+    def row_unique_counts(self, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``|Γ¹(S')|`` of each row: row ``k`` is a subset ``S'`` of block
+        ``block[k]``, as a bool mask over its left side padded to the
+        widest block.  The rows are packed into columns that hold at most
+        one row per block and scored by one :meth:`unique_counts` call.
+        """
+        rank = self.column_of(block)
+        # Padding cells land in a spare last row, dropped before scoring.
+        chosen = np.zeros((self.graph.n_left + 1, rank.max(initial=-1) + 1), bool)
+        chosen[self.padded_ids("left")[block], rank[:, None]] = rows
+        return self.unique_counts(chosen[:-1])[block, rank]
+
+    @staticmethod
+    def column_of(block: np.ndarray) -> np.ndarray:
+        """Pack rows owned by blocks ``block`` into columns that hold at
+        most one row per block: each row's column is its rank among its
+        block's rows."""
+        order = np.argsort(block, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(block.size) - np.searchsorted(
+            block[order], block[order]
+        )
+        return rank
+
+    def subgraph(
+        self, left_mask: np.ndarray, right_mask: np.ndarray
+    ) -> "BlockBipartite":
+        """Each block's induced subgraph on the masked vertices, stacked
+        in the same block order (a block may become empty)."""
+        return BlockBipartite(
+            self.graph.subgraph(left_mask, right_mask),
+            np.concatenate([[0], np.cumsum(self.block_sums(left_mask, "left"))]),
+            np.concatenate([[0], np.cumsum(self.block_sums(right_mask, "right"))]),
+        )

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro._util.dtypes import narrow_uint as _narrow_uint
-from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.bipartite import BipartiteGraph, BlockBipartite, _gather_rows
 
 __all__ = ["CSRAdjacency", "Graph"]
 
@@ -429,29 +429,53 @@ class Graph:
         ``left_vertices[i]`` / ``right_vertices[j]`` give the original vertex
         ids of the bipartite sides (both in increasing order).  Edges internal
         to ``S`` or to ``N`` are dropped, which per Section 4.1 "has no effect
-        whatsoever on the expansion bounds".
+        whatsoever on the expansion bounds".  The one-set call of
+        :meth:`boundary_blocks`.
         """
-        s_mask = self._as_mask(subset)
-        n_mask = self.gamma_minus(s_mask)
-        left_vertices = np.flatnonzero(s_mask)
-        right_vertices = np.flatnonzero(n_mask)
-        lmap = np.full(self.n, -1, dtype=np.int64)
-        lmap[left_vertices] = np.arange(left_vertices.size)
-        rmap = np.full(self.n, -1, dtype=np.int64)
-        rmap[right_vertices] = np.arange(right_vertices.size)
-        all_edges = self.edges()
-        # Keep edges with one endpoint in S and the other in N (either order).
-        u, v = all_edges[:, 0], all_edges[:, 1]
-        fwd = s_mask[u] & n_mask[v]
-        bwd = s_mask[v] & n_mask[u]
-        pairs = np.concatenate(
-            [
-                np.column_stack([lmap[u[fwd]], rmap[v[fwd]]]),
-                np.column_stack([lmap[v[bwd]], rmap[u[bwd]]]),
-            ]
+        blocks, left_vertices, right_vertices = self.boundary_blocks(
+            [np.flatnonzero(self._as_mask(subset))]
         )
-        gs = BipartiteGraph(left_vertices.size, right_vertices.size, pairs)
-        return gs, left_vertices, right_vertices
+        return blocks.graph, left_vertices, right_vertices
+
+    def boundary_blocks(
+        self, subsets: Sequence[np.ndarray]
+    ) -> tuple[BlockBipartite, np.ndarray, np.ndarray]:
+        """Every ``G_S`` of ``subsets`` as the blocks of one stacked graph.
+
+        Each subset is a sequence of distinct vertex ids (the caller
+        checks).  Returns ``(blocks, left_vertices, right_vertices)``:
+        block ``c`` of ``blocks`` is ``boundary_bipartite(subsets[c])``,
+        and the two arrays map the stacked sides back to vertex ids.  One
+        CSR gather serves all subsets.
+        """
+        sizes = np.array([len(s) for s in subsets], dtype=np.int64)
+        count = sizes.size
+        block = np.repeat(np.arange(count), sizes)
+        members = np.concatenate(
+            [np.asarray(s, dtype=np.int64).ravel() for s in subsets]
+            + [np.zeros(0, dtype=np.int64)]
+        )
+        members = members[np.lexsort((members, block))]
+        # Keys block·n + vertex sort like (block, vertex).
+        key = block * self.n + members
+        left, nbr = _gather_rows(
+            self._csr.indptr.astype(np.int64), self._csr.indices, members
+        )
+        nkey = block[left] * self.n + nbr.astype(np.int64)
+        at = np.searchsorted(key, nkey)
+        inside = key[np.minimum(at, key.size - 1)] == nkey
+        right_keys, right = np.unique(nkey[~inside], return_inverse=True)
+        right_sizes = np.bincount(right_keys // self.n, minlength=count)
+        blocks = BlockBipartite(
+            BipartiteGraph(
+                members.size,
+                right_keys.size,
+                np.column_stack([left[~inside], right.ravel()]),
+            ),
+            np.concatenate([[0], np.cumsum(sizes)]),
+            np.concatenate([[0], np.cumsum(right_sizes)]),
+        )
+        return blocks, members, right_keys % self.n
 
     # ------------------------------------------------------------------
     # Connectivity / distance

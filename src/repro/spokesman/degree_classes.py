@@ -19,15 +19,24 @@ import math
 import numpy as np
 
 from repro.expansion.bounds import OPTIMAL_DEGREE_CLASS_BASE
-from repro.graphs.bipartite import BipartiteGraph
-from repro.spokesman.base import SpokesmanResult, evaluate_subset
-from repro.spokesman.partition import (
-    PartitionState,
-    _best_uni,
-    procedure_partition_batch,
-)
+from repro.graphs.bipartite import BipartiteGraph, BlockBipartite
+from repro.spokesman.base import SpokesmanResult
+from repro.spokesman.partition import _best_partition
 
 __all__ = ["degree_class_members", "spokesman_degree_classes"]
+
+
+def _class_index(deg: np.ndarray, c: float) -> np.ndarray:
+    """Each right vertex's class ``i`` with ``deg ∈ [c^{i−1}, c^i)``, or 0
+    for an isolated vertex."""
+    if c <= 1:
+        raise ValueError(f"class base c must exceed 1, got {c}")
+    nonisolated = deg >= 1
+    # deg = 1 belongs to class i=1 ([c^0, c^1)); generally i = floor(log_c deg) + 1.
+    idx = np.zeros(deg.size, dtype=np.int64)
+    logs = np.log(deg[nonisolated]) / math.log(c)
+    idx[nonisolated] = np.floor(logs + 1e-12).astype(np.int64) + 1
+    return idx
 
 
 def degree_class_members(
@@ -36,41 +45,22 @@ def degree_class_members(
     """Split non-isolated right vertices into classes
     ``deg ∈ [c^{i−1}, c^i)`` (``i ≥ 1``); returns ``(i, members)`` pairs for
     the non-empty classes."""
-    if c <= 1:
-        raise ValueError(f"class base c must exceed 1, got {c}")
-    deg = gs.right_degrees
-    nonisolated = deg >= 1
-    if not nonisolated.any():
-        return []
-    # deg = 1 belongs to class i=1 ([c^0, c^1)); generally i = floor(log_c deg) + 1.
-    idx = np.zeros(gs.n_right, dtype=np.int64)
-    logs = np.log(deg[nonisolated]) / math.log(c)
-    idx[nonisolated] = np.floor(logs + 1e-12).astype(np.int64) + 1
-    out: list[tuple[int, np.ndarray]] = []
-    for i in range(1, int(idx.max()) + 1):
-        members = np.flatnonzero(idx == i)
-        if members.size:
-            out.append((i, members))
-    return out
+    idx = _class_index(gs.right_degrees, c)
+    return [(int(i), np.flatnonzero(idx == i)) for i in np.unique(idx[idx > 0])]
 
 
-def _class_populations(
-    gs: BipartiteGraph, c: float = OPTIMAL_DEGREE_CLASS_BASE
-) -> list[np.ndarray]:
-    """One population per non-empty degree class."""
-    return [
-        gs._as_right_mask(members) for _i, members in degree_class_members(gs, c)
-    ]
-
-
-def _class_finish(
-    gs: BipartiteGraph, states: list[PartitionState]
-) -> SpokesmanResult:
-    """Best class's ``S_uni`` (the lowest class wins ties)."""
-    best = _best_uni(gs, states, ["degree-classes"] * len(states))
-    if best is None:
-        return evaluate_subset(gs, [], "degree-classes")
-    return best
+def _class_rows(
+    blocks: BlockBipartite, c: float = OPTIMAL_DEGREE_CLASS_BASE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row per non-empty degree class of every block, ordered by
+    block and then class: ``(block, managed, names)``."""
+    idx = _class_index(blocks.graph.right_degrees, c)
+    span = int(idx.max(initial=0)) + 1
+    pairs = np.unique((blocks.right_block * span + idx)[idx > 0])
+    block, level = pairs // span, pairs % span
+    padded = blocks.padded(idx, "right", 0)
+    managed = padded[block] == level[:, None]
+    return block, managed, np.full(block.size, "degree-classes", dtype=object)
 
 
 def spokesman_degree_classes(
@@ -83,5 +73,5 @@ def spokesman_degree_classes(
     """
     if c is None:
         c = OPTIMAL_DEGREE_CLASS_BASE
-    states = procedure_partition_batch(gs, _class_populations(gs, c))
-    return _class_finish(gs, states)
+    rows = _class_rows(BlockBipartite.single(gs), c)
+    return _best_partition(gs, rows, "degree-classes")

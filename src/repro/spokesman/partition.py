@@ -17,8 +17,9 @@ stopping when every gain is ``≤ 0``.
 
 The partition-family algorithms (Lemma A.3 and its thresholds, the degree
 classes, the recursion) each run the procedure on a few right
-sub-populations of one ``G_S``; :func:`procedure_partition_batch` runs a
-whole set of them in one lockstep pass.
+sub-populations of one ``G_S``; :func:`peel_blocks` runs a whole set of
+them, over the ``G_S`` of many candidates stacked as one
+:class:`~repro.graphs.bipartite.BlockBipartite`, in one lockstep pass.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.bipartite import BipartiteGraph, BlockBipartite
 from repro.spokesman.base import SpokesmanResult, evaluate_subset
 
 __all__ = [
     "PartitionState",
+    "best_rows",
+    "peel_blocks",
     "procedure_partition",
     "procedure_partition_batch",
 ]
@@ -109,46 +112,57 @@ class PartitionState:
         return problems
 
 
-def procedure_partition_batch(
-    gs: BipartiteGraph, populations: Sequence
-) -> list[PartitionState]:
-    """Run Procedure Partition once per population, all in lockstep.
+def peel_blocks(
+    blocks: BlockBipartite, block: np.ndarray, managed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run Procedure Partition once per row of a stacked graph, in lockstep.
 
-    ``populations[k]`` is a bool mask, an index list, or ``None`` (all
-    non-isolated right vertices), exactly as for :func:`procedure_partition`;
-    entry ``k`` of the result equals ``procedure_partition(gs,
-    populations[k])`` field for field.
+    Row ``k`` runs on block ``block[k]`` over the right vertices
+    ``managed[k]`` (a bool mask over the block's right side, padded to
+    the widest block; isolated vertices never count).  Returns
+    ``(s_uni, labels, steps)``: ``s_uni[k]`` over the block's left side
+    and ``labels[k]`` over its right side, padded the same way (padding
+    is ``False`` / ``EXCLUDED``).
 
-    Each run keeps one row of ``gains = |N_tmp(v)| − 2·|N_uni(v)|``, with
-    peeled vertices pinned at the int64 minimum.  A lockstep step takes one
-    row-wise argmax over the runs still improving (first index on ties, as
-    the serial rule), relabels the chosen vertices' right neighbours
+    Each run keeps one row of ``gains = |N_tmp(v)| − 2·|N_uni(v)|`` as
+    wide as the widest left block, with peeled and padding vertices
+    pinned at the int64 minimum.  A lockstep step takes one row-wise
+    argmax over the runs still improving (first index on ties, as the
+    serial rule), relabels the chosen vertices' right neighbours
     (``TMP → UNI``, ``UNI → MANY``), and applies the resulting gain changes
     — ``−3`` per ``TMP → UNI``, ``+2`` per ``UNI → MANY`` — to the
     neighbours' left neighbours with one weighted bincount.  One step's
     updates commute (a CSR row holds distinct vertices, and runs own
     disjoint rows), so every run sees the serial gains step for step.
+    Stacked ids shift to row-local ones by the row's block offsets.
 
-    Memory is ``O(K·(n_left + n_right) + |E|)`` for ``K`` populations: the
-    neighbourhoods are gathered as CSR slices.
+    Memory is ``O(K·(L + R) + C·(n_left + n_right))`` for ``K`` rows, with
+    ``L``/``R`` the widest left/right block and ``C`` the most rows of one
+    block.
     """
-    k = len(populations)
-    n_left = gs.n_left
-    managed = np.empty((k, gs.n_right), dtype=bool)
-    managed[:] = gs.right_degrees >= 1
-    for i, population in enumerate(populations):
-        if population is not None:
-            managed[i] &= gs._as_right_mask(np.asarray(population))
+    g = blocks.graph
+    k = block.size
+    width = int(blocks.sizes("left").max(initial=0))
+    row_lo = blocks.left_offsets[block]
+    row_ro = blocks.right_offsets[block]
+    nonisolated = blocks.padded(g.right_degrees >= 1, "right", False)
+    managed = managed & nonisolated[block]
 
     labels = np.where(managed, np.int8(TMP), np.int8(EXCLUDED))
-    s_uni = np.zeros((k, n_left), dtype=bool)
+    s_uni = np.zeros((k, width), dtype=bool)
     steps = np.zeros(k, dtype=np.int64)
     # ``gains`` holds the rows of the ``active`` runs only: a finished
     # run's gains are never read again.
-    active = np.arange(k if n_left else 0)
-    gains = np.zeros((active.size, n_left), dtype=np.int64)
-    if active.size:
-        gains[:] = (gs.left_matrix @ managed.T.astype(np.int32)).T
+    active = np.arange(k if width else 0)
+    # Each left vertex starts at its managed degree: the rows, packed one
+    # per block into columns over the stacked right side, take one sparse
+    # product; padding cells read a spare row of peeled gains.
+    column = blocks.column_of(block)
+    spread = np.zeros((g.n_right + 1, column.max(initial=-1) + 1), dtype=np.int32)
+    spread[blocks.padded_ids("right")[block], column[:, None]] = managed
+    start = g.left_matrix @ spread[:-1]
+    start = np.concatenate([start, np.full((1, start.shape[1]), _PEELED)])
+    gains = start[blocks.padded_ids("left")[block[active]], column[active, None]]
 
     while active.size:
         v = gains.argmax(axis=1)
@@ -163,24 +177,78 @@ def procedure_partition_batch(
         s_uni[active, v] = True
         gains[rows, v] = _PEELED
 
-        slot, r = gs.neighbors_of_lefts(v)
+        slot, r = g.neighbors_of_lefts(row_lo[active] + v)
         run = active[slot]
+        r -= row_ro[run]
         label = labels[run, r]
         moved = label <= UNI
         slot, run, r, label = slot[moved], run[moved], r[moved], label[moved]
         labels[run, r] = label + 1  # TMP → UNI, UNI → MANY
 
         # Every left neighbour of a relabelled vertex still in S_tmp.
-        edge, u = gs.neighbors_of_rights(r)
+        edge, u = g.neighbors_of_rights(r + row_ro[run])
+        u -= row_lo[run[edge]]
         live = ~s_uni[run[edge], u]
         edge, u = edge[live], u[live]
         delta = np.bincount(
-            slot[edge] * n_left + u,
+            slot[edge] * width + u,
             weights=_GAIN_CHANGE[label[edge]],
             minlength=gains.size,
         )
         gains += delta.astype(np.int64).reshape(gains.shape)
 
+    return s_uni, labels, steps
+
+
+def best_rows(
+    blocks: BlockBipartite, block: np.ndarray, rows: np.ndarray, payoffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's best row (the earliest wins ties): returns ``(chosen,
+    index)``, the winners as one mask over the stacked left side and
+    their row indices, ``-1`` for a block without rows (which chooses
+    nothing)."""
+    order = np.lexsort((-payoffs, block))
+    first = order[np.flatnonzero(np.diff(block[order], prepend=-1))]
+    index = np.full(blocks.count, -1)
+    index[block[first]] = first
+    chosen = np.zeros((blocks.count, rows.shape[1]), dtype=bool)
+    chosen[block[first]] = rows[first]
+    return blocks.unpadded(chosen, "left"), index
+
+
+def _best_partition(gs: BipartiteGraph, rows, fallback: str) -> SpokesmanResult:
+    """Peel ``rows`` ``(block, managed, names)`` of the one-block stack of
+    ``gs`` and keep the best ``S_uni``, named after its row (``fallback``
+    when there is no row)."""
+    blocks = BlockBipartite.single(gs)
+    block, managed, names = rows
+    s_uni, _labels, _steps = peel_blocks(blocks, block, managed)
+    chosen, (index,) = best_rows(
+        blocks, block, s_uni, blocks.row_unique_counts(block, s_uni)
+    )
+    name = np.append(names, fallback)[index]
+    return evaluate_subset(gs, np.flatnonzero(chosen), name)
+
+
+def procedure_partition_batch(
+    gs: BipartiteGraph, populations: Sequence
+) -> list[PartitionState]:
+    """Run Procedure Partition once per population, all in lockstep.
+
+    ``populations[k]`` is a bool mask, an index list, or ``None`` (all
+    non-isolated right vertices), exactly as for :func:`procedure_partition`;
+    entry ``k`` of the result equals ``procedure_partition(gs,
+    populations[k])`` field for field.  The one-block call of
+    :func:`peel_blocks`.
+    """
+    managed = np.ones((len(populations), gs.n_right), dtype=bool)
+    for i, population in enumerate(populations):
+        if population is not None:
+            managed[i] = gs._as_right_mask(np.asarray(population))
+    s_uni, labels, steps = peel_blocks(
+        BlockBipartite.single(gs), np.zeros(len(populations), dtype=np.int64),
+        managed,
+    )
     return [
         PartitionState(
             s_uni=s_uni[i].copy(),
@@ -188,7 +256,7 @@ def procedure_partition_batch(
             labels=labels[i].copy(),
             steps=int(steps[i]),
         )
-        for i in range(k)
+        for i in range(len(populations))
     ]
 
 
@@ -205,16 +273,3 @@ def procedure_partition(
         and never influence gains.
     """
     return procedure_partition_batch(gs, [right_subset])[0]
-
-
-def _best_uni(
-    gs: BipartiteGraph, states: list[PartitionState], names: list[str]
-) -> SpokesmanResult | None:
-    """The best ``S_uni`` among ``states`` (the earliest wins ties), named
-    after its state; ``None`` for no states.  All payoffs come from one
-    batched cover count."""
-    if not states:
-        return None
-    payoffs = gs.unique_cover_counts_batch(np.stack([s.s_uni for s in states]))
-    best = int(np.argmax(payoffs))
-    return evaluate_subset(gs, np.flatnonzero(states[best].s_uni), names[best])

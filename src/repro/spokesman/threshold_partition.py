@@ -14,22 +14,16 @@ population kept (large ``t``) and per-vertex degree slack (small ``t``).
 :func:`spokesman_threshold_sweep` tries a geometric ladder of thresholds
 and keeps the best (still polynomial, dominates Lemma A.3's fixed choice).
 All of them peel their thresholds' populations in one
-:func:`~repro.spokesman.partition.procedure_partition_batch` call.
+:func:`~repro.spokesman.partition.peel_blocks` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.bipartite import BipartiteGraph, BlockBipartite
 from repro.spokesman.base import SpokesmanResult
-from repro.spokesman.partition import (
-    PartitionState,
-    _best_uni,
-    procedure_partition_batch,
-)
+from repro.spokesman.partition import _best_partition
 
 __all__ = [
     "spokesman_partition",
@@ -48,32 +42,35 @@ def threshold_population(gs: BipartiteGraph, t: float) -> np.ndarray:
 
     By Markov's inequality this keeps at least a ``(1 − 1/t)`` fraction.
     """
-    if t <= 1:
-        raise ValueError(f"threshold t must exceed 1, got {t}")
-    deg = gs.right_degrees
-    nonisolated = deg >= 1
-    if not nonisolated.any():
-        return np.zeros(gs.n_right, dtype=bool)
-    delta = float(deg[nonisolated].mean())
-    return nonisolated & (deg <= t * delta)
+    _, managed, _ = _sweep_rows(BlockBipartite.single(gs), (t,))
+    return managed[0]
 
 
-def _sweep_populations(
-    gs: BipartiteGraph, thresholds: tuple[float, ...] = SWEEP_THRESHOLDS
-) -> list[np.ndarray]:
-    """The sweep's populations: ``N^{tδ}`` for each threshold ``t``."""
+def _sweep_rows(
+    blocks: BlockBipartite, thresholds: tuple[float, ...] = SWEEP_THRESHOLDS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep's rows on every block: ``(block, managed, names)`` with
+    ``N^{tδ}`` of each block for each threshold ``t``, threshold-major
+    (so a block's rows follow the ladder's order)."""
     if not thresholds:
         raise ValueError("thresholds must name at least one threshold")
-    return [threshold_population(gs, t) for t in thresholds]
+    for t in thresholds:
+        if t <= 1:
+            raise ValueError(f"threshold t must exceed 1, got {t}")
+    delta = blocks.nonzero_means(blocks.graph.right_degrees, "right")
+    deg = blocks.padded(blocks.graph.right_degrees, "right", 0)
+    managed = np.concatenate(
+        [(deg >= 1) & (deg <= t * delta[:, None]) for t in thresholds]
+    )
+    block = np.tile(np.arange(blocks.count), len(thresholds))
+    names = np.repeat([f"partition[t={t:g}]" for t in thresholds], blocks.count)
+    return block, managed, names.astype(object)
 
 
-def _sweep_finish(
-    gs: BipartiteGraph,
-    states: list[PartitionState],
-    thresholds: tuple[float, ...] = SWEEP_THRESHOLDS,
-) -> SpokesmanResult:
-    """Best ``S_uni`` over the threshold runs (the earliest wins ties)."""
-    return _best_uni(gs, states, [f"partition[t={t:g}]" for t in thresholds])
+def _partition_rows(blocks: BlockBipartite):
+    """Lemma A.3's rows: the sweep's, on the single threshold ``t = 2``."""
+    block, managed, names = _sweep_rows(blocks, (2.0,))
+    return block, managed, np.full(names.size, "partition", dtype=object)
 
 
 def spokesman_threshold_partition(
@@ -94,19 +91,7 @@ def spokesman_threshold_sweep(
 
     Raises ``ValueError`` for an empty ladder.
     """
-    states = procedure_partition_batch(gs, _sweep_populations(gs, thresholds))
-    return _sweep_finish(gs, states, thresholds)
-
-
-# Lemma A.3's two steps are the sweep's, on the single threshold t = 2.
-def _partition_populations(gs: BipartiteGraph) -> list[np.ndarray]:
-    return _sweep_populations(gs, (2.0,))
-
-
-def _partition_finish(
-    gs: BipartiteGraph, states: list[PartitionState]
-) -> SpokesmanResult:
-    return replace(_sweep_finish(gs, states, (2.0,)), algorithm="partition")
+    return _best_partition(gs, _sweep_rows(BlockBipartite.single(gs), thresholds), "")
 
 
 def spokesman_partition(gs: BipartiteGraph) -> SpokesmanResult:
@@ -115,4 +100,4 @@ def spokesman_partition(gs: BipartiteGraph) -> SpokesmanResult:
     Guarantee: ``unique_count ≥ γ/(8δ)`` where ``δ`` is the average degree
     of the non-isolated right vertices and ``γ`` their number.
     """
-    return replace(spokesman_threshold_partition(gs, 2.0), algorithm="partition")
+    return _best_partition(gs, _partition_rows(BlockBipartite.single(gs)), "")

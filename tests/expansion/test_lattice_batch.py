@@ -246,6 +246,19 @@ class TestNonSetCandidates:
         with pytest.raises(ValueError, match="not a set of distinct"):
             evaluate_candidates(graph, candidates, 3, executor=2)
 
+    @pytest.mark.parametrize("arm", ["exact", "portfolio"])
+    def test_sharded_error_names_the_callers_index(self, arm):
+        # The candidates are checked before the shards split them, so the
+        # message names the index in the caller's list, not in a shard.
+        candidates = [np.array([2, 3]), np.array([0, 1, 1])]
+        with pytest.raises(ValueError, match=r"^candidate 1 \(\[0, 1, 1\]\)"):
+            if arm == "exact":
+                evaluate_candidates(hypercube(4), candidates, 16, executor=2)
+            else:
+                pipeline.portfolio_candidate_values(
+                    hypercube(4), candidates, [0, 1], 16, executor=2
+                )
+
     def test_unscored_widths_are_not_checked(self):
         # Candidates wider than size_cap are skipped, not scored.
         values = evaluate_candidate_shard(

@@ -1,43 +1,47 @@
-"""Batched coverage kernels."""
+"""Batched coverage kernels of the stacked bipartite graph."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import random_bipartite
+from repro.graphs import BlockBipartite, erdos_renyi
 
 
 class TestBatchKernels:
     def test_matches_single_subset_kernel(self, tiny_bipartite):
         gen = np.random.default_rng(0)
         batch = gen.random((20, 4)) < 0.5
-        counts = tiny_bipartite.cover_counts_batch(batch)
-        uniques = tiny_bipartite.unique_cover_counts_batch(batch)
+        blocks = BlockBipartite.single(tiny_bipartite)
+        by_column = blocks.unique_counts(batch.T)
+        by_row = blocks.row_unique_counts(np.zeros(20, dtype=np.int64), batch)
         for i in range(20):
-            row = batch[i]
-            assert (counts[i] == tiny_bipartite.cover_counts(row)).all()
-            assert uniques[i] == tiny_bipartite.unique_cover_count(row)
+            want = tiny_bipartite.unique_cover_count(batch[i])
+            assert by_column[0, i] == by_row[i] == want
 
     def test_empty_batch(self, tiny_bipartite):
-        batch = np.zeros((0, 4), dtype=bool)
-        assert tiny_bipartite.cover_counts_batch(batch).shape == (0, 5)
-        assert tiny_bipartite.unique_cover_counts_batch(batch).shape == (0,)
-
-    def test_shape_validation(self, tiny_bipartite):
-        with pytest.raises(ValueError):
-            tiny_bipartite.cover_counts_batch(np.zeros((3, 5), dtype=bool))
-        with pytest.raises(ValueError):
-            tiny_bipartite.cover_counts_batch(np.zeros((3, 4), dtype=np.int32))
-        with pytest.raises(ValueError):
-            tiny_bipartite.cover_counts_batch(np.zeros(4, dtype=bool))
+        blocks = BlockBipartite.single(tiny_bipartite)
+        assert blocks.unique_counts(np.zeros((4, 0), dtype=bool)).shape == (1, 0)
+        none = np.zeros(0, dtype=np.int64)
+        assert blocks.row_unique_counts(none, np.zeros((0, 4), bool)).shape == (0,)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_random_cross_check(self, seed):
+        # Several boundary graphs stacked, a few rows per block in any
+        # order: every row scores as its own set on its own graph.
         gen = np.random.default_rng(seed)
-        gs = random_bipartite(7, 11, 0.3, rng=gen)
-        batch = gen.random((8, 7)) < 0.4
-        uniques = gs.unique_cover_counts_batch(batch)
-        for i in range(8):
-            assert uniques[i] == gs.unique_cover_count(batch[i])
+        graph = erdos_renyi(16, 0.3, rng=gen)
+        subsets = [
+            gen.choice(16, size=int(gen.integers(0, 9)), replace=False)
+            for _ in range(5)
+        ]
+        blocks, _, _ = graph.boundary_blocks(subsets)
+        block = gen.integers(0, 5, size=12)
+        width = blocks.padded_ids("left").shape[1]
+        rows = (gen.random((12, width)) < 0.5) & (
+            np.arange(width) < blocks.sizes("left")[block][:, None]
+        )
+        got = blocks.row_unique_counts(block, rows)
+        for k in range(12):
+            gs, _, _ = graph.boundary_bipartite(subsets[block[k]])
+            assert got[k] == gs.unique_cover_count(rows[k, : gs.n_left])

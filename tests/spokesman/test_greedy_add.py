@@ -5,36 +5,12 @@ import pytest
 
 from repro.graphs import BipartiteGraph, core_graph, random_bipartite
 from repro.spokesman import (
-    evaluate_subset,
     spokesman_exact,
     spokesman_greedy_add,
     spokesman_portfolio,
 )
 
-
-def recomputed_greedy_add(gs, max_passes=10_000):
-    """The oracle: recompute both gain vectors from the cover counts with
-    sparse mat-vecs on every pass."""
-    member = np.zeros(gs.n_left, dtype=bool)
-    counts = np.zeros(gs.n_right, dtype=np.int32)
-    left = gs.left_matrix
-    for _ in range(max_passes):
-        zero = (counts == 0).astype(np.int32)
-        one = (counts == 1).astype(np.int32)
-        two = (counts == 2).astype(np.int32)
-        gain_add = left @ zero - left @ one
-        gain_remove = left @ two - left @ one
-        gain = np.where(member, gain_remove, gain_add)
-        best = int(np.argmax(gain))
-        if gain[best] <= 0:
-            break
-        if member[best]:
-            member[best] = False
-            counts[gs.neighbors_of_left(best)] -= 1
-        else:
-            member[best] = True
-            counts[gs.neighbors_of_left(best)] += 1
-    return evaluate_subset(gs, np.flatnonzero(member), "greedy-add")
+from oracles import recomputed_greedy_add  # sibling module on sys.path
 
 
 class TestGreedyAdd:

@@ -10,6 +10,8 @@ from repro.spokesman import (
     spokesman_naive_greedy,
 )
 
+from oracles import serial_naive_greedy_trace  # sibling module on sys.path
+
 
 class TestTrace:
     def test_certified_set_is_uniquely_covered(self, tiny_bipartite):
@@ -35,6 +37,30 @@ class TestTrace:
         assert steps == 1
         assert s_uni.tolist() == [0]
         assert n_uni.size == 6
+
+
+class TestLockstepMatchesSerial:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random(self, seed):
+        # The stacked trace keeps the serial pick order, certified set and
+        # step count, including ties in the fewest-neighbours rule.
+        gen = np.random.default_rng(1300 + seed)
+        gs = random_bipartite(
+            int(gen.integers(1, 30)),
+            int(gen.integers(1, 40)),
+            float(gen.uniform(0.05, 0.7)),
+            rng=gen,
+        )
+        got, want = naive_greedy_trace(gs), serial_naive_greedy_trace(gs)
+        for a, b in zip(got[:2], want[:2]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("s", [4, 8, 16, 32])
+    def test_core_graph(self, s):
+        gs = core_graph(s)
+        got, want = naive_greedy_trace(gs), serial_naive_greedy_trace(gs)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestGuarantee:

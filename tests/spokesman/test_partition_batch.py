@@ -1,9 +1,10 @@
 """Lockstep Procedure Partition: every batch entry equals the serial run.
 
 The oracle is the per-neighbour serial loop ``procedure_partition`` ran
-before the batch kernel existed; :func:`procedure_partition_batch` must
-reproduce it field for field (``s_uni``, ``s_tmp``, ``labels``,
-``steps``) for every population of a batch.
+before the batch kernel existed (``oracles.serial_partition``);
+:func:`procedure_partition_batch` must reproduce it field for field
+(``s_uni``, ``s_tmp``, ``labels``, ``steps``) for every population of a
+batch.
 """
 
 import numpy as np
@@ -16,43 +17,9 @@ from repro.spokesman import (
     procedure_partition_batch,
     threshold_population,
 )
-from repro.spokesman.partition import EXCLUDED, MANY, TMP, UNI, PartitionState
+from repro.spokesman.partition import EXCLUDED, MANY, PartitionState
 
-
-def serial_partition(gs: BipartiteGraph, right_subset=None) -> PartitionState:
-    """The serial per-neighbour loop: one argmax and one Python pass over
-    the chosen vertex's neighbours per step."""
-    managed = gs.right_degrees >= 1
-    if right_subset is not None:
-        managed = managed & gs._as_right_mask(np.asarray(right_subset))
-    labels = np.full(gs.n_right, EXCLUDED, dtype=np.int8)
-    labels[managed] = TMP
-    in_stmp = np.ones(gs.n_left, dtype=bool)
-    in_suni = np.zeros(gs.n_left, dtype=bool)
-    tmp_count = gs.left_cover_counts(managed).astype(np.int64)
-    uni_count = np.zeros(gs.n_left, dtype=np.int64)
-    steps = 0
-    while in_stmp.any():
-        gains = tmp_count - 2 * uni_count
-        gains[~in_stmp] = np.iinfo(np.int64).min
-        v = int(np.argmax(gains))
-        if gains[v] <= 0:
-            break
-        steps += 1
-        in_stmp[v] = False
-        in_suni[v] = True
-        for r in gs.neighbors_of_left(v):
-            r = int(r)
-            if labels[r] == UNI:
-                labels[r] = MANY
-                uni_count[gs.neighbors_of_right(r)] -= 1
-            elif labels[r] == TMP:
-                labels[r] = UNI
-                tmp_count[gs.neighbors_of_right(r)] -= 1
-                uni_count[gs.neighbors_of_right(r)] += 1
-    return PartitionState(
-        s_uni=in_suni, s_tmp=in_stmp, labels=labels, steps=steps
-    )
+from oracles import serial_partition  # sibling module; pytest adds this dir to sys.path
 
 
 def assert_same_state(got: PartitionState, want: PartitionState) -> None:

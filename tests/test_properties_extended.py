@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.expansion import wireless_certificate, wireless_expansion_of_set_exact
-from repro.graphs import BipartiteGraph, Graph
+from repro.graphs import BipartiteGraph, BlockBipartite, Graph
 from repro.radio import synthesize_broadcast_schedule, synthesize_layer_schedule
 from repro.spokesman import (
     nonisolated_right_count,
@@ -89,7 +89,7 @@ class TestBatchProperties:
     def test_batch_equals_scalar(self, gs, seed):
         gen = np.random.default_rng(seed)
         batch = gen.random((6, gs.n_left)) < 0.5
-        uniques = gs.unique_cover_counts_batch(batch)
+        uniques = BlockBipartite.single(gs).row_unique_counts(np.zeros(6, int), batch)
         for i in range(6):
             assert uniques[i] == gs.unique_cover_count(batch[i])
 
