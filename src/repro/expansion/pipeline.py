@@ -48,7 +48,6 @@ from repro.graphs.graph import Graph
 from repro.obs.tracing import traced
 
 __all__ = [
-    "check_vertex_sets",
     "enumerate_candidates",
     "evaluate_candidate_shard",
     "evaluate_candidates",
@@ -376,18 +375,14 @@ def evaluate_candidate_shard(
     candidate list concatenates back to the serial answer bit for bit.
     Raises ``ValueError`` if ``size_cap`` exceeds :data:`MAX_LATTICE_BITS`,
     or if a scored candidate repeats a vertex or names one outside
-    ``[0, n)`` (:func:`check_vertex_sets`).
+    ``[0, n)`` (:meth:`Graph.check_vertex_sets`).
     """
     _check_lattice_width(size_cap)
-    check_vertex_sets(graph, candidates, size_cap)
+    sizes, scored = graph.check_vertex_sets(candidates, size_cap)
     values = np.full(len(candidates), np.inf)
-    by_size: dict[int, list[int]] = {}
-    for i, cand in enumerate(candidates):
-        width = int(np.asarray(cand).size)
-        if 1 <= width <= size_cap:
-            by_size.setdefault(width, []).append(i)
     adjacency = graph.adjacency.astype(np.int64)
-    for k, indices in sorted(by_size.items()):
+    for k in np.unique(sizes[scored]):
+        indices = scored[sizes[scored] == k]
         group = np.stack(
             [np.asarray(candidates[i], dtype=np.int64) for i in indices]
         )
@@ -406,51 +401,21 @@ def evaluate_candidate_shard(
     return values
 
 
-def check_vertex_sets(graph: Graph, candidates, size_cap: int | None) -> None:
-    """Reject a scored candidate (size ``1..size_cap``; any non-empty one
-    for ``None``) that repeats a vertex or names one outside ``[0, n)``.
-
-    The message names the first such candidate by its index in
-    ``candidates`` and lists its vertices.  Both scoring arms call it on
-    each shard, and on the caller's whole list before splitting it.
-    """
-    sizes = np.array([np.asarray(c).size for c in candidates], dtype=np.int64)
-    cap = sizes.max(initial=0) if size_cap is None else size_cap
-    scored = np.flatnonzero((sizes >= 1) & (sizes <= cap))
-    if not scored.size:
-        return
-    owner = np.repeat(scored, sizes[scored])
-    ids = np.concatenate([candidates[i] for i in scored]).astype(np.int64)
-    outside = (ids < 0) | (ids >= graph.n)
-    # Sorted keys owner·n + id meet their repeats next door.
-    span = max(graph.n, 1)
-    key = np.sort(owner * span + np.where(outside, 0, ids))
-    repeats = key[1:][key[1:] == key[:-1]] // span
-    bad = np.concatenate([owner[outside], repeats])
-    if bad.size:
-        first = int(bad.min())
-        raise ValueError(
-            f"candidate {first} ({np.asarray(candidates[first]).tolist()}) is "
-            f"not a set of distinct vertices in [0, {graph.n})"
-        )
-
-
-def _map_shards(fn, make_call, count: int, executor, check) -> np.ndarray:
+def _map_shards(fn, make_call, count: int, executor) -> np.ndarray:
     """Shard ``count`` candidates contiguously across an executor.
 
     ``make_call(indices)`` builds one shard's kwargs; the per-shard value
     arrays concatenate back in candidate order.  Per-candidate values are
     exact (and seeds pre-derived), so the shard layout can never perturb
-    the result.  ``check()`` validates the whole candidate list before it
-    is split, so an error names the caller's index; unsplit, ``fn``
-    checks the list itself.
+    the result.  Callers check the whole candidate list first
+    (:meth:`Graph.check_vertex_sets`), so an error names the caller's
+    index, not a shard's.
     """
     from repro.runtime.executor import as_executor
 
     exec_ = as_executor(executor)
     if exec_.jobs <= 1 or count <= 1:
         return fn(**make_call(np.arange(count)))
-    check()
     shards = np.array_split(np.arange(count), min(exec_.jobs, count))
     parts = exec_.map(fn, [make_call(s) for s in shards if s.size])
     return np.concatenate(parts)
@@ -471,6 +436,7 @@ def evaluate_candidates(
     set (the message names its index in ``candidates`` and its vertices).
     """
     _check_lattice_width(size_cap)
+    graph.check_vertex_sets(candidates, size_cap)
     return _map_shards(
         evaluate_candidate_shard,
         lambda shard: {
@@ -480,7 +446,6 @@ def evaluate_candidates(
         },
         len(candidates),
         executor,
-        lambda: check_vertex_sets(graph, candidates, size_cap),
     )
 
 
@@ -501,6 +466,7 @@ def portfolio_candidate_values(
     """
     from repro.spokesman.portfolio import wireless_lower_bounds_of_sets
 
+    graph.check_vertex_sets(candidates, size_cap)
     return _map_shards(
         wireless_lower_bounds_of_sets,
         lambda shard: {
@@ -511,7 +477,6 @@ def portfolio_candidate_values(
         },
         len(candidates),
         executor,
-        lambda: check_vertex_sets(graph, candidates, size_cap),
     )
 
 

@@ -534,17 +534,41 @@ class BlockBipartite:
         block = self.left_block if side == "left" else self.right_block
         return rows[block, np.arange(block.size) - self._offsets(side)[block]]
 
+    def _checked(self, chosen: np.ndarray) -> np.ndarray:
+        chosen = np.asarray(chosen)
+        if (
+            chosen.ndim != 2
+            or chosen.shape[0] != self.graph.n_left
+            or chosen.dtype != bool
+        ):
+            raise ValueError(
+                f"expected an ({self.graph.n_left}, L) bool matrix, got "
+                f"{chosen.dtype} array of shape {chosen.shape}"
+            )
+        return chosen
+
+    def cover_counts(self, chosen: np.ndarray) -> np.ndarray:
+        """``|Γ(v) ∩ S'|`` of every stacked right vertex ``v`` for each
+        column of ``chosen``.
+
+        ``chosen`` is an ``(n_left, L)`` bool matrix whose column ``l``
+        holds one subset ``S'`` per block; returns the ``(n_right, L)``
+        counts from one sparse mat-mat product.  Raises ``ValueError`` on
+        any other shape or dtype (an int entry of 2 would count twice).
+        """
+        return self.graph.biadjacency @ self._checked(chosen).astype(np.int32)
+
     def unique_counts(self, chosen: np.ndarray) -> np.ndarray:
         """``|Γ¹(S')|`` of every block for each column of ``chosen``.
 
-        ``chosen`` is an ``(n_left, L)`` bool matrix whose column ``l``
-        holds one subset ``S'`` per block; returns ``(count, L)`` payoffs
-        from sparse mat-mat products of :data:`_COUNT_COLUMNS` columns.
+        ``chosen`` is an ``(n_left, L)`` bool matrix, checked as by
+        :meth:`cover_counts`; returns ``(count, L)`` payoffs, counted
+        :data:`_COUNT_COLUMNS` columns at a time.
         """
+        chosen = self._checked(chosen)
         out = np.zeros((self.count, chosen.shape[1]), dtype=np.int64)
         for lo in range(0, chosen.shape[1], _COUNT_COLUMNS):
-            part = chosen[:, lo : lo + _COUNT_COLUMNS].astype(np.int32)
-            cover = self.graph.biadjacency @ part
+            cover = self.cover_counts(chosen[:, lo : lo + _COUNT_COLUMNS])
             np.equal(cover, 1, out=cover, casting="unsafe")  # 1 iff covered once
             out[:, lo : lo + _COUNT_COLUMNS] = self.block_sums(cover, "right")
         return out
@@ -554,11 +578,29 @@ class BlockBipartite:
         ``block[k]``, as a bool mask over its left side padded to the
         widest block.  The rows are packed into columns that hold at most
         one row per block and scored by one :meth:`unique_counts` call.
+        Raises ``ValueError`` unless ``block`` is a vector of block
+        indices and ``rows`` a bool matrix with one row for each.
         """
+        block, rows = np.asarray(block), np.asarray(rows)
+        ids = self.padded_ids("left")
+        if (
+            block.ndim != 1
+            or not np.issubdtype(block.dtype, np.integer)
+            or ((block < 0) | (block >= self.count)).any()
+        ):
+            raise ValueError(
+                f"expected a vector of block indices in [0, {self.count}), "
+                f"got {block.dtype} array of shape {block.shape}"
+            )
+        if rows.shape != (block.size, ids.shape[1]) or rows.dtype != bool:
+            raise ValueError(
+                f"expected a ({block.size}, {ids.shape[1]}) bool matrix, got "
+                f"{rows.dtype} array of shape {rows.shape}"
+            )
         rank = self.column_of(block)
         # Padding cells land in a spare last row, dropped before scoring.
         chosen = np.zeros((self.graph.n_left + 1, rank.max(initial=-1) + 1), bool)
-        chosen[self.padded_ids("left")[block], rank[:, None]] = rows
+        chosen[ids[block], rank[:, None]] = rows
         return self.unique_counts(chosen[:-1])[block, rank]
 
     @staticmethod

@@ -437,13 +437,47 @@ class Graph:
         )
         return blocks.graph, left_vertices, right_vertices
 
+    def check_vertex_sets(
+        self, subsets: Sequence[np.ndarray], size_cap: int | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The sizes of ``subsets`` and the indices of the scored ones.
+
+        A subset is scored if its size is in ``1..size_cap`` (any
+        non-empty one for ``None``); every expansion scoring arm skips the
+        rest.  Raises ``ValueError`` if a scored subset repeats a vertex or
+        names one outside ``[0, n)``; the message names the first such
+        subset by its index in ``subsets`` and lists its vertices.
+        """
+        sizes = np.array([np.asarray(s).size for s in subsets], dtype=np.int64)
+        cap = sizes.max(initial=0) if size_cap is None else size_cap
+        scored = np.flatnonzero((sizes >= 1) & (sizes <= cap))
+        if not scored.size:
+            return sizes, scored
+        owner = np.repeat(scored, sizes[scored])
+        ids = np.concatenate(
+            [np.asarray(subsets[i]).ravel() for i in scored]
+        ).astype(np.int64)
+        outside = (ids < 0) | (ids >= self.n)
+        # Sorted keys owner·n + id meet their repeats next door.
+        span = max(self.n, 1)
+        key = np.sort(owner * span + np.where(outside, 0, ids))
+        repeats = key[1:][key[1:] == key[:-1]] // span
+        bad = np.concatenate([owner[outside], repeats])
+        if bad.size:
+            first = int(bad.min())
+            raise ValueError(
+                f"candidate {first} ({np.asarray(subsets[first]).tolist()}) is "
+                f"not a set of distinct vertices in [0, {self.n})"
+            )
+        return sizes, scored
+
     def boundary_blocks(
         self, subsets: Sequence[np.ndarray]
     ) -> tuple[BlockBipartite, np.ndarray, np.ndarray]:
         """Every ``G_S`` of ``subsets`` as the blocks of one stacked graph.
 
-        Each subset is a sequence of distinct vertex ids (the caller
-        checks).  Returns ``(blocks, left_vertices, right_vertices)``:
+        Each subset is a sequence of distinct vertex ids (checked by
+        :meth:`check_vertex_sets`).  Returns ``(blocks, left_vertices, right_vertices)``:
         block ``c`` of ``blocks`` is ``boundary_bipartite(subsets[c])``,
         and the two arrays map the stacked sides back to vertex ids.  One
         CSR gather serves all subsets.

@@ -72,7 +72,8 @@ def naive_greedy_blocks(
         slot, gamma = g.neighbors_of_rights(v)
         keep = in_stmp[gamma]
         slot, gamma = slot[keep], gamma[keep]
-        w = gamma[np.flatnonzero(np.diff(slot, prepend=-1))]
+        # (I4): every v keeps an S_tmp neighbour, so each slot occurs.
+        w = gamma[np.searchsorted(slot, np.arange(v.size))]
         order[w] = step
 
         # Every N_tmp neighbour of w leaves N_tmp: Q'_v (identical S_tmp

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.expansion.pipeline import check_vertex_sets
 from repro.graphs.bipartite import BipartiteGraph, BlockBipartite
 from repro.graphs.graph import Graph
 from repro.spokesman.base import SpokesmanResult
@@ -235,10 +234,7 @@ def wireless_lower_bounds_of_sets(
     candidates' ``G_S`` are stacked about :data:`_STACK_VERTICES`
     vertices at a time, and each stack runs :func:`portfolio_blocks` once.
     """
-    check_vertex_sets(graph, subsets, size_cap)
-    sizes = np.array([len(s) for s in subsets], dtype=np.int64)
-    cap = sizes.max(initial=0) if size_cap is None else size_cap
-    scored = np.flatnonzero((sizes >= 1) & (sizes <= cap))
+    sizes, scored = graph.check_vertex_sets(subsets, size_cap)
     values = np.full(len(subsets), np.inf)
     # Consecutive candidates of about _STACK_VERTICES vertices in all.
     stack = (np.cumsum(sizes[scored]) - 1) // _STACK_VERTICES
