@@ -27,8 +27,7 @@ from repro.expansion import (
 )
 from repro.graphs import random_regular
 from repro.runtime import ParallelExecutor, ResultStore
-from repro.runtime.tasks import wireless_expansion_point
-from repro.scenario import Scenario, scenario_summary
+from repro.scenario import Scenario, expansion_summary, scenario_summary
 
 MASTER = 17
 
@@ -51,7 +50,7 @@ def test_e17_expansion_vs_broadcast(benchmark, results_dir, tmp_path):
     def measure():
         points = run_sweep(
             {"graph": FAMILIES},
-            wireless_expansion_point,
+            expansion_summary,
             seed=MASTER,
             static_params={"expansion": ESTIMATOR},
             executor=executor,

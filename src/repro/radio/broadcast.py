@@ -305,46 +305,41 @@ def _resolve_engine(
 ) -> str:
     """Resolve ``auto`` and validate explicit engine requests.
 
-    An explicit ``bitset`` request on a channel without packed-word
-    support — or on a value workload, whose per-cell integers have no
-    packed representation — falls back to dense with a warning (the
-    result is identical, only the working-set shape differs).  ``auto``
-    picks bitset only when the workload is set-semantics, the channel and
-    the protocol run natively on words, and the graph is large enough for
-    the packed path to pay off.
+    An explicit ``bitset`` request on a channel or protocol without
+    packed-word support — or on a value workload, whose per-cell integers
+    have no packed representation — falls back to dense with a warning
+    (the result is identical, only the working-set shape differs).
+    ``auto`` picks bitset only when the workload is set-semantics, the
+    channel and the protocol run natively on words, and the graph is large
+    enough for the packed path to pay off.
     """
     if engine not in _ENGINES:
         raise ValueError(
             f"engine must be one of {', '.join(_ENGINES)}; got {engine!r}"
         )
     supported = bool(getattr(channel_model, "supports_bitset", False))
+    native = bool(getattr(type(protocol), "words_native", False))
     if engine == "bitset":
         if not workload.set_semantics:
-            warnings.warn(
+            why = (
                 f"workload {workload.name!r} folds per-cell values and "
-                "cannot run packed; falling back to dense",
-                RuntimeWarning,
-                stacklevel=3,
+                "cannot run packed"
             )
-            return "dense"
-        if not supported:
-            warnings.warn(
+        elif not supported:
+            why = (
                 f"channel {channel_model.name!r} does not support the "
-                "packed-bitset engine; falling back to dense",
-                RuntimeWarning,
-                stacklevel=3,
+                "packed-bitset engine"
             )
-            return "dense"
-        return "bitset"
-    if engine == "dense":
+        elif not native:
+            why = f"protocol {protocol.name!r} has no packed-word face"
+        else:
+            return "bitset"
+        warnings.warn(
+            f"{why}; falling back to dense", RuntimeWarning, stacklevel=3
+        )
         return "dense"
-    if (
-        workload.set_semantics
-        and supported
-        and not legacy_hooks_specialized(protocol)
-        and bool(getattr(type(protocol), "words_native", False))
-        and n >= _AUTO_BITSET_MIN_N
-    ):
+    packable = workload.set_semantics and supported and native
+    if engine == "auto" and packable and n >= _AUTO_BITSET_MIN_N:
         return "bitset"
     return "dense"
 
@@ -390,12 +385,13 @@ def run_broadcast_batch(
         paper's classic collision model.  The runner resets the channel
         with the per-trial generators (after the protocol, so counter keys
         stay aligned with standalone runs), forwards channel feedback to
-        the protocol's ``channel_feedback`` hooks, and measures completion
+        the protocol's ``channel_feedback_batch``, and measures completion
         against the channel's coverage targets (crashed processors are
         not waited for).
     engine:
         ``"dense"``, ``"bitset"``, or ``"auto"`` (see the module
-        docstring).  Explicit ``bitset`` on an unsupported channel or a
+        docstring).  Explicit ``bitset`` on an unsupported channel, a
+        protocol without :attr:`~BroadcastProtocol.words_native` or a
         value workload warns and runs dense.
     memory_budget:
         Optional byte ceiling (:class:`MemoryBudget` or a plain int of
@@ -418,7 +414,16 @@ def run_broadcast_batch(
         engines and across memory-budget shards.  Off by default and a
         strict no-op when off — no allocation, no per-round work beyond
         one predicate check.
+
+    A protocol class defining a retired single-run hook (``reset``,
+    ``transmitters`` or ``channel_feedback``) raises ``TypeError``.
     """
+    if legacy_hooks_specialized(protocol):
+        raise TypeError(
+            f"protocol class {type(protocol).__name__} defines a retired "
+            "single-run hook (reset, transmitters or channel_feedback); "
+            "use the batch hooks instead"
+        )
     if workload is None:
         workload = BroadcastWorkload(source=source)
     else:
@@ -445,15 +450,6 @@ def run_broadcast_batch(
 
     channel_model = channel if channel is not None else ClassicCollision()
     workload.check_channel(channel_model)
-    # A protocol whose class specializes the legacy single-run hooks more
-    # deeply than the batch hooks (e.g. a DecayProtocol subclass overriding
-    # only `transmitters`) must run through the per-trial clone adapter, or
-    # its overrides would be silently bypassed by the inherited vectorized
-    # path.
-    face = (
-        BroadcastProtocol if legacy_hooks_specialized(protocol) else
-        type(protocol)
-    )
     resolved = _resolve_engine(engine, protocol, channel_model, graph.n, workload)
 
     telemetry = bool(telemetry)
@@ -463,38 +459,37 @@ def run_broadcast_batch(
         if shard < trials:
             parts = [
                 _run_resolved(
-                    resolved, graph, protocol, face, channel_model,
-                    workload, max_rounds, trial_rngs[start : start + shard],
-                    telemetry,
+                    resolved, graph, protocol, channel_model, workload,
+                    max_rounds, trial_rngs[start : start + shard], telemetry,
                 )
                 for start in range(0, trials, shard)
             ]
             return merge_batches(parts)
     return _run_resolved(
-        resolved, graph, protocol, face, channel_model,
-        workload, max_rounds, trial_rngs, telemetry,
-    )
-
-
-def _run_resolved(
-    resolved, graph, protocol, face, channel_model, workload, max_rounds,
-    trial_rngs, telemetry=False,
-) -> BatchBroadcastResult:
-    run = _run_bitset if resolved == "bitset" else _run_dense
-    return run(
-        graph, protocol, face, channel_model, workload, max_rounds,
+        resolved, graph, protocol, channel_model, workload, max_rounds,
         trial_rngs, telemetry,
     )
 
 
+def _run_resolved(
+    resolved, graph, protocol, channel_model, workload, max_rounds,
+    trial_rngs, telemetry=False,
+) -> BatchBroadcastResult:
+    run = _run_bitset if resolved == "bitset" else _run_dense
+    return run(
+        graph, protocol, channel_model, workload, max_rounds, trial_rngs,
+        telemetry,
+    )
+
+
 def _run_dense(
-    graph, protocol, face, channel_model, workload, max_rounds, trial_rngs,
+    graph, protocol, channel_model, workload, max_rounds, trial_rngs,
     telemetry=False,
 ) -> BatchBroadcastResult:
     """The ``(n, T)`` bool-matrix engine with trial compaction."""
     trials = len(trial_rngs)
     network = RadioNetwork(graph, channel=channel_model)
-    face.reset_batch(protocol, network, workload.protocol_source, trial_rngs)
+    protocol.reset_batch(network, workload.protocol_source, trial_rngs)
     # Channel after protocol: both may draw per-trial counter keys from the
     # same generators, and standalone runs use the same order.
     network.channel.reset(network, trial_rngs)
@@ -540,14 +535,14 @@ def _run_dense(
         satisfied = satisfied[:, keep]
         counts, covered = counts[keep], covered[keep]
         if active.size:
-            face.select_trials(protocol, keep)
+            protocol.select_trials(keep)
             network.channel.select_trials(keep)
             state.select_trials(keep)
 
     round_index = 0
     while round_index < max_rounds and active.size:
         eligible = state.transmit_eligible(satisfied)
-        mask = face.transmitters_batch(protocol, round_index, eligible, network)
+        mask = protocol.transmitters_batch(round_index, eligible, network)
         mask = mask & eligible
         mask = network.channel.effective_transmitters(round_index, mask)
         transmitters = colsum(mask)
@@ -561,9 +556,7 @@ def _run_dense(
         received = network.step(mask, round_index)
         feedback = network.channel.feedback
         if feedback is not None:
-            face.channel_feedback_batch(
-                protocol, round_index, feedback, network
-            )
+            protocol.channel_feedback_batch(round_index, feedback, network)
         fresh = state.fold(round_index, mask, received, satisfied, network)
         # One flat index pass, split by divmod: much cheaper than the
         # per-axis nonzero on a sparse (n, active) frontier.
@@ -604,7 +597,7 @@ def _run_dense(
             active = active[keep]
             satisfied = satisfied[:, keep]
             counts, covered = counts[keep], covered[keep]
-            face.select_trials(protocol, keep)
+            protocol.select_trials(keep)
             network.channel.select_trials(keep)
             state.select_trials(keep)
 
@@ -637,7 +630,7 @@ def _run_dense(
 
 
 def _run_bitset(
-    graph, protocol, face, channel_model, workload, max_rounds, trial_rngs,
+    graph, protocol, channel_model, workload, max_rounds, trial_rngs,
     telemetry=False,
 ) -> BatchBroadcastResult:
     """The packed-word backend: trial state 64-to-a-word, CSR gathers.
@@ -650,12 +643,13 @@ def _run_bitset(
     semantics.  Counter-based randomness means never-compacted per-trial
     keys index the same streams either way — the bit-for-bit anchor.
 
-    Only set-semantics workloads run here (``_resolve_engine`` guarantees
-    it): satisfaction is a bit, so the workload's whole contribution is
-    the packed initial matrix — the fold is the engine's own
-    ``received & ~informed``.  First-informed rounds accrue as bit-sliced
-    planes (:class:`~repro.radio.bitset.FirstInformedPlanes`), decoded to
-    the ``(n, T)`` int64 result once at the end.
+    Only set-semantics workloads, packed channels and ``words_native``
+    protocols run here (``_resolve_engine`` guarantees it): satisfaction
+    is a bit, so the workload's whole contribution is the packed initial
+    matrix — the fold is the engine's own ``received & ~informed``.
+    First-informed rounds accrue as bit-sliced planes
+    (:class:`~repro.radio.bitset.FirstInformedPlanes`), decoded to the
+    ``(n, T)`` int64 result once at the end.
     """
     from repro.radio.bitset import (
         FirstInformedPlanes,
@@ -664,20 +658,18 @@ def _run_bitset(
         neighbor_fold_words,
         pack_bool_matrix,
         row_flags,
-        unpack_words,
         word_column_counts,
     )
 
     trials = len(trial_rngs)
     network = RadioNetwork(graph, channel=channel_model)
-    face.reset_batch(protocol, network, workload.protocol_source, trial_rngs)
+    protocol.reset_batch(network, workload.protocol_source, trial_rngs)
     network.channel.reset(network, trial_rngs)
     # Workload last — the same draw order as the dense engine, which is
     # what makes gossip's random sources engine-independent.
     state = workload.make_state(network, trial_rngs)
     targets = network.channel.coverage_targets(network)
     need = graph.n if targets is None else int(np.count_nonzero(targets))
-    words_native = bool(getattr(face, "words_native", False))
 
     n, T = graph.n, trials
     trial_mask = full_mask_words(T)
@@ -721,19 +713,11 @@ def _run_bitset(
     round_index = 0
     informed_rows = np.flatnonzero(informed_any)
     while round_index < max_rounds and active_mask.any():
-        if words_native:
-            tw = face.transmitters_words(
-                protocol, round_index, informed_words, network,
-                rows=informed_rows, active=active_mask,
-            )
-            tw &= informed_words
-        else:
-            # Pack/unpack adapter for protocols without a word face: the
-            # adapter drives completed trials too, but their columns are
-            # masked out below and per-trial state keeps them independent.
-            informed = unpack_words(informed_words, T)
-            mask = face.transmitters_batch(protocol, round_index, informed, network)
-            tw = pack_bool_matrix(mask & informed)
+        tw = protocol.transmitters_words(
+            round_index, informed_words, network,
+            rows=informed_rows, active=active_mask,
+        )
+        tw &= informed_words
         tw &= running
         if tel is None:
             tally.add(tw)

@@ -180,7 +180,7 @@ class CollisionDetection(ChannelModel):
     as under :class:`ClassicCollision`; additionally, every silent
     processor with two or more transmitting neighbours learns it stood in
     a collision.  That bit is published via :attr:`feedback` after each
-    round and forwarded to the protocol's ``channel_feedback`` hooks.
+    round and forwarded to the protocol's ``channel_feedback_batch``.
     """
 
     name = "collision-detection"

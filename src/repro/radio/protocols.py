@@ -14,27 +14,30 @@ knowledge models appear in the experiments:
 
 Batched execution
 -----------------
-Every protocol also exposes a trial-vectorized face: :meth:`reset_batch`
-prepares ``T`` independent per-trial streams and
+Every protocol speaks one trial-vectorized interface: :meth:`reset_batch`
+prepares ``T`` independent per-trial streams,
 :meth:`~BroadcastProtocol.transmitters_batch` maps an ``(n, T)`` informed
-matrix to an ``(n, T)`` transmit matrix.  The base class provides a default
-adapter that clones the protocol once per trial and loops the legacy
-column-wise :meth:`~BroadcastProtocol.transmitters` — so third-party
-protocols keep working unmodified, with exactly the semantics of ``T``
-standalone runs.  The built-in baselines override both hooks with native
-``(n, T)`` array code (counter-based randomness, no per-trial Python on the
-hot path) that reproduces the per-trial streams bit for bit.
+matrix to an ``(n, T)`` transmit matrix, :meth:`select_trials` drops the
+state of trials the dense engine compacts away, and
+:meth:`channel_feedback_batch` receives the channel's ``(n, T)`` feedback.
+Only ``transmitters_batch`` is required; the rest default to no-ops.
+Column ``t`` must behave like a standalone run driven by trial ``t``'s
+generator alone — the batch ≡ ``T`` standalone runs contract.  The
+built-in baselines meet it with counter-based randomness; those that set
+:attr:`~BroadcastProtocol.words_native` also run on the packed-bitset
+engine, and every other protocol runs dense.  A class still defining a
+retired single-run hook (``reset``, ``transmitters``,
+``channel_feedback``) is rejected with ``TypeError`` rather than
+silently ignored (:func:`legacy_hooks_specialized`).
 """
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from repro._util import (
-    as_rng,
     ceil_log2,
     counter_coins,
     counter_uniforms,
@@ -51,34 +54,22 @@ __all__ = [
     "RoundRobinProtocol",
 ]
 
-_LEGACY_HOOKS = ("reset", "transmitters", "channel_feedback")
-_BATCH_HOOKS = (
-    "reset_batch",
-    "transmitters_batch",
-    "select_trials",
-    "channel_feedback_batch",
-)
+_RETIRED_HOOKS = ("reset", "transmitters", "channel_feedback")
 
 
 def legacy_hooks_specialized(protocol: "BroadcastProtocol") -> bool:
-    """True when ``protocol``'s class customizes the legacy single-run hooks
-    more deeply than its batch hooks.
+    """True when ``protocol``'s class defines a retired single-run hook
+    (``reset``, ``transmitters`` or ``channel_feedback``).
 
-    A subclass of a vectorized built-in that overrides only ``transmitters``
-    or ``reset`` would be silently ignored by the inherited vectorized
-    ``transmitters_batch`` — so the engine routes such protocols through the
-    per-trial clone adapter instead, which drives exactly the overridden
-    legacy hooks.
+    The engine drives only the batch hooks, so such a definition would be
+    silently bypassed; :func:`~repro.radio.broadcast.run_broadcast_batch`
+    rejects the protocol with a ``TypeError`` instead.
     """
-    mro = type(protocol).__mro__
-
-    def depth(name: str) -> int:
-        for i, cls in enumerate(mro):
-            if name in cls.__dict__:
-                return i
-        return len(mro)
-
-    return min(map(depth, _LEGACY_HOOKS)) < min(map(depth, _BATCH_HOOKS))
+    return any(
+        name in cls.__dict__
+        for cls in type(protocol).__mro__
+        for name in _RETIRED_HOOKS
+    )
 
 
 class BroadcastProtocol(ABC):
@@ -88,66 +79,25 @@ class BroadcastProtocol(ABC):
     name: str = "abstract"
 
     #: Whether :meth:`transmitters_words` natively implements this protocol
-    #: on packed uint64 trial words.  Protocols without a native word face
-    #: still run under the bitset engine through a pack/unpack adapter.
+    #: on packed uint64 trial words.  Protocols without it run on the dense
+    #: engine.
     words_native: bool = False
 
-    def reset(self, network: RadioNetwork, source: int, rng) -> None:
-        """Prepare per-run state.  Default: store the rng."""
-        self._rng = as_rng(rng)
+    def reset_batch(self, network: RadioNetwork, source: int, rngs) -> None:
+        """Prepare per-run state for ``len(rngs)`` independent trials
+        (default: none).  Trial ``t`` draws only from ``rngs[t]``."""
 
     @abstractmethod
-    def transmitters(
-        self, round_index: int, informed: np.ndarray, network: RadioNetwork
-    ) -> np.ndarray:
-        """Bool mask of processors transmitting in this round.
-
-        The runner intersects the result with ``informed`` — a protocol can
-        never transmit a message a node does not hold.
-        """
-
-    # ------------------------------------------------------------------
-    # Batched (trial-vectorized) interface
-    # ------------------------------------------------------------------
-    def reset_batch(self, network: RadioNetwork, source: int, rngs) -> None:
-        """Prepare per-run state for ``len(rngs)`` independent trials.
-
-        Default adapter: deep-copy this protocol once per trial and reset
-        each clone with its own generator, so any legacy protocol runs under
-        the batch engine with the exact semantics (state *and* random
-        stream) of ``len(rngs)`` standalone runs.  A single-trial batch
-        (the :func:`~repro.radio.broadcast.run_broadcast` path) skips the
-        clone and drives this instance directly, preserving the classic
-        contract that a run's state lands on the protocol object itself.
-        Vectorized protocols override this to derive whatever shared state
-        they need instead.
-        """
-        if len(rngs) == 1:
-            self._batch_clones = [self]
-            self.reset(network, source, rngs[0])
-            return
-        template = copy.copy(self)
-        template.__dict__.pop("_batch_clones", None)
-        self._batch_clones = [copy.deepcopy(template) for _ in rngs]
-        for clone, gen in zip(self._batch_clones, rngs):
-            clone.reset(network, source, gen)
-
     def transmitters_batch(
         self, round_index: int, informed: np.ndarray, network: RadioNetwork
     ) -> np.ndarray:
         """``(n, T)`` bool transmit matrix for ``T`` trials in this round.
 
         Column ``t`` must equal what trial ``t``'s standalone run would
-        transmit given ``informed[:, t]``.  Default adapter: loop the
-        per-trial clones over the legacy :meth:`transmitters`.
+        transmit given ``informed[:, t]``.  The runner intersects the
+        result with ``informed`` — a protocol can never transmit a message
+        a node does not hold.
         """
-        return np.stack(
-            [
-                clone.transmitters(round_index, informed[:, t], network)
-                for t, clone in enumerate(self._batch_clones)
-            ],
-            axis=1,
-        )
 
     def transmitters_words(
         self,
@@ -166,60 +116,31 @@ class BroadcastProtocol(ABC):
         that bits outside ``rows × active`` will be ANDed away (only
         informed nodes transmit; completed trials are frozen), so a
         protocol may leave them zero and skip the work.  Only called when
-        :attr:`words_native`; the engine routes other protocols through a
-        pack/unpack adapter instead.
+        :attr:`words_native` is set.
         """
         raise NotImplementedError(
             f"protocol {self.name!r} has no native packed-word face"
         )
 
     def select_trials(self, keep: np.ndarray) -> None:
-        """Drop per-trial batch state for trials not in ``keep``.
+        """Drop per-trial state for trials not in ``keep`` (default: none).
 
-        The engine compacts completed trials out of the working set;
-        ``keep`` is a bool mask over the *current* trial columns.  The
-        default adapter narrows its clone list; vectorized protocols
-        override to subset their own per-trial state (a protocol with no
-        per-trial state can ignore this — the default is a safe no-op
-        when no clones exist).
-        """
-        clones = getattr(self, "_batch_clones", None)
-        if clones is not None:
-            self._batch_clones = [
-                clone for clone, k in zip(clones, keep) if k
-            ]
-
-    # ------------------------------------------------------------------
-    # Channel feedback (collision detection and richer models)
-    # ------------------------------------------------------------------
-    def channel_feedback(
-        self, round_index: int, feedback: np.ndarray, network: RadioNetwork
-    ) -> None:
-        """Per-round channel feedback for one trial (default: ignored).
-
-        Under a feedback-providing channel (e.g.
-        :class:`~repro.radio.channel.CollisionDetection`) the runner calls
-        this after every round with the channel's ``(n,)`` feedback mask —
-        the extra bit the classic model withholds.  Feedback-blind
-        protocols inherit this no-op and behave identically under classic
-        and collision-detection channels.
+        The dense engine compacts completed trials out of the working set;
+        ``keep`` is a bool mask over the *current* trial columns.
         """
 
     def channel_feedback_batch(
         self, round_index: int, feedback: np.ndarray, network: RadioNetwork
     ) -> None:
-        """Per-round channel feedback for a whole batch.
+        """Per-round channel feedback (default: ignored).
 
-        ``feedback`` is the channel's ``(n, T)`` mask.  Default adapter:
-        forward column ``t`` to clone ``t``'s :meth:`channel_feedback`
-        (a no-op when there are no clones — i.e. for vectorized protocols
-        that do not override this hook).
+        Under a feedback-providing channel (e.g.
+        :class:`~repro.radio.channel.CollisionDetection`) the runner calls
+        this after every round with the channel's ``(n, T)`` feedback mask
+        — the extra bit the classic model withholds.  Feedback-blind
+        protocols inherit this no-op and behave identically under classic
+        and collision-detection channels.
         """
-        clones = getattr(self, "_batch_clones", None)
-        if clones is None:
-            return
-        for t, clone in enumerate(clones):
-            clone.channel_feedback(round_index, feedback[:, t], network)
 
 
 class FloodingProtocol(BroadcastProtocol):
@@ -231,14 +152,6 @@ class FloodingProtocol(BroadcastProtocol):
 
     name = "flooding"
     words_native = True
-
-    def transmitters(
-        self, round_index: int, informed: np.ndarray, network: RadioNetwork
-    ) -> np.ndarray:
-        return informed.copy()
-
-    def reset_batch(self, network: RadioNetwork, source: int, rngs) -> None:
-        pass
 
     def transmitters_batch(
         self, round_index: int, informed: np.ndarray, network: RadioNetwork
@@ -266,16 +179,6 @@ class RoundRobinProtocol(BroadcastProtocol):
     name = "round-robin"
     words_native = True
 
-    def transmitters(
-        self, round_index: int, informed: np.ndarray, network: RadioNetwork
-    ) -> np.ndarray:
-        mask = np.zeros(network.n, dtype=bool)
-        mask[round_index % network.n] = True
-        return mask & informed
-
-    def reset_batch(self, network: RadioNetwork, source: int, rngs) -> None:
-        pass
-
     def transmitters_batch(
         self, round_index: int, informed: np.ndarray, network: RadioNetwork
     ) -> np.ndarray:
@@ -301,19 +204,15 @@ class CounterCoinProtocol(BroadcastProtocol):
     """Base for protocols whose transmitters are independent Bernoulli
     coins with some per-round probability.
 
-    Randomness is counter-based: :meth:`reset` derives one 64-bit key from
-    the run's generator and each round's coin flips are
-    ``counter_coins(key, round, node, p)`` — a pure function, so the
-    batched path evaluates all trials' flips in one ``(n, T)`` array op
-    while agreeing bit for bit with per-trial standalone runs.  Subclasses
-    implement :meth:`transmission_probability`.
+    Randomness is counter-based: :meth:`reset_batch` derives one 64-bit
+    key per trial generator and each round's coin flips are
+    ``counter_coins(key, round, node, p)`` — a pure function, so all
+    trials' flips come from one ``(n, T)`` array op while agreeing bit
+    for bit with per-trial standalone runs.  Subclasses implement
+    :meth:`transmission_probability`.
     """
 
     words_native = True
-
-    def reset(self, network: RadioNetwork, source: int, rng) -> None:
-        super().reset(network, source, rng)
-        self._keys = derive_keys([self._rng])
 
     def reset_batch(self, network: RadioNetwork, source: int, rngs) -> None:
         self._keys = derive_keys(rngs)
@@ -325,26 +224,16 @@ class CounterCoinProtocol(BroadcastProtocol):
     def transmission_probability(self, round_index: int) -> float:
         """Probability with which each informed node transmits this round."""
 
-    def _draw(self, round_index: int, informed: np.ndarray) -> np.ndarray:
+    def transmitters_batch(
+        self, round_index: int, informed: np.ndarray, network: RadioNetwork
+    ) -> np.ndarray:
         coins = counter_coins(
             self._keys,
             round_index,
             informed.shape[0],
             self.transmission_probability(round_index),
         )
-        if informed.ndim == 1:
-            coins = coins[:, 0]
         return coins & informed
-
-    def transmitters(
-        self, round_index: int, informed: np.ndarray, network: RadioNetwork
-    ) -> np.ndarray:
-        return self._draw(round_index, informed)
-
-    def transmitters_batch(
-        self, round_index: int, informed: np.ndarray, network: RadioNetwork
-    ) -> np.ndarray:
-        return self._draw(round_index, informed)
 
     def transmitters_words(
         self,
@@ -393,10 +282,6 @@ class DecayProtocol(CounterCoinProtocol):
             if self.phase_length is not None
             else ceil_log2(max(2, network.n)) + 1
         )
-
-    def reset(self, network: RadioNetwork, source: int, rng) -> None:
-        super().reset(network, source, rng)
-        self._k = self._resolve_phase_length(network)
 
     def reset_batch(self, network: RadioNetwork, source: int, rngs) -> None:
         super().reset_batch(network, source, rngs)
@@ -448,13 +333,6 @@ class CollisionBackoffProtocol(BroadcastProtocol):
             else ceil_log2(max(2, network.n)) + 1
         )
 
-    def reset(self, network: RadioNetwork, source: int, rng) -> None:
-        super().reset(network, source, rng)
-        self._keys = derive_keys([self._rng])
-        self._levels = np.zeros((network.n, 1), dtype=np.int16)
-        self._last_mask = np.zeros((network.n, 1), dtype=bool)
-        self._cap = self._resolve_max_level(network)
-
     def reset_batch(self, network: RadioNetwork, source: int, rngs) -> None:
         self._keys = derive_keys(rngs)
         self._levels = np.zeros((network.n, len(rngs)), dtype=np.int16)
@@ -466,40 +344,19 @@ class CollisionBackoffProtocol(BroadcastProtocol):
         self._levels = self._levels[:, keep]
         self._last_mask = self._last_mask[:, keep]
 
-    def _draw(self, round_index: int, informed: np.ndarray) -> np.ndarray:
-        uniforms = counter_uniforms(self._keys, round_index, informed.shape[0])
-        coins = uniforms < np.ldexp(1.0, -self._levels)
-        if informed.ndim == 1:
-            mask = coins[:, 0] & informed
-            self._last_mask = mask[:, None]
-        else:
-            mask = coins & informed
-            self._last_mask = mask
-        return mask
-
-    def transmitters(
-        self, round_index: int, informed: np.ndarray, network: RadioNetwork
-    ) -> np.ndarray:
-        return self._draw(round_index, informed)
-
     def transmitters_batch(
         self, round_index: int, informed: np.ndarray, network: RadioNetwork
     ) -> np.ndarray:
-        return self._draw(round_index, informed)
-
-    def _apply_feedback(self, collided: np.ndarray) -> None:
-        raised = np.minimum(self._levels + 1, self._cap)
-        eased = np.maximum(self._levels - 1, 0)
-        self._levels = np.where(
-            collided | self._last_mask, raised, eased
-        ).astype(np.int16)
-
-    def channel_feedback(
-        self, round_index: int, feedback: np.ndarray, network: RadioNetwork
-    ) -> None:
-        self._apply_feedback(feedback[:, None])
+        uniforms = counter_uniforms(self._keys, round_index, informed.shape[0])
+        coins = uniforms < np.ldexp(1.0, -self._levels)
+        self._last_mask = coins & informed
+        return self._last_mask
 
     def channel_feedback_batch(
         self, round_index: int, feedback: np.ndarray, network: RadioNetwork
     ) -> None:
-        self._apply_feedback(feedback)
+        raised = np.minimum(self._levels + 1, self._cap)
+        eased = np.maximum(self._levels - 1, 0)
+        self._levels = np.where(
+            feedback | self._last_mask, raised, eased
+        ).astype(np.int16)

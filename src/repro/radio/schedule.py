@@ -137,12 +137,12 @@ class StaticScheduleProtocol(BroadcastProtocol):
     def __init__(self, schedule: BroadcastSchedule) -> None:
         self.schedule = schedule
 
-    def transmitters(
+    def transmitters_batch(
         self, round_index: int, informed: np.ndarray, network: RadioNetwork
     ) -> np.ndarray:
-        out = np.zeros(network.n, dtype=bool)
+        out = np.zeros_like(informed)
         if round_index < self.schedule.length:
-            out[self.schedule.rounds[round_index]] = True
+            out[self.schedule.rounds[round_index], :] = True
         return out & informed
 
 

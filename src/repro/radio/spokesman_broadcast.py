@@ -47,22 +47,25 @@ class SpokesmanBroadcastProtocol(BroadcastProtocol):
         if algorithm is not None and hasattr(algorithm, "__name__"):
             self.name = f"spokesman[{algorithm.__name__}]"
 
-    def transmitters(
+    def transmitters_batch(
         self, round_index: int, informed: np.ndarray, network: RadioNetwork
     ) -> np.ndarray:
-        graph = network.graph
-        uninformed_nbr_counts = graph.neighbor_counts(~informed)
-        frontier = informed & (uninformed_nbr_counts >= 1)
-        out = np.zeros(network.n, dtype=bool)
+        # The genie draws no randomness: each trial column is scheduled
+        # from its own informed set alone.
+        out = np.zeros_like(informed)
+        for t in range(informed.shape[1]):
+            out[self._elect(informed[:, t], network.graph), t] = True
+        return out
+
+    def _elect(self, informed: np.ndarray, graph) -> np.ndarray:
+        """Vertex ids of the spokesmen elected for one informed set."""
+        frontier = informed & (graph.neighbor_counts(~informed) >= 1)
         if not frontier.any():
-            return out
+            return np.empty(0, dtype=np.int64)
         gs, left_vertices, _right = graph.boundary_bipartite(informed)
         # Restrict the bipartite left side to the frontier (non-frontier
         # informed vertices have no uninformed neighbours, hence degree 0 in
         # G_S; dropping them changes nothing but keeps instances small).
         frontier_local = np.flatnonzero(frontier[left_vertices])
-        sub = gs.restrict_left(frontier_local)
-        result = self.algorithm(sub)
-        chosen_local = frontier_local[result.subset]
-        out[left_vertices[chosen_local]] = True
-        return out
+        result = self.algorithm(gs.restrict_left(frontier_local))
+        return left_vertices[frontier_local[result.subset]]

@@ -24,7 +24,7 @@ column — so the serial tracer, the batch engines, and ``repro trace`` all
 report the same numbers by construction.  Semantics preserved from the
 legacy serial loop: collision victims are always counted against the
 *base* adjacency (lossy channels show as receptions < contacts), and
-channel feedback still reaches ``protocol.channel_feedback``.  One
+channel feedback still reaches ``protocol.channel_feedback_batch``.  One
 deliberate alignment: completion now follows the channel's coverage
 targets (crash-fault channels no longer wait for dead processors), the
 same rule every other runner uses.

@@ -21,7 +21,6 @@ from typing import Any
 __all__ = [
     "chain_broadcast_point",
     "broadcast_rounds_point",
-    "wireless_expansion_point",
 ]
 
 
@@ -38,23 +37,6 @@ def _channel_spec(channel) -> Any:
         f"not {type(channel).__name__}; arbitrary factories cannot be "
         "content-addressed"
     )
-
-
-def wireless_expansion_point(
-    graph, expansion="sampled", seed: int = 0
-) -> dict[str, Any]:
-    """One ``(graph, estimator)`` grid point: a βw estimate as a plain
-    dict.
-
-    A thin wrapper over :func:`repro.scenario.tasks.expansion_summary`
-    with ``run_sweep``'s calling convention (``seed`` last, all-plain
-    parameters), so expansion measurements ride the same sweep/executor/
-    cache machinery as the broadcast points above — E17 sweeps graph
-    families through exactly this function.
-    """
-    from repro.scenario.tasks import expansion_summary
-
-    return expansion_summary(graph, expansion=expansion, seed=seed)
 
 
 def chain_broadcast_point(

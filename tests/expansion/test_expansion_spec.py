@@ -209,14 +209,6 @@ class TestExpansionSummaryTask:
         with pytest.raises(ValueError, match="bad graph spec"):
             expansion_summary("erdos_renyi(10, 1.5)", "sampled", seed=0)
 
-    def test_runtime_point_wrapper(self):
-        from repro.runtime.tasks import wireless_expansion_point
-        from repro.scenario import expansion_summary
-
-        assert wireless_expansion_point(
-            "hypercube(4)", expansion="sampled(samples=5)", seed=1
-        ) == expansion_summary("hypercube(4)", "sampled(samples=5)", seed=1)
-
 
 def as_spec(text):
     return ExpansionSpec.from_string(text)

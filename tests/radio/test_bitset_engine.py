@@ -336,6 +336,15 @@ def test_resolve_engine_auto_rules():
         assert (
             _resolve_engine("bitset", proto, classic, 100_000, agg) == "dense"
         )
+    # A protocol without the packed-word face runs dense: auto picks
+    # dense at any size, explicit bitset warns and falls back.
+    coins = _BatchOnlyCoins()
+    assert _resolve_engine("auto", coins, classic, 100_000, bcast) == "dense"
+    with pytest.warns(RuntimeWarning, match="no packed-word face"):
+        assert (
+            _resolve_engine("bitset", coins, classic, 100_000, bcast)
+            == "dense"
+        )
     with pytest.raises(ValueError, match="engine must be one of"):
         _resolve_engine("gpu", proto, classic, 10, bcast)
 
@@ -736,18 +745,10 @@ def _assert_three_equal(runs, context):
 
 
 class _BatchOnlyCoins(DecayProtocol):
-    """A randomized protocol without the packed-word face: the bitset
-    engine drives it through its pack/unpack adapter."""
+    """A randomized protocol without the packed-word face: it runs on the
+    dense engine whatever engine is asked for."""
 
     words_native = False
-
-
-class _LegacyDecay(DecayProtocol):
-    """Overrides only the single-run hook, so the engine runs it through
-    the per-trial clone adapter."""
-
-    def transmitters(self, round_index, informed, network):
-        return super().transmitters(round_index, informed, network)
 
 
 class TestEngineEquivalenceCases:
@@ -820,16 +821,20 @@ class TestEngineEquivalenceCases:
 
     @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
     @pytest.mark.parametrize(
-        "protocol", [_BatchOnlyCoins, _LegacyDecay, "collision-backoff"],
-        ids=["batch-only", "legacy-hooks", "collision-backoff"],
+        "protocol", [_BatchOnlyCoins, "collision-backoff"],
+        ids=["batch-only", "collision-backoff"],
     )
-    def test_adapter_protocols(self, protocol, telemetry):
+    def test_protocols_without_word_face_run_dense(self, protocol, telemetry):
         from repro.radio.protocols import CollisionBackoffProtocol
 
         if protocol == "collision-backoff":
             protocol = CollisionBackoffProtocol
         graph = random_regular(40, 4, rng=7)
-        runs = _run_three_ways(
-            graph, protocol, 65, seed=9, telemetry=telemetry, max_rounds=200
-        )
+        # Both "bitset" runs (whole and budget-sharded) warn and run dense.
+        with pytest.warns(RuntimeWarning, match="no packed-word face") as rec:
+            runs = _run_three_ways(
+                graph, protocol, 65, seed=9, telemetry=telemetry,
+                max_rounds=200,
+            )
+        assert len(rec) == 2
         _assert_three_equal(runs, protocol.__name__)

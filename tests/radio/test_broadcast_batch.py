@@ -2,8 +2,8 @@
 
 The contract under test: ``run_broadcast_batch(..., trials=T, seed=master)``
 must be bit-for-bit identical to ``T`` standalone ``run_broadcast`` calls
-seeded with ``spawn_seeds(master, T)`` — for natively vectorized protocols
-and for legacy protocols riding the clone adapter alike.
+seeded with ``spawn_seeds(master, T)`` — for the counter-coin built-ins
+and for third-party protocols that draw from each trial's own generator.
 """
 
 import numpy as np
@@ -26,20 +26,21 @@ TRIALS = 6
 MASTER = 1234
 
 
-class LegacyRandomProtocol(BroadcastProtocol):
-    """Stateful, rng-consuming protocol with no batch override — exercises
-    the default clone adapter."""
+class ThirdPartyRandomProtocol(BroadcastProtocol):
+    """Stateful third-party protocol drawing from each trial's own
+    generator — the per-trial streams must survive trial compaction."""
 
-    name = "legacy-random"
+    name = "third-party-random"
 
-    def reset(self, network, source, rng):
-        super().reset(network, source, rng)
-        self.calls = 0
+    def reset_batch(self, network, source, rngs):
+        self._rngs = list(rngs)
 
-    def transmitters(self, round_index, informed, network):
-        self.calls += 1
-        draw = self._rng.random(network.n) < 0.5
-        return draw & informed
+    def select_trials(self, keep):
+        self._rngs = [g for g, k in zip(self._rngs, keep) if k]
+
+    def transmitters_batch(self, round_index, informed, network):
+        draws = [g.random(network.n) < 0.5 for g in self._rngs]
+        return np.stack(draws, axis=1) & informed
 
 
 def _protocol_factories():
@@ -49,7 +50,7 @@ def _protocol_factories():
         DecayProtocol,
         lambda: AlohaProtocol(0.3),
         SpokesmanBroadcastProtocol,
-        LegacyRandomProtocol,
+        ThirdPartyRandomProtocol,
     ]
 
 
@@ -66,7 +67,7 @@ class TestBatchLoopEquivalence:
     @pytest.mark.parametrize(
         "factory", _protocol_factories(),
         ids=["flooding", "round-robin", "decay", "aloha", "spokesman",
-             "legacy-adapter"],
+             "third-party"],
     )
     def test_seeded_batch_matches_seeded_loop(self, factory):
         g = hypercube(5)
@@ -131,48 +132,12 @@ class TestBatchLoopEquivalence:
         # Different streams -> not all trials take identical time.
         assert len(set(batch.rounds.tolist())) > 1
 
-    def test_single_run_drives_the_passed_instance(self):
-        # The classic contract: a T=1 run leaves its state on the protocol
-        # object itself (no clone), so callers can introspect afterwards.
-        proto = LegacyRandomProtocol()
-        res = run_broadcast(hypercube(4), proto, seed=0)
-        assert proto.calls == res.rounds
-
-    def test_legacy_override_of_vectorized_builtin_is_honored(self):
-        # Subclassing a natively vectorized protocol through the legacy
-        # hook must route through the clone adapter, not the inherited
-        # vectorized path.
-        class EveryOtherRoundDecay(DecayProtocol):
-            def transmitters(self, round_index, informed, network):
-                if round_index % 2:
-                    return np.zeros(network.n, dtype=bool)
-                return super().transmitters(round_index, informed, network)
-
-        g = hypercube(5)
-        batch = run_broadcast_batch(
-            g, EveryOtherRoundDecay(), trials=4, seed=MASTER
-        )
-        seeds = spawn_seeds(as_rng(MASTER), 4)
-        for t, seed in enumerate(seeds):
-            single = run_broadcast(g, EveryOtherRoundDecay(), seed=seed)
-            _assert_trial_equal(batch, t, single)
-        # Odd round indices are silent; transmissions in even round index
-        # r land as first-informed round r + 1, so every non-source
-        # arrival time is odd — proof the override actually ran.
-        arrivals = batch.first_informed_round[1:, :]
-        assert (arrivals[arrivals >= 0] % 2 == 1).all()
-
     def test_vectorized_protocol_without_select_trials(self):
-        # A stateless vectorized protocol may ignore select_trials; the
-        # base default must be a safe no-op when trials complete.
+        # A stateless protocol defines only transmitters_batch; the base
+        # reset_batch and select_trials must be safe no-ops when trials
+        # complete.
         class VectorFlood(BroadcastProtocol):
             name = "vector-flood"
-
-            def reset_batch(self, network, source, rngs):
-                pass
-
-            def transmitters(self, round_index, informed, network):
-                return informed.copy()
 
             def transmitters_batch(self, round_index, informed, network):
                 return informed.copy()
@@ -180,6 +145,56 @@ class TestBatchLoopEquivalence:
         batch = run_broadcast_batch(path_graph(5), VectorFlood(), trials=3, seed=0)
         assert batch.completed.all()
         assert (batch.rounds == 4).all()
+
+
+def _decay_overriding_transmitters(calls):
+    class DecayWithSingleRunHook(DecayProtocol):
+        def reset_batch(self, network, source, rngs):
+            calls.append("reset_batch")
+            super().reset_batch(network, source, rngs)
+
+        def transmitters(self, round_index, informed, network):
+            calls.append("transmitters")
+            return informed.copy()
+
+    return DecayWithSingleRunHook()
+
+
+def _fresh_protocol_defining_reset(calls):
+    class ResetAndFlood(BroadcastProtocol):
+        name = "reset-and-flood"
+
+        def reset(self, network, source, rng):
+            calls.append("reset")
+
+        def transmitters_batch(self, round_index, informed, network):
+            calls.append("transmitters_batch")
+            return informed.copy()
+
+    return ResetAndFlood()
+
+
+class TestRetiredHooks:
+    """The single-run hooks are gone from the engine: a class defining one
+    is rejected before any round runs instead of being silently ignored."""
+
+    @pytest.mark.parametrize(
+        "make", [_decay_overriding_transmitters, _fresh_protocol_defining_reset],
+        ids=["decay-subclass-transmitters", "fresh-protocol-reset"],
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g, p: run_broadcast(g, p, seed=0),
+            lambda g, p: run_broadcast_batch(g, p, trials=3, seed=0),
+        ],
+        ids=["run_broadcast", "run_broadcast_batch"],
+    )
+    def test_retired_hook_raises_type_error(self, make, run):
+        calls = []
+        with pytest.raises(TypeError, match="retired single-run hook"):
+            run(hypercube(3), make(calls))
+        assert calls == []
 
 
 class TestBatchResultShapes:

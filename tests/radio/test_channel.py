@@ -24,10 +24,13 @@ from repro.radio import (
     FaultSchedule,
     FloodingProtocol,
     RadioNetwork,
+    SpokesmanBroadcastProtocol,
+    StaticScheduleProtocol,
     make_channel,
     parse_fault_spec,
     run_broadcast,
     run_broadcast_batch,
+    synthesize_broadcast_schedule,
 )
 
 MASTER = 424242
@@ -93,14 +96,28 @@ class TestErasureChannel:
         )
         assert single.rounds == int(base.rounds[0])
 
-    def test_batch_matches_seeded_loop(self):
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda g: DecayProtocol(),
+            # The genies draw no randomness: erasures are what make their
+            # trial columns differ.
+            lambda g: SpokesmanBroadcastProtocol(),
+            lambda g: StaticScheduleProtocol(synthesize_broadcast_schedule(g)),
+        ],
+        ids=["decay", "spokesman", "static-schedule"],
+    )
+    def test_batch_matches_seeded_loop(self, factory):
         g = hypercube(5)
         batch = run_broadcast_batch(
-            g, DecayProtocol(), trials=6, seed=MASTER, channel=ErasureChannel(0.25)
+            g, factory(g), trials=6, seed=MASTER, channel=ErasureChannel(0.25),
+            max_rounds=400,
         )
+        assert len({tuple(c) for c in batch.first_informed_round.T}) > 1
         for t, seed in enumerate(spawn_seeds(as_rng(MASTER), 6)):
             single = run_broadcast(
-                g, DecayProtocol(), seed=seed, channel=ErasureChannel(0.25)
+                g, factory(g), seed=seed, channel=ErasureChannel(0.25),
+                max_rounds=400,
             )
             assert single.rounds == int(batch.rounds[t])
             assert single.transmissions == int(batch.transmissions[t])

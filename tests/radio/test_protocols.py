@@ -1,4 +1,8 @@
-"""Protocol classes: transmit-set semantics, names, parameters."""
+"""Protocol classes: transmit-set semantics, names, parameters.
+
+Each property is checked on a single trial column driven through the
+batch hooks (``reset_batch`` then ``transmitters_batch``).
+"""
 
 import numpy as np
 import pytest
@@ -15,25 +19,29 @@ from repro.radio import (
 
 
 def _informed_prefix(n, k):
-    mask = np.zeros(n, dtype=bool)
+    mask = np.zeros((n, 1), dtype=bool)
     mask[:k] = True
     return mask
+
+
+def _reset(proto, net, seed):
+    proto.reset_batch(net, 0, [np.random.default_rng(seed)])
 
 
 class TestFlooding:
     def test_transmits_exactly_informed(self):
         net = RadioNetwork(path_graph(5))
         proto = FloodingProtocol()
-        proto.reset(net, 0, np.random.default_rng(0))
+        _reset(proto, net, 0)
         informed = _informed_prefix(5, 3)
-        assert (proto.transmitters(0, informed, net) == informed).all()
+        assert (proto.transmitters_batch(0, informed, net) == informed).all()
 
     def test_does_not_alias_informed(self):
         net = RadioNetwork(path_graph(4))
         proto = FloodingProtocol()
-        proto.reset(net, 0, np.random.default_rng(0))
+        _reset(proto, net, 0)
         informed = _informed_prefix(4, 2)
-        out = proto.transmitters(0, informed, net)
+        out = proto.transmitters_batch(0, informed, net)
         out[:] = False
         assert informed.sum() == 2  # caller's mask untouched
 
@@ -42,19 +50,19 @@ class TestRoundRobin:
     def test_single_slot_per_round(self):
         net = RadioNetwork(complete_graph(5))
         proto = RoundRobinProtocol()
-        proto.reset(net, 0, np.random.default_rng(0))
-        informed = np.ones(5, dtype=bool)
+        _reset(proto, net, 0)
+        informed = np.ones((5, 1), dtype=bool)
         for r in range(10):
-            out = proto.transmitters(r, informed, net)
+            out = proto.transmitters_batch(r, informed, net)
             assert out.sum() == 1
-            assert out[r % 5]
+            assert out[r % 5, 0]
 
     def test_silent_when_slot_uninformed(self):
         net = RadioNetwork(complete_graph(5))
         proto = RoundRobinProtocol()
-        proto.reset(net, 0, np.random.default_rng(0))
+        _reset(proto, net, 0)
         informed = _informed_prefix(5, 1)
-        assert proto.transmitters(3, informed, net).sum() == 0
+        assert proto.transmitters_batch(3, informed, net).sum() == 0
 
 
 class TestDecay:
@@ -62,18 +70,18 @@ class TestDecay:
         # In round 0 of each phase, p = 1: everyone informed transmits.
         net = RadioNetwork(hypercube(3))
         proto = DecayProtocol(phase_length=4)
-        proto.reset(net, 0, np.random.default_rng(1))
+        _reset(proto, net, 1)
         informed = _informed_prefix(8, 5)
-        out = proto.transmitters(0, informed, net)
+        out = proto.transmitters_batch(0, informed, net)
         assert (out == informed).all()
 
     def test_probability_decays_within_phase(self):
         net = RadioNetwork(complete_graph(64))
         proto = DecayProtocol(phase_length=8)
-        proto.reset(net, 0, np.random.default_rng(2))
-        informed = np.ones(64, dtype=bool)
+        _reset(proto, net, 2)
+        informed = np.ones((64, 1), dtype=bool)
         counts = [
-            int(proto.transmitters(r, informed, net).sum()) for r in range(8)
+            int(proto.transmitters_batch(r, informed, net).sum()) for r in range(8)
         ]
         # Strictly decreasing is too strong for a random draw; compare
         # the first round (p=1) against a late round (p=1/64).
@@ -83,7 +91,7 @@ class TestDecay:
     def test_default_phase_length(self):
         net = RadioNetwork(hypercube(4))
         proto = DecayProtocol()
-        proto.reset(net, 0, np.random.default_rng(3))
+        _reset(proto, net, 3)
         assert proto._k == 5  # ceil(log2(16)) + 1
 
 
@@ -97,9 +105,9 @@ class TestAloha:
     def test_p_one_is_flooding(self):
         net = RadioNetwork(path_graph(6))
         proto = AlohaProtocol(1.0)
-        proto.reset(net, 0, np.random.default_rng(4))
+        _reset(proto, net, 4)
         informed = _informed_prefix(6, 4)
-        assert (proto.transmitters(0, informed, net) == informed).all()
+        assert (proto.transmitters_batch(0, informed, net) == informed).all()
 
     def test_completes_on_clique_with_good_p(self):
         g = complete_graph(16)
@@ -112,7 +120,7 @@ class TestAloha:
     def test_subset_of_informed(self):
         net = RadioNetwork(complete_graph(10))
         proto = AlohaProtocol(0.7)
-        proto.reset(net, 0, np.random.default_rng(6))
+        _reset(proto, net, 6)
         informed = _informed_prefix(10, 4)
-        out = proto.transmitters(0, informed, net)
+        out = proto.transmitters_batch(0, informed, net)
         assert not (out & ~informed).any()
