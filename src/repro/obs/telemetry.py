@@ -180,13 +180,11 @@ class RoundTelemetry:
 
 class TelemetryAccumulator:
     """Collects one full-width ``(T,)`` count row per field per round
-    inside an engine loop.
+    inside the engines' round loop.
 
-    The dense engine compacts completed trials out of its working set, so
-    its per-round rows arrive as ``(active_ids, narrow row)`` pairs and are
-    scattered to batch width here (absent columns stay zero — exactly what
-    a frozen trial contributes).  The bitset engine appends full rows
-    directly.
+    Both frontiers hand over rows at batch width: the dense one widens its
+    compacted rows itself, a retired trial's column reading zero (a frozen
+    trial does nothing).
     """
 
     def __init__(self, trials: int) -> None:
@@ -196,17 +194,9 @@ class TelemetryAccumulator:
         }
 
     def append_full(self, **rows: np.ndarray) -> None:
-        """Record one round of full-width ``(T,)`` rows (bitset path)."""
+        """Record one round of full-width ``(T,)`` rows."""
         for name in TELEMETRY_FIELDS:
             self._rows[name].append(np.asarray(rows[name], dtype=np.int64))
-
-    def append_active(self, active: np.ndarray, **rows: np.ndarray) -> None:
-        """Record one round of compacted rows, scattered via ``active``
-        trial ids (dense path)."""
-        for name in TELEMETRY_FIELDS:
-            full = np.zeros(self.trials, dtype=np.int64)
-            full[active] = rows[name]
-            self._rows[name].append(full)
 
     def extras(self) -> dict[str, np.ndarray]:
         """The accumulated ``(R, T)`` matrices as prefixed extras entries."""

@@ -46,7 +46,6 @@ from repro._util.rng import (
 
 __all__ = [
     "FirstInformedPlanes",
-    "TransmissionTally",
     "any_neighbor_words",
     "any_neighbor_words_at",
     "exactly_one_words",
@@ -396,48 +395,6 @@ def packed_counter_coins(
         else:
             out[rows[ps : ps + pm]] = packed
     return out
-
-
-class TransmissionTally:
-    """Bit-sliced per-(node, trial) tallies over packed transmit rounds.
-
-    Summing transmission energy per trial needs, per round, the column
-    counts of the ``(n, W)`` transmit words — but only their *total*
-    over the run is reported, so counting every round is wasted work.  This tally instead accumulates each round's words into binary
-    counter planes (``planes[i]`` holds bit ``i`` of every ``(node,
-    trial)`` cell's round count) with a vectorized ripple-carry add —
-    three word ops per touched plane, and amortized O(1) planes touched
-    per round since plane ``i`` only carries every ``2^i`` rounds.  The
-    column counts run once per :meth:`drain` (every few dozen rounds, and
-    at the end) over ``log2`` many planes instead of once per round.
-    """
-
-    def __init__(self) -> None:
-        self._planes: list[np.ndarray] = []
-
-    def add(self, words: np.ndarray) -> None:
-        """Ripple-carry ``words`` (an ``(n, W)`` 0/1-bit layer) into the
-        counter planes.  ``words`` itself is never mutated."""
-        carry = words
-        for plane in self._planes:
-            nxt = plane & carry
-            plane ^= carry
-            carry = nxt
-            if not carry.any():
-                return
-        if carry.any():
-            self._planes.append(carry.copy() if carry is words else carry)
-
-    def drain(self, trials: int) -> np.ndarray | None:
-        """Per-trial totals accrued since the last drain (``(trials,)``
-        int64), resetting the planes; ``None`` if nothing accrued."""
-        if not self._planes:
-            return None
-        total = word_column_counts(self._planes[0])[:trials]
-        for i, plane in enumerate(self._planes[1:], start=1):
-            total = total + (word_column_counts(plane)[:trials] << np.int64(i))
-        self._planes.clear()
-        return total
 
 
 #: Words per fold row block: a block's accumulators and gather buffer

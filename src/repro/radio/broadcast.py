@@ -11,7 +11,8 @@ Two entry points share one engine:
 * :func:`run_broadcast` — the classic single-run API, now the ``T = 1``
   special case of the batch engine.
 
-Two interchangeable backends sit behind them, selected by ``engine``:
+One round loop drives every run; ``engine`` picks the frontier it
+advances — the trial-state representation and one round's work:
 
 * ``dense`` — trial state as ``(n, T)`` bool matrices, one sparse integer
   product per round, completed trials compacted out of the working set.
@@ -23,6 +24,11 @@ Two interchangeable backends sit behind them, selected by ``engine``:
   randomness makes the remaining trials' streams independent of it).
 * ``auto`` — bitset when the channel and protocol support it natively and
   the graph is large enough to benefit; dense otherwise.
+
+The loop owns the reset order, completion, per-trial rounds, the
+informed-count rows and the result; both frontiers keep full-width
+per-trial counts and count each round's transmitters, which are both the
+energy totals and the telemetry row.
 
 Both backends are bit-for-bit identical on every channel/protocol the
 bitset path supports — the property ``tests/radio/test_bitset_engine.py``
@@ -52,6 +58,16 @@ import numpy as np
 from repro._util import as_rng, spawn_seeds
 from repro.graphs.graph import Graph
 from repro.obs.telemetry import TELEMETRY_PREFIX, TelemetryAccumulator
+from repro.radio.bitset import (
+    FirstInformedPlanes,
+    full_mask_words,
+    neighbor_fold_words,
+    neighbor_or_at,
+    pack_bool_matrix,
+    row_flags,
+    sparse_column_counts,
+    word_column_counts,
+)
 from repro.radio.channel import ChannelModel, ClassicCollision
 from repro.radio.network import ColumnCounter, RadioNetwork
 from repro.radio.protocols import BroadcastProtocol, legacy_hooks_specialized
@@ -73,10 +89,6 @@ _ENGINES = ("auto", "dense", "bitset")
 #: Below it the dense engine's trial compaction usually wins; above it the
 #: packed working set and CSR gathers dominate.
 _AUTO_BITSET_MIN_N = 32768
-
-#: Rounds between drains of the bitset engine's transmission tally: caps
-#: its counter-plane stack at ``log2`` of this many ``(n, W)`` layers.
-_TALLY_DRAIN_ROUNDS = 32
 
 
 @dataclass(frozen=True)
@@ -451,6 +463,7 @@ def run_broadcast_batch(
     channel_model = channel if channel is not None else ClassicCollision()
     workload.check_channel(channel_model)
     resolved = _resolve_engine(engine, protocol, channel_model, graph.n, workload)
+    packed = resolved == "bitset"
 
     telemetry = bool(telemetry)
     budget = _as_memory_budget(memory_budget)
@@ -458,35 +471,33 @@ def run_broadcast_batch(
         shard = budget.max_trials(graph.n, resolved)
         if shard < trials:
             parts = [
-                _run_resolved(
-                    resolved, graph, protocol, channel_model, workload,
+                _run(
+                    packed, graph, protocol, channel_model, workload,
                     max_rounds, trial_rngs[start : start + shard], telemetry,
                 )
                 for start in range(0, trials, shard)
             ]
             return merge_batches(parts)
-    return _run_resolved(
-        resolved, graph, protocol, channel_model, workload, max_rounds,
+    return _run(
+        packed, graph, protocol, channel_model, workload, max_rounds,
         trial_rngs, telemetry,
     )
 
 
-def _run_resolved(
-    resolved, graph, protocol, channel_model, workload, max_rounds,
-    trial_rngs, telemetry=False,
-) -> BatchBroadcastResult:
-    run = _run_bitset if resolved == "bitset" else _run_dense
-    return run(
-        graph, protocol, channel_model, workload, max_rounds, trial_rngs,
-        telemetry,
-    )
-
-
-def _run_dense(
-    graph, protocol, channel_model, workload, max_rounds, trial_rngs,
+def _run(
+    packed, graph, protocol, channel_model, workload, max_rounds, trial_rngs,
     telemetry=False,
 ) -> BatchBroadcastResult:
-    """The ``(n, T)`` bool-matrix engine with trial compaction."""
+    """The round loop of both engines.
+
+    The driver owns what does not depend on the trial representation: the
+    reset order, completion, per-trial rounds, the informed-count rows and
+    the result.  The frontier (:class:`_PackedFrontier` when ``packed``,
+    :class:`_DenseFrontier` otherwise) owns the trial state and a round's
+    work.  A trial retires once it covers every target: it stops
+    transmitting and accruing rounds, and its full-width counts keep their
+    final values, so its rows past completion repeat its final count.
+    """
     trials = len(trial_rngs)
     network = RadioNetwork(graph, channel=channel_model)
     protocol.reset_batch(network, workload.protocol_source, trial_rngs)
@@ -501,52 +512,105 @@ def _run_dense(
     # can never receive, so waiting for them would always hit the cap.
     targets = network.channel.coverage_targets(network)
     need = graph.n if targets is None else int(np.count_nonzero(targets))
+    frontier = (_PackedFrontier if packed else _DenseFrontier)(
+        network, protocol, state, targets
+    )
+    tel = TelemetryAccumulator(trials) if telemetry else None
+    rounds = np.zeros(trials, dtype=np.int64)
+    count_rows: list[np.ndarray] = []
 
-    colsum = ColumnCounter()
-
-    n, T = graph.n, trials
-    satisfied = state.initial_satisfied()
-    first_round = np.full((n, T), -1, dtype=np.int64)
-    first_round[satisfied] = 0
-    completed = np.zeros(T, dtype=bool)
-    rounds = np.zeros(T, dtype=np.int64)
-    transmissions = np.zeros(T, dtype=np.int64)
-    # Per round: (still-active trial ids, their satisfied counts) — assembled
-    # into the dense (R, T) matrix at the end.
-    count_log: list[tuple[np.ndarray, np.ndarray]] = []
-    tel = TelemetryAccumulator(T) if telemetry else None
-
-    # Completed trials are compacted out of the working set, so late rounds
-    # (only the slowest trials still running) cost proportionally less —
-    # the batch pays the mean trial length, not T times the max.
-    active = np.arange(T)
-    # Satisfied and covered counts are counted once here and then kept
-    # running: the fold contract makes each round's fresh cells disjoint
-    # from the satisfied ones, so a per-trial bincount of the fresh cells
-    # advances both exactly.
-    counts0 = colsum(satisfied)
-    covered0 = counts0 if targets is None else colsum(satisfied[targets, :])
-    counts, covered = counts0, covered0
-    done0 = covered0 >= need
-    if done0.any():
-        completed[done0] = True
-        keep = ~done0
-        active = active[keep]
-        satisfied = satisfied[:, keep]
-        counts, covered = counts[keep], covered[keep]
-        if active.size:
-            protocol.select_trials(keep)
-            network.channel.select_trials(keep)
-            state.select_trials(keep)
-
+    running = frontier.covered < need
+    if not running.all():
+        frontier.retire(running)
     round_index = 0
-    while round_index < max_rounds and active.size:
-        eligible = state.transmit_eligible(satisfied)
-        mask = protocol.transmitters_batch(round_index, eligible, network)
+    while round_index < max_rounds and running.any():
+        frontier.step(round_index, tel)
+        round_index += 1
+        rounds[running] += 1
+        count_rows.append(frontier.counts)
+        done = running & (frontier.covered >= need)
+        if done.any():
+            running = running & ~done
+            frontier.retire(running)
+
+    extras = state.extras
+    if tel is not None:
+        extras = {**extras, **tel.extras()}
+    return BatchBroadcastResult(
+        trials=trials,
+        rounds=rounds,
+        completed=~running,
+        informed_per_round=(
+            np.stack(count_rows)
+            if count_rows
+            else np.zeros((0, trials), dtype=np.int64)
+        ),
+        first_informed_round=frontier.first_informed(),
+        transmissions=frontier.transmissions,
+        extras=extras,
+    )
+
+
+class _DenseFrontier:
+    """Trial state as ``(n, T)`` bool columns, one sparse integer product
+    per round, completed trials compacted out of the working set.
+
+    Compaction makes late rounds (only the slowest trials still running)
+    cost proportionally less: the batch pays the mean trial length, not
+    ``T`` times the max.  The working state covers the running trials
+    only; ``counts``, ``covered``, ``transmissions`` and telemetry rows are
+    widened to the full batch, retired columns keeping their final values
+    (zero in a telemetry row: a retired trial does nothing).
+    """
+
+    def __init__(self, network, protocol, state, targets) -> None:
+        self._network = network
+        self._protocol = protocol
+        self._state = state
+        self._targets = targets
+        self._colsum = ColumnCounter()
+        satisfied = state.initial_satisfied()
+        self._satisfied = satisfied
+        self._trials = satisfied.shape[1]
+        self._active = np.arange(self._trials)
+        self._first = np.full(satisfied.shape, -1, dtype=np.int64)
+        self._first[satisfied] = 0
+        # Counted once here and then kept running: the fold contract makes
+        # each round's fresh cells disjoint from the satisfied ones, so a
+        # per-trial bincount of the fresh cells advances both exactly.
+        self.counts = self._colsum(satisfied)
+        self.covered = (
+            self.counts if targets is None else self._colsum(satisfied[targets, :])
+        )
+        self.transmissions = np.zeros(self._trials, dtype=np.int64)
+
+    def _wide(self, row: np.ndarray) -> np.ndarray:
+        """A running-trials row at full batch width (retired columns 0)."""
+        if self._active.size == self._trials:
+            return row
+        full = np.zeros(self._trials, dtype=np.int64)
+        full[self._active] = row
+        return full
+
+    def retire(self, running: np.ndarray) -> None:
+        """Compact the working set to the ``running`` trials."""
+        keep = running[self._active]
+        self._active = self._active[keep]
+        self._satisfied = self._satisfied[:, keep]
+        if self._active.size:
+            self._protocol.select_trials(keep)
+            self._network.channel.select_trials(keep)
+            self._state.select_trials(keep)
+
+    def step(self, round_index: int, tel) -> None:
+        network, colsum, active = self._network, self._colsum, self._active
+        satisfied = self._satisfied
+        eligible = self._state.transmit_eligible(satisfied)
+        mask = self._protocol.transmitters_batch(round_index, eligible, network)
         mask = mask & eligible
         mask = network.channel.effective_transmitters(round_index, mask)
-        transmitters = colsum(mask)
-        transmissions[active] += transmitters
+        transmitters = self._wide(colsum(mask))
+        self.transmissions += transmitters
         if tel is not None:
             # The channel's own sparse product, pulled forward and primed
             # into the network's identity cache: victims read it here, the
@@ -556,13 +620,13 @@ def _run_dense(
         received = network.step(mask, round_index)
         feedback = network.channel.feedback
         if feedback is not None:
-            protocol.channel_feedback_batch(round_index, feedback, network)
-        fresh = state.fold(round_index, mask, received, satisfied, network)
+            self._protocol.channel_feedback_batch(round_index, feedback, network)
+        fresh = self._state.fold(round_index, mask, received, satisfied, network)
         # One flat index pass, split by divmod: much cheaper than the
         # per-axis nonzero on a sparse (n, active) frontier.
         rows, cols = np.divmod(np.flatnonzero(fresh), fresh.shape[1])
-        first_round[rows, active[cols]] = round_index + 1
-        newly = np.bincount(cols, minlength=active.size)
+        self._first[rows, active[cols]] = round_index + 1
+        newly = self._wide(np.bincount(cols, minlength=active.size))
         if tel is not None:
             # Victims are counted against the base adjacency on every
             # channel (the legacy tracer's convention: lossy channels show
@@ -570,232 +634,135 @@ def _run_dense(
             # transmitter is wasted when no neighbour received — a receiver
             # hears its unique transmitting neighbour, so any receiving
             # neighbour is a delivery credit.
-            tel.append_active(
-                active,
+            tel.append_full(
                 transmitters=transmitters,
-                receptions=colsum(received),
-                collision_victims=colsum((tcounts >= 2) & ~mask),
+                receptions=self._wide(colsum(received)),
+                collision_victims=self._wide(colsum((tcounts >= 2) & ~mask)),
                 newly_informed=newly,
-                wasted_transmissions=colsum(
+                wasted_transmissions=self._wide(colsum(
                     mask & ~(network.transmit_counts(received) > 0)
-                ),
+                )),
             )
-        round_index += 1
-        rounds[active] += 1
         satisfied |= fresh
-        counts = counts + newly
-        count_log.append((active, counts))
-        if targets is None:
-            covered = counts
+        self.counts = self.counts + newly
+        if self._targets is None:
+            self.covered = self.counts
         else:
-            covered = covered + np.bincount(
-                cols[targets[rows]], minlength=active.size
+            self.covered = self.covered + self._wide(
+                np.bincount(cols[self._targets[rows]], minlength=active.size)
             )
-        keep = covered < need
-        if not keep.all():
-            completed[active[~keep]] = True
-            active = active[keep]
-            satisfied = satisfied[:, keep]
-            counts, covered = counts[keep], covered[keep]
-            protocol.select_trials(keep)
-            network.channel.select_trials(keep)
-            state.select_trials(keep)
 
-    # Rows past a trial's completion hold its final satisfied count (= n for
-    # full-coverage channels); holes only appear after a trial leaves the
-    # working set, so a running maximum fills them.
-    informed_per_round = np.full((round_index, T), -1, dtype=np.int64)
-    for r, (idx, counts) in enumerate(count_log):
-        informed_per_round[r, idx] = counts
-    if round_index:
-        # Trials done before round 1 never enter the count log; their
-        # columns hold the initial count throughout (broadcast never hits
-        # this — its initial coverage is all-or-nothing across trials).
-        if done0.any():
-            informed_per_round[0, done0] = counts0[done0]
-        np.maximum.accumulate(informed_per_round, axis=0, out=informed_per_round)
-
-    extras = state.extras
-    if tel is not None:
-        extras = {**extras, **tel.extras()}
-    return BatchBroadcastResult(
-        trials=T,
-        rounds=rounds,
-        completed=completed,
-        informed_per_round=informed_per_round,
-        first_informed_round=first_round,
-        transmissions=transmissions,
-        extras=extras,
-    )
+    def first_informed(self) -> np.ndarray:
+        return self._first
 
 
-def _run_bitset(
-    graph, protocol, channel_model, workload, max_rounds, trial_rngs,
-    telemetry=False,
-) -> BatchBroadcastResult:
-    """The packed-word backend: trial state 64-to-a-word, CSR gathers.
+class _PackedFrontier:
+    """Trial state packed 64-to-a-word (``(n, ceil(T/64))`` uint64),
+    reception via CSR neighbour-word gathers.
 
     Instead of compacting completed trials, their bits are cleared from
-    the packed ``running`` mask: they stop transmitting (so other trials'
+    the packed running mask: they stop transmitting (so other trials'
     reception is unaffected — exactly what dense compaction achieves) and
-    their frozen informed words keep contributing their final counts to
-    ``informed_per_round``, matching the dense engine's row-fill
-    semantics.  Counter-based randomness means never-compacted per-trial
-    keys index the same streams either way — the bit-for-bit anchor.
+    their frozen informed words keep their final counts.  Counter-based
+    randomness means never-compacted per-trial keys index the same streams
+    either way — the bit-for-bit anchor.
 
     Only set-semantics workloads, packed channels and ``words_native``
     protocols run here (``_resolve_engine`` guarantees it): satisfaction
     is a bit, so the workload's whole contribution is the packed initial
-    matrix — the fold is the engine's own ``received & ~informed``.
+    matrix — the fold is the frontier's own ``received & ~informed``.
     First-informed rounds accrue as bit-sliced planes
     (:class:`~repro.radio.bitset.FirstInformedPlanes`), decoded to the
     ``(n, T)`` int64 result once at the end.
     """
-    from repro.radio.bitset import (
-        FirstInformedPlanes,
-        TransmissionTally,
-        full_mask_words,
-        neighbor_fold_words,
-        pack_bool_matrix,
-        row_flags,
-        word_column_counts,
-    )
 
-    trials = len(trial_rngs)
-    network = RadioNetwork(graph, channel=channel_model)
-    protocol.reset_batch(network, workload.protocol_source, trial_rngs)
-    network.channel.reset(network, trial_rngs)
-    # Workload last — the same draw order as the dense engine, which is
-    # what makes gossip's random sources engine-independent.
-    state = workload.make_state(network, trial_rngs)
-    targets = network.channel.coverage_targets(network)
-    need = graph.n if targets is None else int(np.count_nonzero(targets))
-
-    n, T = graph.n, trials
-    trial_mask = full_mask_words(T)
-    initial = state.initial_satisfied()
-    informed_words = pack_bool_matrix(initial)
-    running = trial_mask.copy()
-    active_mask = np.ones(T, dtype=bool)
-    # Rows with any informed bit, maintained incrementally: the engine's
-    # hint to the protocol's word face (uninformed rows cannot transmit).
-    informed_any = initial.any(axis=1)
-
-    first_informed = FirstInformedPlanes(n, informed_words.shape[1])
-    completed = np.zeros(T, dtype=bool)
-    rounds = np.zeros(T, dtype=np.int64)
-    transmissions = np.zeros(T, dtype=np.int64)
-    count_rows: list[np.ndarray] = []
-    # Informed counts are maintained incrementally — informed state is
-    # monotone, so each round adds exactly the popcount of its fresh bits
-    # (restricted to the touched rows) instead of re-counting (n, W).
-    counts = word_column_counts(informed_words[np.flatnonzero(informed_any)])[:T]
-    covered = (
-        counts
-        if targets is None
-        else word_column_counts(informed_words[targets])[:T]
-    )
-
-    done0 = covered >= need
-    if done0.any():
-        completed[done0] = True
-        active_mask &= ~done0
-        running = pack_bool_matrix(active_mask[None, :])[0]
-
-    # Energy totals accrue through bit-sliced counter planes, drained
-    # (column-counted) every few dozen rounds instead of counting every
-    # round.  With telemetry on, the exact per-round transmitter counts
-    # carry the totals instead.
-    tally = TransmissionTally()
-    tel = TelemetryAccumulator(T) if telemetry else None
-    no_counts = np.zeros(T, dtype=np.int64)
-
-    round_index = 0
-    informed_rows = np.flatnonzero(informed_any)
-    while round_index < max_rounds and active_mask.any():
-        tw = protocol.transmitters_words(
-            round_index, informed_words, network,
-            rows=informed_rows, active=active_mask,
+    def __init__(self, network, protocol, state, targets) -> None:
+        self._network = network
+        self._protocol = protocol
+        self._targets = targets
+        initial = state.initial_satisfied()
+        n, self._trials = initial.shape
+        self._informed = pack_bool_matrix(initial)
+        self._running = np.ones(self._trials, dtype=bool)
+        self._running_words = full_mask_words(self._trials)
+        # Rows with any informed bit, maintained incrementally: the hint to
+        # the protocol's word face (uninformed rows cannot transmit).
+        self._informed_any = initial.any(axis=1)
+        self._informed_rows = np.flatnonzero(self._informed_any)
+        self._first = FirstInformedPlanes(n, self._informed.shape[1])
+        # Informed counts are maintained incrementally — informed state is
+        # monotone, so each round adds exactly the popcount of its fresh
+        # bits (restricted to the touched rows) instead of re-counting.
+        self.counts = word_column_counts(
+            self._informed[self._informed_rows]
+        )[: self._trials]
+        self.covered = (
+            self.counts
+            if targets is None
+            else word_column_counts(self._informed[targets])[: self._trials]
         )
-        tw &= informed_words
-        tw &= running
-        if tel is None:
-            tally.add(tw)
-            if round_index % _TALLY_DRAIN_ROUNDS == _TALLY_DRAIN_ROUNDS - 1:
-                drained = tally.drain(T)
-                if drained is not None:
-                    transmissions += drained
-        else:
+        self.transmissions = np.zeros(self._trials, dtype=np.int64)
+
+    def retire(self, running: np.ndarray) -> None:
+        """Freeze the trials outside ``running``: clear their mask bits."""
+        self._running = running
+        self._running_words = pack_bool_matrix(running[None, :])[0]
+
+    def step(self, round_index: int, tel) -> None:
+        network, informed, T = self._network, self._informed, self._trials
+        tw = self._protocol.transmitters_words(
+            round_index, informed, network,
+            rows=self._informed_rows, active=self._running,
+        )
+        tw &= informed
+        tw &= self._running_words
+        # Transmitters are counted every round, against the informed state
+        # they were drawn from: one count serves the energy totals and the
+        # telemetry row.
+        tx_counts, tx_rows = _transmitter_counts(
+            tw, informed, self._running_words,
+            np.where(self._running, self.counts, 0), T,
+        )
+        self.transmissions += tx_counts
+        if tel is not None:
             # One pair fold yields both reception and collision structure:
             # exactly-one is primed into the network's identity cache so
             # the channel's deliver reuses it — the fold runs once either
-            # way.  Transmitters are counted now, against the informed
-            # state they were drawn from.
-            once, twice = neighbor_fold_words(graph.csr, tw)
-            tx_counts, tx_rows = _transmitter_counts(
-                tw, informed_words, running, np.where(active_mask, counts, 0), T
-            )
+            # way.
+            once, twice = neighbor_fold_words(network.graph.csr, tw)
             np.bitwise_and(once, ~twice, out=once)
             network.prime_exactly_one_words(tw, once)
             # twice is dead past exactly-one: reduce it to the collision
             # victims (silent, >= 2 transmitting neighbours) in place.
             np.bitwise_and(twice, ~tw, out=twice)
-        received_words = network.step_words(tw, round_index)
-        fresh = received_words & ~informed_words
-        round_index += 1
-        rounds[active_mask] += 1
-        informed_words |= fresh
-        newly = no_counts
+        received = network.step_words(tw, round_index)
+        fresh = received & ~informed
+        informed |= fresh
+        newly = np.zeros(T, dtype=np.int64)
         touched = np.flatnonzero(row_flags(fresh))
         if touched.size:
-            informed_any[touched] = True
-            first_informed.record(fresh, round_index)
+            self._informed_any[touched] = True
+            self._first.record(fresh, round_index + 1)
             fresh_touched = fresh[touched]
             newly = word_column_counts(fresh_touched)[:T]
-            counts = counts + newly
-            if targets is not None:
-                covered = covered + word_column_counts(
-                    fresh_touched[targets[touched]]
+            self.counts = self.counts + newly
+            self.covered = (
+                self.counts
+                if self._targets is None
+                else self.covered + word_column_counts(
+                    fresh_touched[self._targets[touched]]
                 )[:T]
-            if informed_rows.size < n:
-                informed_rows = np.flatnonzero(informed_any)
-        count_rows.append(counts)
+            )
+            if self._informed_rows.size < informed.shape[0]:
+                self._informed_rows = np.flatnonzero(self._informed_any)
         if tel is not None:
-            tel.append_full(**_bitset_telemetry_row(
-                graph.csr, tw, tx_rows, tx_counts, received_words, twice,
+            tel.append_full(**_packed_telemetry_row(
+                network.graph.csr, tw, tx_rows, tx_counts, received, twice,
                 newly, T,
             ))
-            transmissions += tx_counts
-        if targets is None:
-            covered = counts
-        done = (covered >= need) & active_mask
-        if done.any():
-            completed |= done
-            active_mask &= ~done
-            running = pack_bool_matrix(active_mask[None, :])[0]
 
-    if tel is None:
-        drained = tally.drain(T)
-        if drained is not None:
-            transmissions += drained
-    informed_per_round = (
-        np.stack(count_rows)
-        if count_rows
-        else np.zeros((0, T), dtype=np.int64)
-    )
-
-    extras = state.extras
-    if tel is not None:
-        extras = {**extras, **tel.extras()}
-    return BatchBroadcastResult(
-        trials=T,
-        rounds=rounds,
-        completed=completed,
-        informed_per_round=informed_per_round,
-        first_informed_round=first_informed.decode(informed_words, T),
-        transmissions=transmissions,
-        extras=extras,
-    )
+    def first_informed(self) -> np.ndarray:
+        return self._first.decode(self._informed, self._trials)
 
 
 def _transmitter_counts(tw, informed_words, running, informed_counts, trials):
@@ -807,8 +774,6 @@ def _transmitter_counts(tw, informed_words, running, informed_counts, trials):
     complement — informed, running, silent — is counted and subtracted
     from the informed counts the engine already keeps.
     """
-    from repro.radio.bitset import row_flags, sparse_column_counts
-
     flags = row_flags(tw)
     nnz = int(np.count_nonzero(flags))
     if 2 * nnz <= tw.shape[0]:
@@ -820,7 +785,7 @@ def _transmitter_counts(tw, informed_words, running, informed_counts, trials):
     return informed_counts - idle_counts, None
 
 
-def _bitset_telemetry_row(
+def _packed_telemetry_row(
     csr, tw, tx_rows, tx_counts, received, victims, newly, trials
 ) -> dict:
     """One round's telemetry counts on the packed engine.
@@ -835,8 +800,6 @@ def _bitset_telemetry_row(
     words is evaluated at the transmitter rows by whichever kernel the
     measured densities make cheapest.
     """
-    from repro.radio.bitset import neighbor_or_at, row_flags, sparse_column_counts
-
     recv_flags = row_flags(received)
     recv_counts, recv_nnz = sparse_column_counts(received, trials, recv_flags)
     victim_counts, _ = sparse_column_counts(victims, trials)

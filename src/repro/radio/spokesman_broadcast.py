@@ -50,12 +50,14 @@ class SpokesmanBroadcastProtocol(BroadcastProtocol):
     def transmitters_batch(
         self, round_index: int, informed: np.ndarray, network: RadioNetwork
     ) -> np.ndarray:
-        # The genie draws no randomness: each trial column is scheduled
-        # from its own informed set alone.
-        out = np.zeros_like(informed)
-        for t in range(informed.shape[1]):
-            out[self._elect(informed[:, t], network.graph), t] = True
-        return out
+        # The genie draws no randomness: a column's schedule is a function
+        # of its informed set alone, so each distinct informed set is
+        # elected once and its spokesmen copied to every column holding it.
+        columns, inverse = np.unique(informed, axis=1, return_inverse=True)
+        out = np.zeros(columns.shape, dtype=bool)
+        for j in range(columns.shape[1]):
+            out[self._elect(columns[:, j], network.graph), j] = True
+        return out[:, inverse.reshape(-1)]
 
     def _elect(self, informed: np.ndarray, graph) -> np.ndarray:
         """Vertex ids of the spokesmen elected for one informed set."""

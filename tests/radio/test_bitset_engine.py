@@ -13,18 +13,20 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro._util import counter_coin_blocks, counter_coins, parse_byte_size
-from repro.graphs import families, random_regular
+from repro.graphs import families, path_graph, random_regular
 from repro.graphs.graph import CSRAdjacency, Graph
 from repro.radio import (
     DecayProtocol,
     FloodingProtocol,
     MemoryBudget,
+    RoundRobinProtocol,
     run_broadcast_batch,
 )
 from repro.radio.bitset import (
-    TransmissionTally,
     exactly_one_words,
     full_mask_words,
     pack_bool_matrix,
@@ -34,7 +36,7 @@ from repro.radio.bitset import (
     word_count,
 )
 from repro.radio.broadcast import _resolve_engine
-from repro.radio.channel import ClassicCollision, CollisionDetection
+from repro.radio.channel import ClassicCollision, CollisionDetection, ErasureChannel
 from repro.radio.network import RadioNetwork
 from repro.scenario import Scenario
 
@@ -216,18 +218,6 @@ def test_counter_coin_blocks_matches_sliced_counter_coins():
         ):
             rebuilt[start : start + chunk.shape[0]] = chunk
         assert np.array_equal(rebuilt, full), f"p={p}"
-
-
-def test_transmission_tally_matches_direct_counts():
-    rng = np.random.default_rng(13)
-    tally = TransmissionTally()
-    expect = np.zeros(64 * 2, dtype=np.int64)
-    for _ in range(75):  # > one word of rounds → multi-plane carries
-        layer = rng.integers(0, 2**63, size=(23, 2), dtype=np.uint64)
-        tally.add(layer)
-        expect += word_column_counts(layer)
-    assert np.array_equal(tally.drain(128), expect)
-    assert tally.drain(128) is None  # drained planes reset
 
 
 @pytest.mark.parametrize("regular", [True, False], ids=["regular", "irregular"])
@@ -838,3 +828,47 @@ class TestEngineEquivalenceCases:
             )
         assert len(rec) == 2
         _assert_three_equal(runs, protocol.__name__)
+
+
+@st.composite
+def _engine_cases(draw):
+    """One small batch run: graph, protocol, channel, trial count at a
+    word edge, telemetry flag and round cap."""
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([3, 4]))
+        n = draw(st.integers(6, 40).filter(lambda n: n * d % 2 == 0))
+        graph = random_regular(n, d, rng=draw(st.integers(0, 2**16)))
+    else:
+        graph = path_graph(draw(st.integers(2, 16)))
+    p = draw(st.none() | st.sampled_from([0.1, 0.3, 0.6]))
+    return dict(
+        graph=graph,
+        protocol=draw(st.sampled_from(
+            [FloodingProtocol, RoundRobinProtocol, DecayProtocol]
+        )),
+        channel_factory=None if p is None else lambda: ErasureChannel(p),
+        trials=draw(st.sampled_from([1, 63, 64, 65])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        telemetry=draw(st.booleans()),
+        # Flooding never completes on a graph with a cycle, so every run
+        # is capped: mostly past completion, sometimes mid-run.
+        max_rounds=draw(st.just(200) | st.integers(1, 12)),
+    )
+
+
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=_engine_cases())
+def test_generated_dense_bitset_sharded_agree(case):
+    """dense ≡ bitset ≡ sharded on drawn graphs, protocols and channels:
+    both frontiers of the one round loop, cut anywhere by a round cap."""
+    graph, protocol, channel_factory = (
+        case.pop("graph"), case.pop("protocol"), case.pop("channel_factory")
+    )
+    runs = _run_three_ways(
+        graph, protocol, case.pop("trials"),
+        channel_factory=channel_factory, **case,
+    )
+    _assert_three_equal(runs, f"{protocol.__name__} n={graph.n} {case}")

@@ -3,13 +3,17 @@
 
 import numpy as np
 
+from repro._util import as_rng, spawn_seeds
 from repro.graphs import complete_graph, cplus_graph, hypercube, random_regular
 from repro.radio import (
     DecayProtocol,
+    ErasureChannel,
     SpokesmanBroadcastProtocol,
     run_broadcast,
+    run_broadcast_batch,
 )
 from repro.spokesman import spokesman_recursive
+from repro.spokesman.greedy_add import spokesman_greedy_add
 
 
 class TestSpokesmanBroadcast:
@@ -54,3 +58,68 @@ class TestSpokesmanBroadcast:
         assert res.completed
         gains = np.diff(np.concatenate([[1], res.informed_per_round]))
         assert (gains >= 1).all()
+
+
+class _CountingElection:
+    """A spokesman algorithm that counts its calls."""
+
+    __name__ = "counting"
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, gs):
+        self.calls += 1
+        return spokesman_greedy_add(gs)
+
+
+class TestElectionPerDistinctColumn:
+    """The genie elects once per distinct informed set, not per trial."""
+
+    def test_identical_columns_elect_once_per_round(self):
+        g = random_regular(64, 6, rng=10)
+        alone, batch = _CountingElection(), _CountingElection()
+        single = run_broadcast(g, SpokesmanBroadcastProtocol(alone), seed=1)
+        res = run_broadcast_batch(
+            g, SpokesmanBroadcastProtocol(batch), trials=16, seed=1
+        )
+        assert single.completed and single.rounds > 1
+        assert alone.calls == single.rounds
+        assert batch.calls == single.rounds
+        for t in range(16):
+            trial = res.trial(t)
+            assert trial.rounds == single.rounds
+            assert np.array_equal(
+                trial.first_informed_round, single.first_informed_round
+            )
+            assert np.array_equal(
+                trial.informed_per_round, single.informed_per_round
+            )
+            assert trial.transmissions == single.transmissions
+
+    def test_erasure_trials_match_standalone_runs(self):
+        g = hypercube(5)
+        counter = _CountingElection()
+        batch = run_broadcast_batch(
+            g, SpokesmanBroadcastProtocol(counter), trials=16, seed=7,
+            channel=ErasureChannel(0.2), max_rounds=400,
+        )
+        assert len({tuple(c) for c in batch.first_informed_round.T}) > 1
+        # Round 0's columns all hold just the source: one election serves
+        # them, so the batch elects fewer times than it runs trial-rounds.
+        assert counter.calls < batch.rounds.sum()
+        for t, seed in enumerate(spawn_seeds(as_rng(7), 16)):
+            single = run_broadcast(
+                g, SpokesmanBroadcastProtocol(), seed=seed,
+                channel=ErasureChannel(0.2), max_rounds=400,
+            )
+            trial = batch.trial(t)
+            assert trial.rounds == single.rounds
+            assert trial.completed == single.completed
+            assert np.array_equal(
+                trial.first_informed_round, single.first_informed_round
+            )
+            assert np.array_equal(
+                trial.informed_per_round, single.informed_per_round
+            )
+            assert trial.transmissions == single.transmissions
