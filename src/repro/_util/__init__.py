@@ -23,6 +23,7 @@ from repro._util.popcount import POPCOUNT16, popcount_u32, popcount_u64
 from repro._util.specstr import format_call, format_value, parse_call, parse_value
 from repro._util.rng import (
     as_rng,
+    counter_cell_coins,
     counter_coin_blocks,
     counter_coins,
     counter_uniforms,
@@ -46,6 +47,7 @@ __all__ = [
     "check_fraction",
     "check_positive",
     "check_positive_int",
+    "counter_cell_coins",
     "counter_coin_blocks",
     "counter_coins",
     "counter_uniforms",

@@ -22,9 +22,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy loads it lazily; every run seeds here
 
 __all__ = [
     "as_rng",
+    "counter_cell_coins",
     "counter_coin_blocks",
     "counter_coins",
     "counter_uniforms",
@@ -150,11 +152,18 @@ def _lattice_blocks(
         m = min(block, count - s)
         dest = buf[:m] if out is None else out[s : s + m]
         z = np.bitwise_xor(tiled[:m], nh[s : s + m], out=dest)
-        z *= _MURMUR_A
-        t = np.right_shift(z, np.uint32(13), out=tmp[:m])
-        z ^= t
-        z *= _MURMUR_B
-        yield s, z
+        yield s, _murmur_passes(z, tmp[:m])
+
+
+def _murmur_passes(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Murmur's middle passes, in place on seeded cells ``z`` (node hash
+    xor key/round hash), with ``tmp`` a scratch array of ``z``'s shape.
+    Shared by the lattice (:func:`_lattice_blocks`) and the cell form
+    (:func:`counter_cell_coins`), so the two cannot drift."""
+    z *= _MURMUR_A
+    z ^= np.right_shift(z, np.uint32(13), out=tmp)
+    z *= _MURMUR_B
+    return z
 
 
 def _finish(z: np.ndarray) -> np.ndarray:
@@ -273,6 +282,33 @@ def counter_coins(
     final_shift = not _threshold_exact_without_final_shift(threshold)
     bits = _counter_bits(keys, round_index, n, rows, final_shift)
     return bits < np.uint32(threshold)
+
+
+def counter_cell_coins(
+    keys: np.ndarray,
+    round_index: int,
+    n: int,
+    p: float,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Bernoulli(``p``) coins at the lattice cells ``(rows[i], cols[i])``.
+
+    Bit-identical to ``counter_coins(keys, round_index, n, p)[rows, cols]``
+    but hashes only the named cells: a caller whose coins matter at a
+    sparse set of (node, trial) cells (erasures of delivered messages)
+    skips the rest of the ``(n, T)`` lattice.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    threshold = math.ceil(p * 2.0**32)
+    if threshold >= 2**32 or threshold <= 0:
+        return np.full(rows.shape, threshold >= 2**32, dtype=bool)
+    keys = np.asarray(keys, dtype=np.uint64)
+    z = _node_hashes(n).ravel()[rows] ^ _key_round_hashes(keys, round_index)[cols]
+    _murmur_passes(z, np.empty_like(z))
+    if not _threshold_exact_without_final_shift(threshold):
+        _finish(z)
+    return z < np.uint32(threshold)
 
 
 def counter_coin_blocks(

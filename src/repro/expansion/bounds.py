@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import minimize_scalar
-
 __all__ = [
     "OPTIMAL_DEGREE_CLASS_BASE",
     "OPTIMAL_DEGREE_CLASS_CONSTANT",
@@ -157,12 +155,11 @@ def lemma_a3_guarantee(gamma: int, delta_avg: float) -> float:
     return gamma / (8 * delta_avg)
 
 
-#: The maximizer of ``log₂c / (2(1+c))`` (stated before Corollary A.7).
-OPTIMAL_DEGREE_CLASS_BASE: float = float(
-    minimize_scalar(
-        lambda c: -math.log2(c) / (2 * (1 + c)), bounds=(1.5, 10.0), method="bounded"
-    ).x
-)
+#: The maximizer of ``log₂c / (2(1+c))`` (stated before Corollary A.7):
+#: ``scipy.optimize.minimize_scalar`` of its negative on ``[1.5, 10]``
+#: (bounded), stored as the exact float it returns so that importing this
+#: module loads no scipy.  The closed form is ``1/W(1/e)`` (``c ln c = 1 + c``).
+OPTIMAL_DEGREE_CLASS_BASE: float = 3.5911218209548803
 
 #: The maximum value ``≈ 0.20087`` of ``log₂c / (2(1+c))``.
 OPTIMAL_DEGREE_CLASS_CONSTANT: float = math.log2(OPTIMAL_DEGREE_CLASS_BASE) / (
@@ -218,6 +215,8 @@ def corollary_a15_guarantee(gamma: int, delta_avg: float) -> float:
 def _mg_component3(x: float) -> float:
     """``max_{t>1} (1 − 1/t) · 0.20087 / log₂(t·x)`` (numeric; the optimal
     ``t`` solves ``ln(t·x) = t − 1``)."""
+    from scipy.optimize import minimize_scalar
+
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
 

@@ -12,17 +12,23 @@ Performance notes (per the hpc-parallel guides): adjacency is stored as CSR
 index arrays in *both* directions so that each side's neighbourhood scans are
 contiguous; unique-cover counting — the single hottest operation in the
 library — is a ``scipy.sparse`` mat-vec (``counts = B @ x``) followed by a
-vectorized comparison, never a Python loop over vertices.
+vectorized comparison, never a Python loop over vertices.  ``scipy.sparse``
+is imported where a matrix is first built, so paths that only gather over
+the CSR arrays (the packed broadcast engine) never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+from repro._util.dtypes import narrow_uint
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["BipartiteGraph", "BlockBipartite"]
 
@@ -32,24 +38,36 @@ __all__ = ["BipartiteGraph", "BlockBipartite"]
 _COUNT_COLUMNS = 16
 
 
+def _indptr(n_rows: int, rows: np.ndarray) -> np.ndarray:
+    """CSR row pointers of entries whose rows, in ``[0, n_rows)``, are
+    ``rows`` (in any order)."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr
+
+
 def _csr_from_edges(
     n_rows: int, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build (indptr, indices) CSR arrays with sorted, deduplicated rows."""
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    if len(rows) > 1:
-        dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-        if dup.any():
-            i = int(np.flatnonzero(dup)[0])
-            raise ValueError(
-                f"duplicate edge ({int(rows[i + 1])}, {int(cols[i + 1])})"
-            )
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, cols.astype(np.int64, copy=False)
+    """Build (indptr, indices) CSR arrays with sorted rows; raises
+    ``ValueError`` on a duplicate edge.  Edges already strictly increasing
+    in ``(row, col)`` order (as :meth:`Graph.boundary_blocks` hands them
+    over) skip the sort: that order has no duplicates."""
+    if rows.size > 1:
+        step = rows[1:] - rows[:-1]
+        ordered = (step > 0) | ((step == 0) & (cols[1:] > cols[:-1]))
+        if not ordered.all():
+            order = np.lexsort((cols, rows))
+            rows = rows[order]
+            cols = cols[order]
+            dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+            if dup.any():
+                i = int(np.flatnonzero(dup)[0])
+                raise ValueError(
+                    f"duplicate edge ({int(rows[i + 1])}, {int(cols[i + 1])})"
+                )
+    # A copy: sorted input would otherwise alias the caller's edge array.
+    return _indptr(n_rows, rows), np.array(cols, dtype=np.int64)
 
 
 def _gather_rows(
@@ -131,9 +149,15 @@ class BipartiteGraph:
         self._left_indptr, self._left_indices = _csr_from_edges(
             self.n_left, lefts, rights
         )
-        self._right_indptr, self._right_indices = _csr_from_edges(
-            self.n_right, rights, lefts
-        )
+        # The left CSR lists the edges in (left, right) order, so a stable
+        # sort by right gives the right CSR's (right, left) order (a radix
+        # sort once the keys narrow to 16 bits).
+        keys = narrow_uint(self._left_indices, self.n_right - 1)
+        order = np.argsort(keys, kind="stable")
+        self._right_indptr = _indptr(self.n_right, self._left_indices)
+        self._right_indices = np.repeat(
+            np.arange(self.n_left, dtype=np.int64), self.left_degrees
+        )[order]
         self._biadjacency: sp.csr_matrix | None = None
         self._left_matrix: sp.csr_matrix | None = None
 
@@ -162,6 +186,8 @@ class BipartiteGraph:
         Rows index the *right* side, columns the *left* side, matching the
         orientation used internally for unique-cover counting.
         """
+        import scipy.sparse as sp
+
         coo = sp.coo_matrix(matrix)
         mask = coo.data != 0
         edges = np.column_stack([coo.col[mask], coo.row[mask]])
@@ -260,6 +286,8 @@ class BipartiteGraph:
         Cached; used for the hot ``counts = B @ x`` kernel.
         """
         if self._biadjacency is None:
+            import scipy.sparse as sp
+
             self._biadjacency = sp.csr_matrix(
                 (
                     np.ones(self.n_edges, dtype=np.int32),
@@ -274,6 +302,8 @@ class BipartiteGraph:
     def left_matrix(self) -> sp.csr_matrix:
         """``n_left × n_right`` transpose view of :attr:`biadjacency`."""
         if self._left_matrix is None:
+            import scipy.sparse as sp
+
             self._left_matrix = sp.csr_matrix(
                 (
                     np.ones(self.n_edges, dtype=np.int32),

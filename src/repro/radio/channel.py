@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import counter_coins, derive_keys
+from repro._util import counter_cell_coins, derive_keys
 
 __all__ = [
     "CHANNELS",
@@ -228,17 +228,26 @@ class ErasureChannel(ChannelModel):
                 "before stepping (the broadcast engine does this; direct "
                 "users call channel.reset(network, [rng]))"
             )
-        received = (network.transmit_counts(transmitting) == 1) & ~transmitting
+        # A C-ordered result, so its flat view below writes through.
+        received = np.empty(transmitting.shape, dtype=bool)
+        np.equal(network.transmit_counts(transmitting), 1, out=received)
+        received &= ~transmitting
         trials = 1 if transmitting.ndim == 1 else transmitting.shape[1]
         if self._keys.shape[0] != trials:
             raise ValueError(
                 f"channel was reset for {self._keys.shape[0]} trials but "
                 f"stepped with {trials}"
             )
-        dropped = counter_coins(self._keys, round_index, transmitting.shape[0], self.p)
-        if transmitting.ndim == 1:
-            dropped = dropped[:, 0]
-        return received & ~dropped
+        # Erasure coins only matter where something was received: hash
+        # those cells alone (identical bits, a fraction of the lattice).
+        flat = received.reshape(-1)
+        cells = np.flatnonzero(flat)
+        rows = cells // trials
+        cols = cells - rows * trials
+        n = received.shape[0]
+        dropped = counter_cell_coins(self._keys, round_index, n, self.p, rows, cols)
+        flat[cells[dropped]] = False
+        return received
 
     def deliver_words(
         self, round_index: int, transmit_words: np.ndarray, network

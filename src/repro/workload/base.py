@@ -83,9 +83,6 @@ class WorkloadState:
         matrices, per-trial targets) is compacted.
         """
 
-    def finalize(self, satisfied: np.ndarray, active) -> None:
-        """Post-loop hook (compute derived extras); default: nothing."""
-
 
 class SetWorkloadState(WorkloadState):
     """State for set-semantics workloads: a fixed initial rumor set."""

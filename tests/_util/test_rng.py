@@ -9,6 +9,7 @@ from repro._util.rng import (
     _counter_bits,
     _threshold_exact_without_final_shift,
     as_rng,
+    counter_cell_coins,
     counter_coin_blocks,
     counter_coins,
     counter_uniforms,
@@ -142,3 +143,32 @@ class TestExactCoinShortcut:
         assert np.array_equal(
             counter_uniforms(keys, 2, 50), bits * 2.0**-32
         )
+
+
+class TestCounterCellCoins:
+    """The cell form hashes only the named ``(node, trial)`` cells and must
+    agree with the full lattice there, on either side of the shortcut."""
+
+    @pytest.mark.parametrize("thr", SHORTCUT_THRESHOLDS)
+    def test_matches_the_lattice_at_each_cell(self, thr):
+        gen = np.random.default_rng(thr)
+        keys = gen.integers(0, 2**64, size=5, dtype=np.uint64)
+        rows = gen.integers(0, 300, size=400)
+        cols = gen.integers(0, 5, size=400)
+        p = thr / 2**32
+        for round_index in (0, 9):
+            full = counter_coins(keys, round_index, 300, p)
+            cells = counter_cell_coins(keys, round_index, 300, p, rows, cols)
+            assert np.array_equal(cells, full[rows, cols])
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_probabilities(self, p):
+        keys = np.arange(1, 4, dtype=np.uint64)
+        cells = counter_cell_coins(keys, 2, 10, p, np.arange(6), np.arange(6) % 3)
+        assert cells.dtype == bool
+        assert np.array_equal(cells, np.full(6, p == 1.0))
+
+    def test_no_cells(self):
+        keys = np.arange(1, 4, dtype=np.uint64)
+        empty = np.zeros(0, dtype=np.int64)
+        assert counter_cell_coins(keys, 2, 10, 0.3, empty, empty).shape == (0,)

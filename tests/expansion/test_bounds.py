@@ -126,6 +126,21 @@ class TestAppendixBounds:
         assert OPTIMAL_DEGREE_CLASS_BASE == pytest.approx(3.59112, abs=1e-3)
         assert OPTIMAL_DEGREE_CLASS_CONSTANT == pytest.approx(0.20087, abs=1e-4)
 
+    def test_degree_class_base_literal(self):
+        # The stored literal is the optimizer's maximizer and the closed
+        # form 1/W(1/e) of c·ln c = 1 + c.
+        from scipy.optimize import minimize_scalar
+        from scipy.special import lambertw
+
+        found = minimize_scalar(
+            lambda c: -math.log2(c) / (2 * (1 + c)),
+            bounds=(1.5, 10.0),
+            method="bounded",
+        ).x
+        closed = 1 / lambertw(1 / math.e).real
+        assert OPTIMAL_DEGREE_CLASS_BASE == pytest.approx(found, abs=1e-5)
+        assert OPTIMAL_DEGREE_CLASS_BASE == pytest.approx(closed, abs=1e-5)
+
     def test_class_guarantee(self):
         assert lemma_a5_class_guarantee(18, 2.0) == 3.0
         with pytest.raises(ValueError):

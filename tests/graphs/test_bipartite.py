@@ -60,8 +60,30 @@ class TestConstruction:
         assert g.has_isolated_right()
 
     def test_rejects_duplicate_edges(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            BipartiteGraph(2, 2, [(0, 0), (0, 0)])
+        # In (left, right) order and out of it: both must see the repeat.
+        for edges in ([(0, 1), (0, 1), (1, 0)], [(1, 0), (0, 1), (0, 1)]):
+            with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+                BipartiteGraph(2, 2, edges)
+
+    def test_sorted_and_shuffled_edges_build_the_same_csr(self):
+        gen = np.random.default_rng(3)
+        cells = np.flatnonzero(gen.random(40 * 300) < 0.1)
+        edges = np.column_stack([cells // 300, cells % 300])
+        ordered = BipartiteGraph(40, 300, edges)
+        shuffled = BipartiteGraph(40, 300, edges[gen.permutation(len(edges))])
+        for side in ("left", "right"):
+            for part in ("indptr", "indices"):
+                name = f"_{side}_{part}"
+                assert np.array_equal(getattr(ordered, name), getattr(shuffled, name))
+        for v in (0, 7, 299):
+            lefts = edges[edges[:, 1] == v, 0]
+            assert ordered.neighbors_of_right(v).tolist() == lefts.tolist()
+
+    def test_sorted_edges_are_copied(self):
+        edges = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int64)
+        g = BipartiteGraph(2, 2, edges)
+        edges[:] = 0
+        assert g.edges().tolist() == [[0, 0], [0, 1], [1, 1]]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ The two anchor invariants the satellite tests pin down:
 import numpy as np
 import pytest
 
-from repro._util import as_rng, spawn_seeds
+from repro._util import as_rng, counter_coins, derive_keys, spawn_seeds
 from repro.graphs import Graph, hypercube, path_graph, random_regular
 from repro.radio import (
     AdversarialJamming,
@@ -145,6 +145,27 @@ class TestErasureChannel:
         )
         assert not res.completed.any()
         assert (res.first_informed_round[1:, :] == -1).all()
+
+    def test_deliver_matches_the_full_coin_lattice(self):
+        # Coins are hashed only at received cells; the bits must be those
+        # of the full (n, T) lattice there.
+        g = random_regular(64, 6, rng=0)
+        for trials in (1, 7):
+            channel = ErasureChannel(0.3)
+            net = RadioNetwork(g, channel=channel)
+            rngs = [as_rng(s) for s in spawn_seeds(MASTER, trials)]
+            channel.reset(net, rngs)
+            keys = derive_keys([as_rng(s) for s in spawn_seeds(MASTER, trials)])
+            mat = _random_masks(g.n, trials, trials)
+            mask = mat if trials > 1 else mat[:, 0]
+            for round_index in (0, 5):
+                received = ClassicCollision().deliver(round_index, mask, net)
+                dropped = counter_coins(keys, round_index, g.n, 0.3)
+                expected = received & ~(dropped if trials > 1 else dropped[:, 0])
+                out = channel.deliver(round_index, mask, net)
+                assert out.shape == mask.shape
+                assert np.array_equal(out, expected)
+                assert (received & ~out).any()
 
     def test_requires_reset_before_direct_step(self):
         net = RadioNetwork(path_graph(3), channel=ErasureChannel(0.5))
