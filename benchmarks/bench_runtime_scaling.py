@@ -1,6 +1,6 @@
 """E16 — runtime: parallel executor scaling and warm-cache replay.
 
-Runs the same ≥64-task chain-broadcast sweep four ways through
+Runs the same ≥64-task chain-broadcast scenario sweep four ways through
 ``run_sweep``: inline serial (the reference), ``ParallelExecutor`` at
 ``--jobs 4``, serial with a cold content-addressed cache, and a warm-cache
 replay.  The acceptance bars are a ≥ 2.5× parallel speedup (full scale,
@@ -17,16 +17,21 @@ from conftest import JOBS, SMOKE, emit, scaled
 
 from repro.analysis import render_table, run_sweep
 from repro.runtime import ParallelExecutor, ResultStore
+from repro.scenario import GraphSpec, Scenario
 
 # The acceptance bar is stated at 4 workers; `repro run E16 --jobs N`
 # (REPRO_JOBS) widens the pool beyond it.
 PAR_JOBS = max(4, JOBS)
 SPACE = {
-    "s": scaled([2, 4, 8, 16], [2, 4]),
-    "layers": scaled([2, 4, 6, 8], [2, 3]),
+    "graph": [
+        GraphSpec.make("chain", s, layers)
+        for s in scaled([2, 4, 8, 16], [2, 4])
+        for layers in scaled([2, 4, 6, 8], [2, 3])
+    ]
 }
 REPS = scaled(4, 2)  # 16 grid points x 4 reps = 64 tasks at full scale
 TRIALS = scaled(256, 4)
+BASE = Scenario(graph=SPACE["graph"][0], trials=TRIALS)
 MASTER = 11
 
 HEADERS = ["mode", "tasks", "seconds", "speedup", "equal"]
@@ -39,14 +44,11 @@ def _cpus() -> int:
 
 
 def _sweep(executor=None, cache=None):
-    from repro.runtime.tasks import chain_broadcast_point
-
     return run_sweep(
         SPACE,
-        chain_broadcast_point,
+        scenario=BASE,
         seed=MASTER,
         repetitions=REPS,
-        static_params={"trials": TRIALS},
         executor=executor,
         cache=cache,
     )

@@ -1,9 +1,9 @@
 """Quickstart for the runtime layer: parallel, cached, resumable sweeps.
 
-Runs the same chain-broadcast grid three ways through ``run_sweep`` —
-inline serial, process-parallel, and cache-backed — and shows that all
-three produce bit-for-bit identical ``SweepPoint`` lists while the cached
-rerun is a pure replay.
+Runs the same chain-broadcast scenario grid three ways through
+``run_sweep`` — inline serial, process-parallel, and cache-backed — and
+shows that all three produce bit-for-bit identical ``SweepPoint`` lists
+while the cached rerun is a pure replay.
 
 Run it twice to see the cache warm up::
 
@@ -20,15 +20,20 @@ import time
 
 from repro.analysis import run_sweep
 from repro.runtime import ParallelExecutor, ResultStore
-from repro.runtime.tasks import chain_broadcast_point
+from repro.scenario import GraphSpec, Scenario
 
-SPACE = {"s": [4, 8], "layers": [2, 4]}  # 4 grid points
-SWEEP = dict(seed=0, repetitions=4, static_params={"trials": 32})
+# 4 grid points: the chain graph is the one swept scenario field.
+SPACE = {"graph": [GraphSpec.make("chain", s, l) for s in (4, 8) for l in (2, 4)]}
+SWEEP = dict(
+    scenario=Scenario.from_string("chain(4, 2) | decay | trials=32"),
+    seed=0,
+    repetitions=4,
+)
 
 
 def timed(label, **kwargs):
     t0 = time.perf_counter()
-    points = run_sweep(SPACE, chain_broadcast_point, **SWEEP, **kwargs)
+    points = run_sweep(SPACE, **SWEEP, **kwargs)
     print(f"{label:>24}: {len(points)} points in {time.perf_counter() - t0:.2f}s")
     return points
 
@@ -52,7 +57,7 @@ def main() -> None:
               f"({store.stats().entries} entries)")
 
     best = min(serial, key=lambda p: p.result["mean_rounds"])
-    print(f"{'fastest grid point':>24}: {best.params} "
+    print(f"{'fastest grid point':>24}: {best.params['graph'].describe()} "
           f"mean {best.result['mean_rounds']:.1f} rounds")
 
 

@@ -220,8 +220,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "wasted-transmission trajectories, expander vs chain vs C⁺ under "
         "classic and erasure channels on the bitset engine — batched "
         "telemetry bit-for-bit identical dense vs bitset, ≤ 15% overhead",
-        ("repro.obs.telemetry", "repro.obs.tracing",
-         "repro.radio.broadcast", "repro.radio.trace"),
+        ("repro.obs.telemetry", "repro.obs.tracing", "repro.radio.broadcast"),
         "bench_collision_telemetry.py", ("E20_collision_telemetry.txt",),
         scenario=Scenario.from_string(
             "random_regular(10000, 16) | decay | classic | trials=64 "

@@ -11,6 +11,8 @@ Commands
 ``spokesman``   Algorithm shoot-out on a chosen instance.
 ``broadcast``   Section 5 chain scaling against D·log2(n/D).
 ``hops``        Per-hop timing distribution (concentration check).
+``schedule``    Synthesized static broadcast schedule against randomized
+                Decay on the same graph.
 ``worstcase``   Corollary 4.11 planted bad set.
 ``channels``    Broadcast degradation across channel/fault models (E15).
 ``expansion``   Batched wireless-expansion estimation (βw) of a
@@ -43,8 +45,8 @@ overrides tweak individual fields::
     repro hops -S channel=cd -S protocol=collision-backoff
     repro sweep --scenario sweep-smoke -S seed=3 --resume
 
-Simulation commands also uniformly take ``--seed`` (master seed) and
-``--jobs`` (worker processes; tasks are farmed through
+Simulation commands take ``--seed`` (master seed); those that farm tasks
+also take ``--jobs`` (worker processes; tasks are farmed through
 :class:`repro.runtime.ParallelExecutor`, with results bit-for-bit identical
 to serial runs).  The legacy ``--channel`` / ``--erasure-p`` / ``--faults``
 flags remain as spelling sugar for ``-S channel=...``.
@@ -336,7 +338,7 @@ def _add_scenario_flags(p: "argparse.ArgumentParser") -> None:
         "-S", "--set", dest="scenario_set", action="append", default=[],
         metavar="KEY=VALUE",
         help="scenario field override (repeatable): graph/protocol/channel/"
-             "workload/trials/seed/source/max_rounds/engine/memory_budget/"
+             "workload/trials/seed/max_rounds/engine/memory_budget/"
              "telemetry or dotted spec fields such as channel.erasure_p; "
              "e.g. -S workload='gossip(k=4)' or -S telemetry=on")
     p.add_argument(
@@ -452,35 +454,31 @@ def _cmd_hops(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    from repro.analysis import run_sweep, summarize
+    from repro._util import as_rng, spawn_seeds
+    from repro.analysis import summarize
     from repro.graphs import random_regular
-    from repro.radio import synthesize_broadcast_schedule
-    from repro.runtime.tasks import broadcast_rounds_point
+    from repro.radio import (
+        DecayProtocol,
+        run_broadcast_batch,
+        synthesize_broadcast_schedule,
+    )
     from repro.scenario import GraphSpec
 
-    # Deterministic families travel as specs (the scenario-routed task
-    # path); the randomized one is built once here so the synthesized
-    # schedule and the Decay comparison see the same instance.
-    if args.graph == "hypercube":
-        gspec = GraphSpec.make("hypercube", args.size)
-    elif args.graph == "grid":
-        gspec = GraphSpec.make("grid", args.size)
+    # One graph instance for both sides: the synthesized schedule and the
+    # randomized Decay comparison run on the same (possibly random) graph.
+    if args.graph == "regular":
+        g = random_regular(2**args.size, 6, rng=args.seed)
     else:
-        gspec = None
-    if gspec is not None:
-        g = gspec.build().graph
-    else:
-        g = random_regular(2**args.size, 6, rng=_seed(args))
+        g = GraphSpec.make(args.graph, args.size).build().graph
     schedule = synthesize_broadcast_schedule(g, source=0)
     ok, informed = schedule.verify(g)
-    # The randomized comparison: --reps independent Decay runs, scheduled
-    # through the runtime so --jobs parallelizes them.
-    points = run_sweep(
-        {}, broadcast_rounds_point, seed=_seed(args), repetitions=args.reps,
-        static_params={"graph": gspec if gspec is not None else g,
-                       "source": 0},
-        executor=_executor(args))
-    rounds = [r for pt in points for r in pt.result["rounds"]]
+    # --reps independent Decay runs as one batch; trial r is seeded exactly
+    # like a single-trial run under the r-th repetition seed of --seed.
+    batch = run_broadcast_batch(
+        g, DecayProtocol(), trials=args.reps, source=0,
+        trial_rngs=[spawn_seeds(s, 1)[0]
+                    for s in spawn_seeds(as_rng(args.seed), args.reps)])
+    rounds = [int(r) for r in batch.rounds]
     print(f"graph: {args.graph}({args.size}) n={g.n}")
     print(f"  schedule length {schedule.length} rounds "
           f"(eccentricity {g.eccentricity(0)}), verified: {ok}")
@@ -708,24 +706,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     batch = scenario.run(executor=_executor(args))
     tel = RoundTelemetry.from_batch(batch)
+    # One per-round pass: the table rows are the recorder's events.
+    events = list(telemetry_events(tel, scenario=scenario.describe()))
     rec = active_recorder()
     if rec is not None:
-        for event in telemetry_events(tel, scenario=scenario.describe()):
+        for event in events:
             rec.record(event)
-    rows = []
-    for r in range(tel.rounds):
-        receptions = int(tel.receptions[r].sum())
-        victims = int(tel.collision_victims[r].sum())
-        contacted = receptions + victims
-        rows.append([
-            r + 1,
-            int(tel.transmitters[r].sum()),
-            receptions,
-            victims,
-            int(tel.newly_informed[r].sum()),
-            int(tel.wasted_transmissions[r].sum()),
-            f"{victims / contacted:.1%}" if contacted else "-",
-        ])
+    rows = [
+        [ev["round"], ev["transmitters"], ev["receptions"],
+         ev["collision_victims"], ev["newly_informed"],
+         ev["wasted_transmissions"],
+         f"{ev['collision_rate']:.1%}"
+         if ev["receptions"] + ev["collision_victims"] else "-"]
+        for ev in events
+    ]
     if len(rows) > 40:
         # A round-capped run can log thousands of identical stall rounds;
         # keep the opening anatomy and the tail, elide the middle.
@@ -1123,7 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=6)
     p.add_argument("--reps", type=int, default=1,
                    help="independent Decay comparison runs")
-    _add_exec_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_schedule)
 
     p = sub.add_parser(

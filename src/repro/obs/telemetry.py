@@ -10,9 +10,8 @@ both backends emit, per round × per trial,
 * ``receptions`` — successful deliveries (post-channel, so lossy channels
   show as receptions < contacts);
 * ``collision_victims`` — silent processors with ≥ 2 transmitting
-  neighbours, always counted against the *base* adjacency (the classic
-  collision picture, matching the legacy tracer's semantics on every
-  channel);
+  neighbours, always counted against the *base* adjacency on every
+  channel (the classic collision picture);
 * ``newly_informed`` — cells first satisfied this round;
 * ``wasted_transmissions`` — transmitters none of whose neighbours
   received this round.  A receiver hears its unique transmitting
@@ -29,7 +28,10 @@ trial transmits nothing).  Dense and bitset engines produce bit-for-bit
 identical telemetry on every configuration both support.
 
 :class:`RoundTelemetry` is the assembled view (``RoundTelemetry.from_batch``)
-with the derived rates the experiments plot.
+with the derived rates the experiments plot.  A single traced run is its
+``T = 1`` column: ``RoundTelemetry.from_batch(run_broadcast_batch(g, p,
+trials=1, trial_rngs=[seed], telemetry=True))`` describes exactly the
+execution ``run_broadcast(g, p, seed=seed)`` produces.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class RoundTelemetry:
 
     def mean_collision_rate(self) -> float:
         """Mean per-(round, trial) collision rate over cells with contact
-        (the batch generalization of the legacy tracer's scalar)."""
+        (0.0 when no cell had any)."""
         contacted = self.contacted
         mask = contacted > 0
         if not mask.any():

@@ -13,7 +13,7 @@ probabilistic, so experiments need many independent trials per graph, and
     from repro.radio import DecayProtocol, run_broadcast_batch
 
     batch = run_broadcast_batch(hypercube(10), DecayProtocol(),
-                                trials=256, rng=0)
+                                trials=256, seed=0)
     batch.completion_rate      # fraction of trials that informed everyone
     batch.round_quantiles()    # median / p90 / p99 broadcast time
     batch.trial(7)             # any trial as a plain BroadcastResult
@@ -29,7 +29,7 @@ default :class:`ClassicCollision` is the paper's model, and
 :class:`AdversarialJamming` open feedback-, loss-, and fault-model
 workloads on the same engine::
 
-    run_broadcast_batch(g, DecayProtocol(), trials=256, rng=0,
+    run_broadcast_batch(g, DecayProtocol(), trials=256, seed=0,
                         channel=ErasureChannel(0.2))
 """
 
@@ -79,7 +79,6 @@ from repro.radio.schedule import (
     synthesize_layer_schedule,
 )
 from repro.radio.spokesman_broadcast import SpokesmanBroadcastProtocol
-from repro.radio.trace import DetailedTrace, RoundRecord, run_broadcast_traced
 
 __all__ = [
     "AlohaProtocol",
@@ -117,9 +116,6 @@ __all__ = [
     "run_broadcast_batch",
     "synthesize_broadcast_schedule",
     "synthesize_layer_schedule",
-    "DetailedTrace",
-    "RoundRecord",
-    "run_broadcast_traced",
     "HopTimeStudy",
     "hop_time_study",
 ]

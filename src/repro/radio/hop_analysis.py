@@ -119,8 +119,9 @@ def hop_time_study(
     The spec-first form takes a ``scenario`` whose graph is the ``chain``
     family — its ``s``/``layers`` arguments, protocol, channel, seed, and
     ``max_rounds`` configure the study, and its ``trials`` field sets the
-    default ``trials_per_chain`` (a ``source`` field is rejected: the
-    study always broadcasts from the chain root)::
+    default ``trials_per_chain`` (a workload segment, even a pinned
+    ``broadcast(source=N)``, is rejected: the study always broadcasts
+    from the chain root)::
 
         hop_time_study(
             scenario=Scenario.from_string("chain(8, 6) | decay | erasure(0.1)"),
@@ -157,11 +158,10 @@ def hop_time_study(
                 f"{scenario.graph.describe()!r}"
             )
         if scenario.workload.to_dict() != {"name": "broadcast"}:
-            # A bare source= canonicalizes into broadcast(source=...), so
-            # this one check rejects both spellings and every other task.
             raise ValueError(
                 "hop_time_study always broadcasts from the chain root; "
-                "drop the scenario's source=/workload field"
+                "drop the scenario's workload segment (a pinned "
+                "broadcast(source=N) included)"
             )
         s, num_layers = (int(a) for a in scenario.graph.args[:2])
         protocol_factory = scenario.protocol.build

@@ -11,29 +11,25 @@ The execution layer under every sweep and bench:
   keyed by (function, params, seed, code salt).
 * :mod:`repro.runtime.manifest` — :class:`SweepManifest`, the persisted
   task ledger that makes interrupted sweeps resumable.
-* :mod:`repro.runtime.tasks` — picklable task functions the CLI and
-  benches schedule.
 
-Quickstart::
+Quickstart — a scenario grid, farmed across cores and content-addressed
+(the canonical task payload is the pickled spec itself)::
 
     from repro.analysis import run_sweep
     from repro.runtime import ParallelExecutor, ResultStore
-    from repro.runtime.tasks import chain_broadcast_point
+    from repro.scenario import GraphSpec, Scenario
 
     points = run_sweep(
-        {"s": [4, 8], "layers": [2, 4]},
-        chain_broadcast_point,
+        {"graph": [GraphSpec.make("chain", s, l)
+                   for s in (4, 8) for l in (2, 4)]},
+        scenario=Scenario.from_string("chain(4, 2) | decay | trials=16"),
         seed=0,
         repetitions=4,
-        static_params={"trials": 16},
         executor=ParallelExecutor(4),      # farm grid points across cores
         cache=ResultStore("results/cache"),  # warm reruns replay instantly
     )
 
-Scenario-first equivalent (the canonical task payload is the pickled
-spec itself)::
-
-    from repro.scenario import Scenario
+One scenario alone shards its trials the same way::
 
     Scenario.from_string("chain(8, 4) | decay | classic | trials=64").run(
         executor=ParallelExecutor(4), cache=ResultStore("results/cache")

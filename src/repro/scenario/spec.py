@@ -9,7 +9,7 @@ This module makes that configuration a first-class object:
   channel side is :class:`repro.radio.channel.ChannelSpec`, promoted to
   the same interface);
 * :class:`Scenario` — the top-level spec tying the components to
-  ``trials`` / ``seed`` / ``source`` / ``max_rounds``, with one entry
+  ``trials`` / ``seed`` / ``max_rounds``, with one entry
   point, :meth:`Scenario.run`, replacing direct engine plumbing.
 
 Every spec supports four lossless views: the compact string form
@@ -28,10 +28,10 @@ Seeding contract
 For a deterministic graph family, ``Scenario(graph=g, seed=s).run()`` is
 bit-for-bit identical to ``run_broadcast_batch(graph, protocol,
 trials=..., seed=s)`` on the same graph.  For a randomized family the
-seed splits ``(protocol_seed, graph_seed) = spawn_seeds(seed, 2)`` — the
-exact discipline the legacy ``chain_broadcast_point`` task used, so
-spec-born and helper-born runs of the same configuration agree bit for
-bit (and therefore share cache entries).
+seed splits ``(protocol_seed, graph_seed) = spawn_seeds(seed, 2)``, so a
+spec-born run agrees bit for bit with ``measure_chain_broadcast_batch``
+(or any helper) handed the same two seeds, and spec-equal runs share
+cache entries.
 """
 
 from __future__ import annotations
@@ -256,16 +256,6 @@ def _segment_kinds(name: str) -> set:
     return kinds
 
 
-def _source_only_broadcast(spec: WorkloadSpec) -> bool:
-    """Is ``spec`` the canonical form a bare ``source=`` folds into —
-    ``broadcast`` with at most a ``source`` keyword and nothing else?"""
-    return (
-        spec.name == "broadcast"
-        and not spec.args
-        and set(dict(spec.kwargs)) <= {"source"}
-    )
-
-
 def _coerce_component(key: str, value):
     cls = _COMPONENT_TYPES[key]
     if isinstance(value, cls):
@@ -293,6 +283,13 @@ def _coerce_scalar(key: str, value):
                 f"{', '.join(_ENGINE_CHOICES)}; got {value!r}"
             )
         return value
+    if key == "source":
+        # Tombstone of the retired `Scenario.source` alias: the broadcast
+        # workload owns its source, so there is one spelling of it.
+        raise ValueError(
+            f"scenario field source={value} was removed; set the source "
+            "on the workload instead, e.g. broadcast(source=N)"
+        )
     if key == "backend":
         # Tombstone of the removed array-backend shim: every run is numpy,
         # so `backend=numpy` (any case, any `:device`) parses as a no-op
@@ -335,7 +332,7 @@ def _coerce_scalar(key: str, value):
         value = parsed
     elif isinstance(value, str):
         value = parse_value(value)
-    if key in ("source", "max_rounds", "memory_budget") and value is None:
+    if key in ("max_rounds", "memory_budget") and value is None:
         return None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise TypeError(f"scenario {key} must be an integer, got {value!r}")
@@ -358,13 +355,6 @@ class Scenario:
         engine.
     seed:
         Master seed; see the module docstring for the split discipline.
-    source:
-        Deprecated alias for ``workload=broadcast(source=...)``: a
-        non-``None`` value is canonicalized into the workload segment at
-        construction (and rejected eagerly if the workload defines its
-        own sources).  ``None`` — the default — uses the graph family's
-        default source (vertex 0 everywhere except the chain, whose root
-        is the source).
     max_rounds:
         Round cap; ``None`` is the engine's ``50·n·log₂n``-ish default.
     engine:
@@ -383,10 +373,16 @@ class Scenario:
         telemetry-off scenarios keep their pre-telemetry cache keys.
         Spec strings accept ``telemetry=on`` / ``telemetry=off``.
 
-    The string, dict and override views still accept ``backend=numpy``
-    (the removed array-backend selector) as a no-op, so old specs keep
-    parsing to the same scenario and cache key; any other backend is an
-    eager ``ValueError``.
+    The broadcast source is the workload's: ``broadcast(source=N)``.
+    Without one, the run starts at the graph family's default source
+    (vertex 0 everywhere except the chain, whose root is the source).
+    A ``source=`` field in the string, dict or override view is an eager
+    ``ValueError`` naming that spelling.
+
+    The same views still accept ``backend=numpy`` (the removed
+    array-backend selector) as a no-op, so old specs keep parsing to the
+    same scenario and cache key; any other backend is an eager
+    ``ValueError``.
     """
 
     graph: GraphSpec
@@ -395,7 +391,6 @@ class Scenario:
     workload: WorkloadSpec = WorkloadSpec("broadcast")
     trials: int = 1
     seed: int = 0
-    source: int | None = None
     max_rounds: int | None = None
     engine: str = "auto"
     memory_budget: int | None = None
@@ -424,12 +419,6 @@ class Scenario:
             )
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.source is not None and self.source < 0:
-            # The upper range needs the realized graph's n and is checked
-            # at build time; negative ids are never valid for any family.
-            raise ValueError(
-                f"source must be a vertex id (>= 0), got {self.source}"
-            )
         if self.engine not in _ENGINE_CHOICES:
             raise ValueError(
                 f"engine must be one of {', '.join(_ENGINE_CHOICES)}, "
@@ -443,34 +432,6 @@ class Scenario:
             object.__setattr__(
                 self, "telemetry", _coerce_scalar("telemetry", self.telemetry)
             )
-        # `source` is a deprecated alias of the broadcast workload's own
-        # parameter: canonicalize it into the workload segment so every
-        # view (string/dict/pickle) has one spelling and spec-equal
-        # scenarios hash to one cache key.  A non-broadcast workload
-        # defines its own sources, so combining the two fields is an
-        # eager error naming both.
-        if self.source is not None:
-            wd = self.workload.to_dict()
-            if wd.get("name") != "broadcast":
-                raise ValueError(
-                    f"scenario field source={self.source} applies only to "
-                    f"the broadcast workload, but workload="
-                    f"{self.workload.describe()!r} defines its own sources; "
-                    "set one of the two fields, not both"
-                )
-            if len(wd) > 1:
-                raise ValueError(
-                    f"scenario field source={self.source} conflicts with "
-                    f"the workload's own parameters in "
-                    f"{self.workload.describe()!r}; set the source in one "
-                    "place, not both"
-                )
-            object.__setattr__(
-                self,
-                "workload",
-                WorkloadSpec("broadcast", (), {"source": int(self.source)}),
-            )
-            object.__setattr__(self, "source", None)
 
     # ------------------------------------------------------------------
     # The four views
@@ -485,7 +446,7 @@ class Scenario:
         ``"chain(4, 2) | gossip(k=2)"`` works without naming a protocol),
         and any segment may be a ``key=value`` assignment (``graph=``,
         ``protocol=``, ``channel=``, ``workload=``, ``trials=``,
-        ``seed=``, ``source=``, ``max_rounds=``, ``engine=``,
+        ``seed=``, ``max_rounds=``, ``engine=``,
         ``memory_budget=``, ``telemetry=``)::
 
             "hypercube(10) | decay | erasure(0.05) | trials=64 | seed=3"
@@ -554,8 +515,7 @@ class Scenario:
         non-default scalar as ``key=value``.  ``from_string(describe())``
         reconstructs an equal scenario.  The workload segment appears
         only when non-default, so broadcast scenarios read as they always
-        did (a plain ``source=`` is canonicalized into
-        ``broadcast(source=...)`` at construction)."""
+        did."""
         parts = [
             self.graph.describe(),
             self.protocol.describe(),
@@ -588,8 +548,7 @@ class Scenario:
             "seed": int(self.seed),
         }
         # Emitted only when non-default so plain broadcast scenarios hash
-        # to the same content-address key shape they always did (the
-        # canonicalized `source` rides inside the workload entry).
+        # to the same content-address key shape they always did.
         if self.workload.to_dict() != _DEFAULT_WORKLOAD_DICT:
             out["workload"] = self.workload.to_dict()
         if self.max_rounds is not None:
@@ -604,8 +563,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scenario":
-        """Inverse of :meth:`to_dict` (also accepts the legacy ``source``
-        scalar, which canonicalizes into the workload entry)."""
+        """Inverse of :meth:`to_dict`."""
         extra = set(data) - set(_COMPONENT_FIELDS) - set(_SCALAR_FIELDS)
         if extra:
             raise ValueError(f"unknown scenario fields {sorted(extra)}")
@@ -621,8 +579,9 @@ class Scenario:
         for key in _SCALAR_FIELDS:
             if key in data:
                 kwargs[key] = data[key]
-        if "backend" in kwargs:
-            _coerce_scalar("backend", kwargs.pop("backend"))
+        for key in ("source", "backend"):
+            if key in kwargs:  # checked tombstones, see _coerce_scalar
+                _coerce_scalar(key, kwargs.pop(key))
         return cls(**kwargs)
 
     # ------------------------------------------------------------------
@@ -658,7 +617,7 @@ class Scenario:
         """A copy with the given field overrides applied.
 
         Keys are scenario fields (``graph``, ``protocol``, ``channel``,
-        ``workload``, ``trials``, ``seed``, ``source``, ``max_rounds``,
+        ``workload``, ``trials``, ``seed``, ``max_rounds``,
         ``engine``, ``memory_budget``, ``telemetry``) or dotted paths
         one level into a component spec (``channel.erasure_p``,
         ``protocol.name``, ``graph.family``).  Component values may be
@@ -689,19 +648,10 @@ class Scenario:
             elif head in _COMPONENT_FIELDS:
                 out = replace(out, **{head: _coerce_component(head, value)})
             elif head in _SCALAR_FIELDS:
-                updates = {head: _coerce_scalar(head, value)}
+                coerced = _coerce_scalar(head, value)
                 if head == "backend":
                     continue  # checked tombstone, see _coerce_scalar
-                if (
-                    head == "source"
-                    and updates[head] is not None
-                    and _source_only_broadcast(out.workload)
-                ):
-                    # The constructor folded an earlier `source=` into the
-                    # workload segment; the override replaces it, so reset
-                    # the workload and let __post_init__ re-canonicalize.
-                    updates["workload"] = WorkloadSpec("broadcast")
-                out = replace(out, **updates)
+                out = replace(out, **{head: coerced})
             else:
                 known = ", ".join(_COMPONENT_FIELDS + _SCALAR_FIELDS)
                 raise KeyError(
@@ -728,8 +678,7 @@ class Scenario:
         if workload_spec.to_dict() == _DEFAULT_WORKLOAD_DICT and built.source:
             # The graph family's default source (the chain's root) only
             # exists once the graph is realized — pin it on the default
-            # broadcast workload here, exactly where `source=None` used
-            # to resolve.
+            # broadcast workload here.
             workload_spec = WorkloadSpec(
                 "broadcast", (), {"source": int(built.source)}
             )

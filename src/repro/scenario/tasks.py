@@ -205,8 +205,8 @@ def scenario_summary(scenario) -> dict:
 
     Merges the graph family's ``meta`` facts (the chain family reports
     ``s``, ``layers``, ``diameter``, ``km_bound``) with the batch
-    outcome — the row format the CLI tables and result sidecars consume,
-    and a drop-in superset of the legacy ``chain_broadcast_point`` dict.
+    outcome — the row format the CLI tables, sweep points and result
+    sidecars consume.
     """
     scenario = _as_scenario(scenario)
     realized = scenario.build()

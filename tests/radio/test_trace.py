@@ -1,94 +1,107 @@
-"""Detailed broadcast tracing and collision accounting."""
+"""Single-run collision tracing: the ``T = 1`` column of batch telemetry.
+
+A traced run is ``RoundTelemetry.from_batch(run_broadcast_batch(...,
+trials=1, trial_rngs=[seed], telemetry=True))`` — seeded like
+``run_broadcast(..., seed=seed)``, so the trace describes exactly the
+execution the plain runner produces.
+"""
 
 import pytest
 
 from repro.graphs import cplus_graph, hypercube, path_graph
+from repro.obs.telemetry import TELEMETRY_FIELDS, RoundTelemetry
 from repro.radio import (
+    CollisionBackoffProtocol,
+    CollisionDetection,
     DecayProtocol,
+    ErasureChannel,
     FloodingProtocol,
+    RoundRobinProtocol,
     SpokesmanBroadcastProtocol,
     run_broadcast,
-    run_broadcast_traced,
+    run_broadcast_batch,
 )
 
 
-class TestTracedRunner:
+def traced(graph, protocol, seed, **kw):
+    """One traced run: ``(batch, telemetry)`` of its single trial."""
+    batch = run_broadcast_batch(
+        graph, protocol, trials=1, trial_rngs=[seed], telemetry=True, **kw
+    )
+    return batch, RoundTelemetry.from_batch(batch)
+
+
+def assert_matches_plain(batch, tel, plain):
+    assert batch.completed[0] == plain.completed
+    assert tel.rounds == plain.rounds
+    assert (batch.first_informed_round[:, 0] == plain.first_informed_round).all()
+    assert tel.totals()["transmitters"][0] == plain.transmissions
+
+
+class TestTracedRun:
     def test_agrees_with_plain_runner(self):
         g = hypercube(4)
         plain = run_broadcast(g, DecayProtocol(), source=0, seed=7)
-        traced = run_broadcast_traced(g, DecayProtocol(), source=0, seed=7)
-        assert traced.completed == plain.completed
-        assert len(traced.rounds) == plain.rounds
-        assert (
-            traced.first_informed_round == plain.first_informed_round
-        ).all()
-        assert traced.total_transmissions == plain.transmissions
+        batch, tel = traced(g, DecayProtocol(), 7, source=0)
+        assert_matches_plain(batch, tel, plain)
 
     def test_path_flooding_no_collisions(self):
         # One frontier vertex per side: flooding a path never collides at
         # the frontier... but interior nodes hear both neighbours.
-        g = path_graph(5)
-        trace = run_broadcast_traced(g, FloodingProtocol(), source=0, seed=0)
-        assert trace.completed
-        first = trace.rounds[0]
-        assert first.transmitters == 1
-        assert first.collision_victims == 0
+        batch, tel = traced(path_graph(5), FloodingProtocol(), 0, source=0)
+        assert batch.completed[0]
+        assert tel.transmitters[0, 0] == 1
+        assert tel.collision_victims[0, 0] == 0
 
     def test_cplus_flooding_collision_storm(self):
         # Round 2 on C+: {s0, x, y} all transmit; every clique vertex hears
         # x and y -> all collide, nobody new is informed.
-        g = cplus_graph(8)
-        trace = run_broadcast_traced(
-            g, FloodingProtocol(), source=0, max_rounds=5, seed=0
+        batch, tel = traced(
+            cplus_graph(8), FloodingProtocol(), 0, source=0, max_rounds=5
         )
-        assert not trace.completed
-        second = trace.rounds[1]
-        assert second.newly_informed == 0
-        assert second.collision_victims == 8 - 2  # the uninformed clique part
-        assert second.collision_rate == 1.0
+        assert not batch.completed[0]
+        assert tel.newly_informed[1, 0] == 0
+        assert tel.collision_victims[1, 0] == 8 - 2  # the uninformed clique part
+        assert tel.collision_rates[1, 0] == 1.0
 
     def test_spokesman_low_collisions_on_cplus(self):
-        g = cplus_graph(8)
-        trace = run_broadcast_traced(
-            g, SpokesmanBroadcastProtocol(), source=0, seed=0
+        batch, tel = traced(
+            cplus_graph(8), SpokesmanBroadcastProtocol(), 0, source=0
         )
-        assert trace.completed
-        assert trace.mean_collision_rate <= 0.5
+        assert batch.completed[0]
+        assert tel.mean_collision_rate() <= 0.5
 
-    def test_round_record_fields(self):
-        g = path_graph(3)
-        trace = run_broadcast_traced(g, FloodingProtocol(), source=0, seed=0)
-        r = trace.rounds[0]
-        assert r.round_index == 1
-        assert r.receptions == 1
-        assert r.newly_informed == 1
+    def test_first_round_fields(self):
+        _, tel = traced(path_graph(3), FloodingProtocol(), 0, source=0)
+        assert tel.rounds >= 1
+        assert tel.receptions[0, 0] == 1
+        assert tel.newly_informed[0, 0] == 1
 
     def test_collision_rate_zero_without_contact(self):
-        from repro.radio.trace import RoundRecord
-
-        r = RoundRecord(1, 0, 0, 0, 0)
-        assert r.collision_rate == 0.0
+        # Round-robin hands its slots out in vertex order, so broadcasting
+        # from the far end of a path leaves rounds with no transmitter and
+        # hence no contact.
+        _, tel = traced(path_graph(4), RoundRobinProtocol(), 0, source=3)
+        idle = tel.contacted[:, 0] == 0
+        assert idle.any()
+        assert (tel.collision_rates[idle, 0] == 0.0).all()
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
-            run_broadcast_traced(path_graph(3), FloodingProtocol(), source=9)
+            traced(path_graph(3), FloodingProtocol(), 0, source=9)
 
     def test_totals(self):
-        g = path_graph(4)
-        trace = run_broadcast_traced(g, FloodingProtocol(), source=0, seed=0)
-        assert trace.total_transmissions == sum(
-            r.transmitters for r in trace.rounds
-        )
-        assert trace.total_collision_victims == sum(
-            r.collision_victims for r in trace.rounds
-        )
+        _, tel = traced(path_graph(4), FloodingProtocol(), 0, source=0)
+        totals = tel.totals()
+        for name in TELEMETRY_FIELDS:
+            assert totals[name][0] == getattr(tel, name)[:, 0].sum()
 
 
 def _reference_flooding_trace(graph, source, max_rounds=64):
-    """The legacy serial tracer, re-derived: a pure-Python round loop with
-    Section 1.1 semantics (receive iff silent with exactly one transmitting
-    neighbour).  Flooding is deterministic, so this oracle reproduces the
-    engine's schedule without sharing any RNG machinery with it."""
+    """A pure-Python serial round loop with Section 1.1 semantics (receive
+    iff silent with exactly one transmitting neighbour).  Flooding is
+    deterministic, so this oracle reproduces the engine's schedule without
+    sharing any RNG machinery with it."""
     neighbors = [set() for _ in range(graph.n)]
     for u, v in graph.edges():
         neighbors[int(u)].add(int(v))
@@ -122,10 +135,9 @@ def _reference_flooding_trace(graph, source, max_rounds=64):
     return rounds, informed, first
 
 
-class TestLegacyTracerEquivalence:
+class TestReferenceLoopEquivalence:
     """The batched T=1 view must agree, field for field, with a serial
-    reference loop — the contract that let the old per-round tracer be
-    deleted in favour of the telemetry engine."""
+    reference loop."""
 
     @pytest.mark.parametrize(
         "make_graph",
@@ -137,62 +149,39 @@ class TestLegacyTracerEquivalence:
     )
     def test_flooding_matches_reference_loop(self, make_graph):
         g = make_graph()
-        trace = run_broadcast_traced(
-            g, FloodingProtocol(), source=0, seed=0, max_rounds=64
-        )
+        batch, tel = traced(g, FloodingProtocol(), 0, source=0, max_rounds=64)
         ref_rounds, ref_informed, ref_first = _reference_flooding_trace(
             g, source=0
         )
-        assert len(trace.rounds) == len(ref_rounds)
-        for got, want in zip(trace.rounds, ref_rounds):
+        assert tel.rounds == len(ref_rounds)
+        for r, want in enumerate(ref_rounds):
             for field, value in want.items():
-                assert getattr(got, field) == value, (field, got.round_index)
-        assert trace.completed == (len(ref_informed) == g.n)
+                assert getattr(tel, field)[r, 0] == value, (field, r + 1)
+        assert batch.completed[0] == (len(ref_informed) == g.n)
         for v, r in ref_first.items():
-            assert trace.first_informed_round[v] == r
+            assert batch.first_informed_round[v, 0] == r
 
     def test_path_flooding_wasted_anatomy(self):
         # path 0-1-2-3-4 from 0: each round the trailing transmitters
         # reach only other transmitters, so exactly the frontier's parent
         # chain is wasted: round 1 wastes nothing, later rounds waste all
         # but the frontier vertex.
-        trace = run_broadcast_traced(
-            path_graph(5), FloodingProtocol(), source=0, seed=0
-        )
-        wasted = [r.wasted_transmissions for r in trace.rounds]
-        assert wasted == [0, 1, 2, 3]
-        assert trace.total_wasted_transmissions == 6
+        _, tel = traced(path_graph(5), FloodingProtocol(), 0, source=0)
+        assert tel.wasted_transmissions[:, 0].tolist() == [0, 1, 2, 3]
+        assert tel.totals()["wasted_transmissions"][0] == 6
 
     def test_erasure_trace_agrees_with_plain_runner(self):
-        from repro.radio import run_broadcast
-        from repro.radio.channel import ErasureChannel
-
         g = hypercube(4)
-        kw = dict(source=0, seed=11, channel=ErasureChannel(0.3))
-        plain = run_broadcast(g, DecayProtocol(), **kw)
-        trace = run_broadcast_traced(g, DecayProtocol(), **kw)
-        assert trace.completed == plain.completed
-        assert len(trace.rounds) == plain.rounds
-        assert (
-            trace.first_informed_round == plain.first_informed_round
-        ).all()
-        assert trace.total_transmissions == plain.transmissions
-        for r in trace.rounds:
-            assert r.wasted_transmissions <= r.transmitters
-            assert r.newly_informed <= r.receptions
+        kw = dict(source=0, channel=ErasureChannel(0.3))
+        plain = run_broadcast(g, DecayProtocol(), seed=11, **kw)
+        batch, tel = traced(g, DecayProtocol(), 11, **kw)
+        assert_matches_plain(batch, tel, plain)
+        assert (tel.wasted_transmissions <= tel.transmitters).all()
+        assert (tel.newly_informed <= tel.receptions).all()
 
     def test_channel_feedback_branch_traced(self):
-        from repro.radio import run_broadcast
-        from repro.radio.channel import CollisionDetection
-        from repro.radio.protocols import CollisionBackoffProtocol
-
         g = hypercube(4)
-        kw = dict(source=0, seed=5, channel=CollisionDetection())
-        plain = run_broadcast(g, CollisionBackoffProtocol(), **kw)
-        trace = run_broadcast_traced(g, CollisionBackoffProtocol(), **kw)
-        assert trace.completed == plain.completed
-        assert len(trace.rounds) == plain.rounds
-        assert trace.total_transmissions == plain.transmissions
-        assert (
-            trace.first_informed_round == plain.first_informed_round
-        ).all()
+        kw = dict(source=0, channel=CollisionDetection())
+        plain = run_broadcast(g, CollisionBackoffProtocol(), seed=5, **kw)
+        batch, tel = traced(g, CollisionBackoffProtocol(), 5, **kw)
+        assert_matches_plain(batch, tel, plain)

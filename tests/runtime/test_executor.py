@@ -9,17 +9,27 @@ from repro.runtime import (
     as_executor,
     default_jobs,
 )
-from repro.runtime.tasks import chain_broadcast_point
+from repro.scenario import GraphSpec, Scenario, scenario_summary
 
 # Tiny but real workload shared by the equivalence tests: 4 grid points
 # x 2 reps = 8 tasks of batched chain broadcast.
-SPACE = {"s": [2, 4], "layers": [2, 3]}
-SWEEP_KW = dict(seed=7, repetitions=2, static_params={"trials": 2})
+CHAINS = [GraphSpec.make("chain", s, l) for s in (2, 4) for l in (2, 3)]
+SPACE = {"graph": CHAINS}
+SWEEP_KW = dict(
+    scenario=Scenario(graph=CHAINS[0], trials=2), seed=7, repetitions=2
+)
 
 
 def double(x, seed):
     """Module-level (hence picklable) toy task."""
     return (x * 2, seed)
+
+
+def chain_point(s, layers, seed):
+    """Module-level task running one chain scenario in the worker."""
+    return scenario_summary(
+        Scenario(graph=GraphSpec.make("chain", s, layers), seed=seed)
+    )
 
 
 class TestSerialExecutor:
@@ -53,7 +63,7 @@ class TestParallelExecutor:
         # s=3 violates the power-of-two contract inside the worker.
         with pytest.raises(ValueError, match="power of two"):
             ParallelExecutor(2).map(
-                chain_broadcast_point,
+                chain_point,
                 [{"s": 3, "layers": 2, "seed": 0}, {"s": 4, "layers": 2, "seed": 1}],
             )
 
@@ -91,22 +101,18 @@ class TestParallelSerialEquivalence:
     """The tentpole contract: identical SweepPoint lists, identical order."""
 
     def test_run_sweep_identical_across_executors(self):
-        serial = run_sweep(SPACE, chain_broadcast_point, **SWEEP_KW)
-        inline = run_sweep(
-            SPACE, chain_broadcast_point, **SWEEP_KW, executor=SerialExecutor()
-        )
-        parallel = run_sweep(
-            SPACE, chain_broadcast_point, **SWEEP_KW, executor=ParallelExecutor(2)
-        )
+        serial = run_sweep(SPACE, **SWEEP_KW)
+        inline = run_sweep(SPACE, **SWEEP_KW, executor=SerialExecutor())
+        parallel = run_sweep(SPACE, **SWEEP_KW, executor=ParallelExecutor(2))
         assert serial == inline == parallel
         # Order is the grid x repetition schedule, not completion order.
         assert [p.params for p in parallel] == [p.params for p in serial]
         assert [p.seed for p in parallel] == [p.seed for p in serial]
 
     def test_executor_accepts_int_jobs(self):
-        assert run_sweep(
-            SPACE, chain_broadcast_point, **SWEEP_KW, executor=2
-        ) == run_sweep(SPACE, chain_broadcast_point, **SWEEP_KW)
+        assert run_sweep(SPACE, **SWEEP_KW, executor=2) == run_sweep(
+            SPACE, **SWEEP_KW
+        )
 
     def test_batch_mode_through_executor(self):
         def batch(a, seeds):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import run_sweep
 from repro.runtime import ResultStore, SweepManifest, plan_sweep
-from repro.runtime.tasks import chain_broadcast_point
+from repro.scenario import GraphSpec, Scenario, scenario_summary
 
 SPACE = {"s": [2, 4], "layers": [2, 3]}
 KW = dict(seed=7, repetitions=2, static_params={"trials": 2})
@@ -12,6 +12,14 @@ KW = dict(seed=7, repetitions=2, static_params={"trials": 2})
 
 def toy(a, seed):
     return (a, seed)
+
+
+def chain_point(s, layers, seed, trials):
+    """Module-level (hence content-addressable) chain-broadcast task."""
+    return scenario_summary(
+        Scenario(graph=GraphSpec.make("chain", s, layers), trials=trials,
+                 seed=seed)
+    )
 
 
 FRAGILE_CALLS: list = []
@@ -32,25 +40,25 @@ def store(tmp_path):
 
 class TestPlanAndIdentity:
     def test_plan_matches_run(self, store):
-        manifest = plan_sweep(SPACE, chain_broadcast_point, **KW, store=store)
+        manifest = plan_sweep(SPACE, chain_point, **KW, store=store)
         assert manifest.task_count == 8  # 4 points x 2 reps, fn mode
         assert manifest.pending(store) == list(range(8))
-        run_sweep(SPACE, chain_broadcast_point, **KW, cache=store)
+        run_sweep(SPACE, chain_point, **KW, cache=store)
         assert manifest.pending(store) == []
         assert manifest.progress(store) == (8, 8)
 
     def test_sweep_id_is_deterministic(self, store):
-        a = plan_sweep(SPACE, chain_broadcast_point, **KW, store=store)
-        b = plan_sweep(SPACE, chain_broadcast_point, **KW, store=store)
+        a = plan_sweep(SPACE, chain_point, **KW, store=store)
+        b = plan_sweep(SPACE, chain_point, **KW, store=store)
         assert a.sweep_id == b.sweep_id and a.keys == b.keys
 
     def test_sweep_id_sensitive_to_definition(self, store):
-        base = plan_sweep(SPACE, chain_broadcast_point, **KW, store=store)
+        base = plan_sweep(SPACE, chain_point, **KW, store=store)
         other_seed = plan_sweep(
-            SPACE, chain_broadcast_point,
+            SPACE, chain_point,
             seed=8, repetitions=2, static_params={"trials": 2}, store=store)
         other_space = plan_sweep(
-            {"s": [2], "layers": [2, 3]}, chain_broadcast_point, **KW, store=store)
+            {"s": [2], "layers": [2, 3]}, chain_point, **KW, store=store)
         assert len({base.sweep_id, other_seed.sweep_id, other_space.sweep_id}) == 3
 
     def test_batch_mode_one_task_per_point(self):
@@ -79,7 +87,7 @@ class TestPlanAndIdentity:
 
 class TestPersistence:
     def test_roundtrip_preserves_identity(self, store):
-        manifest = plan_sweep(SPACE, chain_broadcast_point, **KW, store=store)
+        manifest = plan_sweep(SPACE, chain_point, **KW, store=store)
         manifest.save(store)
         loaded = SweepManifest.load(store, manifest.sweep_id)
         assert loaded == manifest

@@ -9,7 +9,6 @@ from repro.graphs import hypercube
 from repro.radio import DecayProtocol, run_broadcast, run_broadcast_batch
 from repro.radio.hop_analysis import hop_time_study
 from repro.radio.lower_bound import measure_chain_broadcast
-from repro.radio.trace import run_broadcast_traced
 from repro.runtime import plan_sweep
 
 
@@ -27,8 +26,6 @@ class TestLegacyKwargsRemoved:
             run_broadcast(g, DecayProtocol(), rng=0)
         with pytest.raises(TypeError, match="rng"):
             run_broadcast_batch(g, DecayProtocol(), trials=2, rng=0)
-        with pytest.raises(TypeError, match="rng"):
-            run_broadcast_traced(g, DecayProtocol(), rng=0)
         with pytest.raises(TypeError, match="rng"):
             run_sweep({"a": [1]}, _noop, rng=0)
         with pytest.raises(TypeError, match="rng"):
@@ -82,10 +79,11 @@ class TestScenarioFrontDoors:
         with pytest.raises(RuntimeError, match="did not complete"):
             hop_time_study(scenario=sc, repetitions=2)
 
-    def test_hop_time_study_rejects_scenario_source(self):
+    def test_hop_time_study_rejects_pinned_source(self):
         from repro.scenario import Scenario
 
-        sc = Scenario.from_string("chain(2, 2) | decay | classic | source=1")
+        sc = Scenario.from_string(
+            "chain(2, 2) | decay | classic | broadcast(source=1)")
         with pytest.raises(ValueError, match="chain root"):
             hop_time_study(scenario=sc, repetitions=2)
 

@@ -66,7 +66,7 @@ class TestLegacyEquivalence:
         assert_batches_equal(sc.run(), legacy)
 
     def test_chain_seed_split_matches_legacy_task(self):
-        # The randomized-family split is the chain_broadcast_point one:
+        # The randomized-family split:
         # (protocol_seed, graph_seed) = spawn_seeds(seed, 2).
         sc = Scenario.from_string("chain(4, 3) | decay | classic | trials=5 | seed=13")
         proto_seed, chain_seed = spawn_seeds(13, 2)
@@ -78,7 +78,8 @@ class TestLegacyEquivalence:
         np.testing.assert_array_equal(batch.completed, m.completed)
 
     def test_source_override(self):
-        sc = Scenario.from_string("cycle(12) | decay | classic | seed=1 | source=5")
+        sc = Scenario.from_string(
+            "cycle(12) | decay | classic | broadcast(source=5) | seed=1")
         legacy = run_broadcast_batch(
             cycle_graph(12), DecayProtocol(), trials=1, source=5, seed=1)
         assert_batches_equal(sc.run(), legacy)
@@ -151,15 +152,19 @@ class TestShardingAndCache:
 
 
 class TestSummary:
-    def test_summary_superset_of_chain_point(self):
-        from repro.runtime.tasks import chain_broadcast_point
-
+    def test_summary_chain_row(self):
         sc = Scenario.from_string("chain(4, 2) | decay | classic | trials=4 | seed=7")
         summary = scenario_summary(sc)
-        legacy = chain_broadcast_point(4, 2, seed=7, trials=4)
-        for key in ("s", "layers", "n", "diameter", "km_bound", "trials",
-                    "rounds", "completed", "mean_rounds"):
-            assert summary[key] == legacy[key], key
+        proto_seed, chain_seed = spawn_seeds(7, 2)
+        m = measure_chain_broadcast_batch(
+            4, 2, DecayProtocol(), trials=4, seed=proto_seed,
+            chain_seed=chain_seed)
+        assert (summary["s"], summary["layers"], summary["trials"]) == (4, 2, 4)
+        assert (summary["n"], summary["diameter"]) == (m.n, m.diameter_claim)
+        assert summary["km_bound"] == m.km_bound
+        assert summary["rounds"] == m.rounds.tolist()
+        assert summary["completed"] == m.completed.tolist()
+        assert summary["mean_rounds"] == float(np.mean(m.rounds))
 
     def test_summary_accepts_string_and_dict(self):
         text = "hypercube(4) | decay | classic | trials=2 | seed=3"

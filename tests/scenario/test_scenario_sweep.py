@@ -6,11 +6,23 @@ import pytest
 
 from repro._util import as_rng, spawn_seeds
 from repro.analysis import run_sweep
+from repro.radio import DecayProtocol, measure_chain_broadcast_batch
 from repro.runtime import ParallelExecutor, ResultStore
-from repro.runtime.tasks import chain_broadcast_point
 from repro.scenario import GraphSpec, Scenario, ScenarioSweep
 
 BASE = Scenario.from_string("chain(4, 2) | decay | classic | trials=3")
+
+
+def chain_point(s, layers, trials, seed):
+    """Decay on a fresh chain straight through the measurement helper,
+    under the randomized-family seed split."""
+    protocol_seed, chain_seed = spawn_seeds(seed, 2)
+    m = measure_chain_broadcast_batch(
+        s, layers, DecayProtocol(), trials=trials, seed=protocol_seed,
+        chain_seed=chain_seed)
+    return {"n": m.n, "diameter": m.diameter_claim,
+            "rounds": [int(r) for r in m.rounds],
+            "completed": [bool(c) for c in m.completed]}
 
 
 class TestSchedule:
@@ -85,13 +97,13 @@ class TestRun:
 
 
 class TestRunSweepScenarioMode:
-    def test_matches_legacy_chain_sweep_bit_for_bit(self):
-        # The CLI's broadcast path: a graph-spec grid must reproduce the
-        # legacy chain_broadcast_point sweep numbers exactly (same seeds,
-        # same engine, same splits).
-        legacy = run_sweep(
+    def test_matches_helper_chain_sweep_bit_for_bit(self):
+        # The CLI's broadcast path: a graph-spec grid must reproduce a
+        # callable-mode sweep over the chain measurement helper exactly
+        # (same seeds, same engine, same splits).
+        helper = run_sweep(
             {"layers": [2, 3]},
-            chain_broadcast_point,
+            chain_point,
             seed=0,
             repetitions=2,
             static_params={"s": 4, "trials": 3},
@@ -102,15 +114,17 @@ class TestRunSweepScenarioMode:
             seed=0,
             repetitions=2,
         )
-        assert len(scenario_points) == len(legacy) == 4
-        for sp, lp in zip(scenario_points, legacy):
-            assert sp.seed == lp.seed
-            for key in ("s", "layers", "n", "diameter", "rounds", "completed"):
-                assert sp.result[key] == lp.result[key], key
+        assert len(scenario_points) == len(helper) == 4
+        for sp, hp in zip(scenario_points, helper):
+            assert sp.seed == hp.seed
+            assert (sp.result["s"], sp.result["layers"]) == (
+                4, hp.params["layers"])
+            for key in ("n", "diameter", "rounds", "completed"):
+                assert sp.result[key] == hp.result[key], key
 
     def test_scenario_mode_rejects_evaluators(self):
         with pytest.raises(ValueError, match="scenario mode"):
-            run_sweep({}, fn=chain_broadcast_point, scenario=BASE)
+            run_sweep({}, fn=chain_point, scenario=BASE)
 
     def test_empty_grid_runs_base(self):
         points = run_sweep({}, scenario=BASE, seed=2, repetitions=2)

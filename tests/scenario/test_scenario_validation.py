@@ -60,14 +60,13 @@ class TestMaxRoundsValidation:
 class TestSourceValidation:
     def test_negative_source_rejected(self):
         with pytest.raises(ValueError, match="source must be a vertex id"):
-            Scenario(graph=GraphSpec.make("hypercube", 3), source=-1)
+            Scenario(graph=GraphSpec.make("hypercube", 3),
+                     workload="broadcast(source=-1)").validate()
         with pytest.raises(ValueError, match="source"):
-            Scenario.from_string("hypercube(3) | decay | source=-1")
+            Scenario.from_string("hypercube(3) | decay | broadcast(source=-1)")
 
     def test_valid_source_accepted(self):
-        # A bare source= canonicalizes into the broadcast workload segment.
-        sc = Scenario.from_string("hypercube(3) | decay | source=2")
-        assert sc.source is None
+        sc = Scenario.from_string("hypercube(3) | decay | broadcast(source=2)")
         assert sc.workload.to_dict() == {
             "name": "broadcast", "kwargs": {"source": 2}
         }

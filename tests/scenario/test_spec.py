@@ -150,13 +150,10 @@ class TestScenarioRoundTrips:
         assert sc.describe() == text
 
     def test_scalars_round_trip(self):
-        text = ("chain(4, 2) | decay | erasure(0.1) | trials=16 | seed=7 "
-                "| source=1 | max_rounds=500")
+        text = ("chain(4, 2) | decay | erasure(0.1) | broadcast(source=1) "
+                "| trials=16 | seed=7 | max_rounds=500")
         sc = Scenario.from_string(text)
         assert sc.trials == 16 and sc.seed == 7
-        # source= is a deprecated alias: it canonicalizes into the
-        # workload segment, so every view has one spelling.
-        assert sc.source is None
         assert sc.workload.describe() == "broadcast(source=1)"
         assert sc.max_rounds == 500
         assert Scenario.from_string(sc.describe()) == sc
@@ -266,6 +263,44 @@ class TestRetiredBackend:
             plain.with_overrides({"backend": spelling})
         with pytest.raises(ValueError, match="array-backend shim was removed"):
             Scenario.from_dict({**plain.to_dict(), "backend": spelling})
+
+
+class TestRetiredSource:
+    """``source=`` is a tombstone of the retired ``Scenario.source``
+    alias: every view fails eagerly, naming the workload spelling, and
+    specs already in that spelling keep their key."""
+
+    PLAIN = "hypercube(4) | decay | trials=4"
+
+    def test_string_view_names_the_workload_form(self):
+        with pytest.raises(ValueError, match=r"broadcast\(source=N\)"):
+            Scenario.from_string(f"{self.PLAIN} | source=1")
+
+    def test_dict_view_names_the_workload_form(self):
+        plain = Scenario.from_string(self.PLAIN)
+        with pytest.raises(ValueError, match=r"broadcast\(source=N\)"):
+            Scenario.from_dict({**plain.to_dict(), "source": 1})
+
+    def test_override_view_names_the_workload_form(self):
+        plain = Scenario.from_string(self.PLAIN)
+        with pytest.raises(ValueError, match=r"broadcast\(source=N\)"):
+            plain.with_overrides({"source": 1})
+        with pytest.raises(ValueError, match=r"broadcast\(source=N\)"):
+            plain.with_overrides({"source": "1"})
+
+    def test_constructor_field_is_gone(self):
+        with pytest.raises(TypeError, match="source"):
+            Scenario(graph="hypercube(4)", source=1)
+
+    def test_workload_spelling_keeps_its_key(self):
+        # The key both spellings hashed to while the alias existed, so
+        # cache entries written under `source=1` stay reachable.
+        from repro.runtime import scenario_key
+
+        sc = Scenario.from_string(f"{self.PLAIN} | broadcast(source=1)")
+        assert scenario_key(sc, salt="") == (
+            "88e8c5f52c938f84bc1531db9872ccc72fc9c4664331e685f4fc47f33404c73b"
+        )
 
 
 class TestBuild:

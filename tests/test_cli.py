@@ -82,6 +82,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "over 3 runs" in out
 
+    @pytest.mark.parametrize("argv, decay", [
+        (["--graph", "regular", "--size", "6", "--reps", "4", "--seed", "3"],
+         "mean 22.5 rounds over 4 runs (min 18, max 32)"),
+        (["--graph", "hypercube", "--size", "5", "--reps", "4", "--seed", "0"],
+         "mean 16.5 rounds over 4 runs (min 11, max 27)"),
+        (["--graph", "grid", "--size", "6", "--seed", "3"], "33 rounds"),
+    ])
+    def test_schedule_decay_rounds_pinned(self, capsys, argv, decay):
+        # Repetition r runs under the r-th seed derived from --seed, as
+        # one single-trial run each; the batch must keep those numbers.
+        assert main(["schedule", *argv]) == 0
+        out = capsys.readouterr().out
+        assert f"Decay (distributed, randomized): {decay}\n" in out
+
+    def test_schedule_takes_no_jobs_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["schedule", "--jobs", "2"])
+
     def test_worstcase(self, capsys):
         assert main(
             ["worstcase", "--n", "256", "--delta", "64", "--beta", "2.0",
@@ -241,8 +259,15 @@ class TestScenarioFlags:
         with pytest.raises(SystemExit):
             main(["broadcast", "--scenario", "chain(4, 2) | trials=none"])
         with pytest.raises(SystemExit):
-            main(["hops", "--scenario", "chain(4, 2) | source=1",
+            main(["hops", "--scenario", "chain(4, 2) | broadcast(source=1)",
                   "--reps", "2"])
+
+    def test_cli_rejects_source_override(self):
+        # Scenario.source is retired: -S source= is the tombstone's clean
+        # error, pointing at the workload spelling.
+        with pytest.raises(SystemExit, match=r"broadcast\(source=N\)"):
+            main(["broadcast", "--scenario", "hypercube(4) | decay | trials=2",
+                  "--reps", "1", "-S", "source=1"])
 
     def test_cli_rejects_unknown_backend(self):
         # The array-backend shim is gone: any non-numpy backend is the
@@ -355,7 +380,7 @@ class TestUniformExecFlags:
     COMMANDS = {
         "broadcast": [],
         "hops": [],
-        "schedule": [],
+        "schedule": [],  # --seed only (one in-process Decay batch)
         "channels": [],
         "sweep": [],
         "expansion": [],
@@ -371,8 +396,7 @@ class TestUniformExecFlags:
 
     def test_jobs_flag_on_runtime_commands(self):
         parser = build_parser()
-        for cmd in ("broadcast", "hops", "schedule", "channels", "sweep",
-                    "expansion"):
+        for cmd in ("broadcast", "hops", "channels", "sweep", "expansion"):
             args = parser.parse_args([cmd, "--jobs", "3"])
             assert args.jobs == 3, cmd
         assert parser.parse_args(["run", "E16", "--jobs", "2"]).jobs == 2

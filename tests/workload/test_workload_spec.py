@@ -121,23 +121,11 @@ class TestScenarioIntegration:
         other = sc.with_overrides({"workload": "gossip(k=3)"})
         assert scenario_key(other) != k
 
-    def test_source_alias_canonicalizes(self):
-        sc = Scenario.from_string("hypercube(4) | decay | classic | source=2")
-        assert sc.source is None
+    def test_broadcast_source_spelling(self):
+        sc = Scenario.from_string(
+            "hypercube(4) | decay | classic | broadcast(source=2)")
         assert sc.workload.describe() == "broadcast(source=2)"
         assert sc.build().source == 2
-
-    def test_source_with_sourceful_workload_names_both_fields(self):
-        with pytest.raises(ValueError) as exc:
-            Scenario.from_string(
-                "hypercube(4) | decay | classic | gossip(k=2) | source=2")
-        msg = str(exc.value)
-        assert "source=2" in msg and "gossip(k=2)" in msg
-
-    def test_source_with_pinned_broadcast_names_both_fields(self):
-        with pytest.raises(ValueError, match="one place"):
-            Scenario.from_string(
-                "hypercube(4) | decay | broadcast(source=1) | source=2")
 
     def test_jamming_value_workload_rejected_at_validate(self):
         with pytest.raises(ValueError, match="exactly-one-neighbour"):
@@ -149,8 +137,8 @@ class TestScenarioIntegration:
         base = Scenario.from_string("hypercube(4) | decay | classic")
         sc = base.with_overrides({"workload": "gossip(k=4)"})
         assert sc.workload.describe() == "gossip(k=4)"
-        # Overriding source resets a source-only broadcast workload.
-        pinned = base.with_overrides({"source": 3})
+        # Re-pinning the source is a workload override too.
+        pinned = base.with_overrides({"workload": "broadcast(source=3)"})
         assert pinned.workload.describe() == "broadcast(source=3)"
-        repinned = pinned.with_overrides({"source": 1})
+        repinned = pinned.with_overrides({"workload": "broadcast(source=1)"})
         assert repinned.workload.describe() == "broadcast(source=1)"
