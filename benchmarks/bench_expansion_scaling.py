@@ -4,8 +4,8 @@ Two tables:
 
 * ``E17_expansion_vs_broadcast`` sweeps graph families (the Section 5
   chain, a hypercube, a random regular expander, and the Margulis
-  expander) computing ``(β̂w, broadcast rounds)`` pairs per instance
-  through the cached runtime machinery — the paper's headline empirical
+  expander) computing ``(β̂w, broadcast rounds)`` pairs per instance,
+  each β̂w cached under its ``expansion_key`` — the paper's headline empirical
   connection (good wireless expanders broadcast fast; the chained-core
   lower-bound network is slow *because* its expansion is poor).
 * ``E17_expansion_speedup`` pins the batched candidate pipeline
@@ -20,14 +20,21 @@ import numpy as np
 
 from conftest import JOBS, SMOKE, emit, scaled
 
-from repro.analysis import render_table, run_sweep
+from repro._util import spawn_seeds
+from repro.analysis import render_table
 from repro.expansion import (
     wireless_expansion_sampled,
     wireless_expansion_sampled_serial,
 )
+from repro.expansion.spec import ExpansionSpec
 from repro.graphs import random_regular
 from repro.runtime import ParallelExecutor, ResultStore
-from repro.scenario import Scenario, expansion_summary, scenario_summary
+from repro.scenario import (
+    GraphSpec,
+    Scenario,
+    expansion_summary,
+    scenario_summary,
+)
 
 MASTER = 17
 
@@ -48,23 +55,25 @@ def test_e17_expansion_vs_broadcast(benchmark, results_dir, tmp_path):
     executor = ParallelExecutor(JOBS) if JOBS > 1 else None
 
     def measure():
-        points = run_sweep(
-            {"graph": FAMILIES},
-            expansion_summary,
-            seed=MASTER,
-            static_params={"expansion": ESTIMATOR},
-            executor=executor,
-            cache=store,
-        )
         rows = []
-        for point in points:
-            exp = point.result
+        for graph, seed in zip(FAMILIES, spawn_seeds(MASTER, len(FAMILIES))):
+            key = store.expansion_key(
+                GraphSpec.from_string(graph),
+                ExpansionSpec.from_string(ESTIMATOR),
+                seed,
+            )
+            try:
+                exp = store.get(key)
+            except KeyError:
+                exp = expansion_summary(
+                    graph, ESTIMATOR, seed=seed, executor=executor
+                )
+                store.put(key, exp)
             sim = scenario_summary(
-                Scenario(graph=point.params["graph"], trials=TRIALS,
-                         seed=MASTER)
+                Scenario(graph=graph, trials=TRIALS, seed=MASTER)
             )
             rows.append(
-                [point.params["graph"], exp["n"], round(exp["beta_w"], 3),
+                [graph, exp["n"], round(exp["beta_w"], 3),
                  exp["bound"], round(sim["mean_rounds"], 1),
                  round(sim["completion_rate"], 3)]
             )

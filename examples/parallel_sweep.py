@@ -1,9 +1,9 @@
 """Quickstart for the runtime layer: parallel, cached, resumable sweeps.
 
-Runs the same chain-broadcast scenario grid three ways through
-``run_sweep`` — inline serial, process-parallel, and cache-backed — and
-shows that all three produce bit-for-bit identical ``SweepPoint`` lists
-while the cached rerun is a pure replay.
+Runs the same chain-broadcast ``ScenarioSweep`` three ways — inline
+serial, process-parallel, and cache-backed — and shows that all three
+produce bit-for-bit identical ``ScenarioPoint`` lists while the cached
+rerun is a pure replay.
 
 Run it twice to see the cache warm up::
 
@@ -18,22 +18,21 @@ import argparse
 import tempfile
 import time
 
-from repro.analysis import run_sweep
 from repro.runtime import ParallelExecutor, ResultStore
-from repro.scenario import GraphSpec, Scenario
+from repro.scenario import GraphSpec, Scenario, ScenarioSweep
 
 # 4 grid points: the chain graph is the one swept scenario field.
-SPACE = {"graph": [GraphSpec.make("chain", s, l) for s in (4, 8) for l in (2, 4)]}
-SWEEP = dict(
-    scenario=Scenario.from_string("chain(4, 2) | decay | trials=32"),
-    seed=0,
+SWEEP = ScenarioSweep(
+    base=Scenario.from_string("chain(4, 2) | decay | trials=32"),
+    grid={"graph": [GraphSpec.make("chain", s, l) for s in (4, 8) for l in (2, 4)]},
     repetitions=4,
+    seed=0,
 )
 
 
 def timed(label, **kwargs):
     t0 = time.perf_counter()
-    points = run_sweep(SPACE, **SWEEP, **kwargs)
+    points = SWEEP.run(**kwargs)
     print(f"{label:>24}: {len(points)} points in {time.perf_counter() - t0:.2f}s")
     return points
 
@@ -57,7 +56,7 @@ def main() -> None:
               f"({store.stats().entries} entries)")
 
     best = min(serial, key=lambda p: p.result["mean_rounds"])
-    print(f"{'fastest grid point':>24}: {best.params['graph'].describe()} "
+    print(f"{'fastest grid point':>24}: {best.overrides['graph'].describe()} "
           f"mean {best.result['mean_rounds']:.1f} rounds")
 
 

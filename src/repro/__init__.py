@@ -36,7 +36,6 @@ Quickstart::
 from repro.analysis import (
     fit_loglinear,
     render_table,
-    run_sweep,
     summarize,
     write_table,
 )
@@ -146,7 +145,6 @@ __all__ = [
     "random_regular",
     "render_table",
     "run_broadcast",
-    "run_sweep",
     "second_eigenvalue",
     "spokesman_exact",
     "spokesman_greedy_add",

@@ -1,4 +1,5 @@
-"""Experiment harness: sweeps, statistics, and table rendering."""
+"""Experiment harness: the experiment registry, statistics, and table
+rendering."""
 
 from repro.analysis.experiments import (
     EXPERIMENTS,
@@ -13,7 +14,6 @@ from repro.analysis.robustness import (
     erasure_degradation,
 )
 from repro.analysis.stats import FitResult, SampleSummary, fit_loglinear, summarize
-from repro.analysis.sweep import SweepPoint, run_sweep, sweep_grid
 from repro.analysis.tables import format_value, render_table, write_table
 
 __all__ = [
@@ -23,16 +23,13 @@ __all__ = [
     "Experiment",
     "FitResult",
     "SampleSummary",
-    "SweepPoint",
     "erasure_degradation",
     "fit_loglinear",
     "format_value",
     "get_experiment",
     "render_table",
     "run_experiment",
-    "run_sweep",
     "summarize",
-    "sweep_grid",
     "validate_registry",
     "write_table",
 ]

@@ -48,8 +48,10 @@ overrides tweak individual fields::
 Simulation commands take ``--seed`` (master seed); those that farm tasks
 also take ``--jobs`` (worker processes; tasks are farmed through
 :class:`repro.runtime.ParallelExecutor`, with results bit-for-bit identical
-to serial runs).  The legacy ``--channel`` / ``--erasure-p`` / ``--faults``
-flags remain as spelling sugar for ``-S channel=...``.
+to serial runs).  The channel is set like any other field, e.g.
+``-S channel='erasure(0.1)'`` or ``-S 'channel=jamming(faults="jam@0-2:1,2")'``;
+the retired ``--channel`` / ``--erasure-p`` / ``--faults`` flags exit with an
+error naming that spelling.
 
 ``run``, ``sweep``, ``expansion``, and ``trace`` take ``--trace-out FILE``:
 the whole command executes under a :func:`repro.obs.tracing.recording`
@@ -140,22 +142,6 @@ def _cmd_spokesman(args: argparse.Namespace) -> int:
     return 0
 
 
-def _channel_spec(args: argparse.Namespace):
-    """Fresh-channel factory from the CLI channel flags.
-
-    A :class:`repro.radio.ChannelSpec` rather than a closure: channels hold
-    per-run state, so every run gets its own instance, and the spec is
-    picklable / content-addressable so ``--jobs`` and the result cache work.
-    """
-    from repro.radio import ChannelSpec
-
-    return ChannelSpec(
-        name=getattr(args, "channel", "classic"),
-        erasure_p=getattr(args, "erasure_p", 0.1),
-        faults=getattr(args, "faults", None),
-    )
-
-
 def _parse_overrides(args: argparse.Namespace) -> dict:
     """The ``-S key=value`` list as an override mapping."""
     out: dict[str, str] = {}
@@ -210,18 +196,6 @@ def _resolve_scenario(args: argparse.Namespace, default):
     except (ValueError, TypeError) as exc:
         raise SystemExit(f"bad scenario: {exc}") from None
     return base, overrides
-
-
-def _channel_label(args: argparse.Namespace, base, overrides) -> str:
-    """What the table header calls the channel: the legacy flag's spelling
-    when it chose the channel, the spec's canonical form otherwise."""
-    if (
-        hasattr(args, "channel")
-        and not getattr(args, "scenario", None)
-        and not any(k == "channel" or k.startswith("channel.") for k in overrides)
-    ):
-        return args.channel
-    return base.channel.describe()
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -312,19 +286,24 @@ def _add_exec_flags(p: "argparse.ArgumentParser", seed: bool = True) -> None:
         help="worker processes (>1 schedules via repro.runtime)")
 
 
-def _add_channel_flags(p: "argparse.ArgumentParser") -> None:
-    from repro.radio import CHANNELS
+class _RetiredChannelFlag(argparse.Action):
+    """Tombstone of the retired ``--channel`` / ``--erasure-p`` /
+    ``--faults`` sugar: a clean error naming the ``-S channel=`` spelling."""
 
-    p.add_argument(
-        "--channel", choices=sorted(CHANNELS) + ["cd"], default="classic",
-        help="reception model (cd = collision-detection); "
-             "sugar for -S channel=...")
-    p.add_argument(
-        "--erasure-p", type=float, default=0.1,
-        help="drop probability for --channel erasure")
-    p.add_argument(
-        "--faults", type=str, default=None,
-        help="fault spec for --channel jamming, e.g. 'jam@0-9:0,1;crash@5:7'")
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(
+            f"{option_string} was removed; set the channel with -S, e.g. "
+            "-S channel='erasure(0.1)' or "
+            "-S 'channel=jamming(faults=\"jam@0-2:1,2\")'"
+        )
+
+
+def _add_retired_channel_flags(p: "argparse.ArgumentParser") -> None:
+    for flag in ("--channel", "--erasure-p", "--faults"):
+        p.add_argument(
+            flag, nargs="?", action=_RetiredChannelFlag,
+            dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
+            help=argparse.SUPPRESS)
 
 
 def _add_scenario_flags(p: "argparse.ArgumentParser") -> None:
@@ -355,7 +334,7 @@ def _add_scenario_flags(p: "argparse.ArgumentParser") -> None:
 
 
 def _rep_groups(points, reps: int):
-    """Regroup a grid-major ``SweepPoint`` list into its grid points.
+    """Regroup a grid-major ``ScenarioPoint`` list into its grid points.
 
     Yields ``(first_result, rounds, completed)`` per grid point —
     ``rounds``/``completed`` flattened across the point's repetitions —
@@ -371,12 +350,11 @@ def _rep_groups(points, reps: int):
 
 
 def _cmd_broadcast(args: argparse.Namespace) -> int:
-    from repro.analysis import fit_loglinear, render_table, run_sweep
-    from repro.scenario import GraphSpec, Scenario
+    from repro.analysis import fit_loglinear, render_table
+    from repro.scenario import GraphSpec, Scenario, ScenarioSweep
 
     default = Scenario(
         graph=GraphSpec.make("chain", args.s, args.layers[0]),
-        channel=_channel_spec(args),
         trials=_trials(args, 1),
         seed=_seed(args),
     )
@@ -392,13 +370,12 @@ def _cmd_broadcast(args: argparse.Namespace) -> int:
         }
     # One scenario task per (grid point, rep); --jobs farms the pickled
     # specs across processes (bit-for-bit identical to serial).
-    points = run_sweep(
-        grid,
-        scenario=base,
-        seed=_master_seed(args, base, overrides),
+    points = ScenarioSweep(
+        base=base,
+        grid=grid,
         repetitions=args.reps,
-        executor=_executor(args),
-    )
+        seed=_master_seed(args, base, overrides),
+    ).run(executor=_executor(args))
     headers, rows, (xs, ys) = _chain_rows(_rep_groups(points, args.reps))
     proto = base.protocol.describe().capitalize()
     title = (
@@ -411,7 +388,7 @@ def _cmd_broadcast(args: argparse.Namespace) -> int:
         title = f"{title} [workload={base.workload.describe()}]"
     print(render_table(
         headers, rows,
-        title=f"{title} [channel={_channel_label(args, base, overrides)}]"))
+        title=f"{title} [channel={base.channel.describe()}]"))
     if len(xs) >= 2:
         fit = fit_loglinear(xs, ys)
         print(f"fit: rounds ≈ {fit.slope:.2f}·bound {fit.intercept:+.1f}"
@@ -425,7 +402,6 @@ def _cmd_hops(args: argparse.Namespace) -> int:
 
     default = Scenario(
         graph=GraphSpec.make("chain", args.s, args.layers[0]),
-        channel=_channel_spec(args),
         trials=_trials(args, 1),
         seed=_seed(args),
     )
@@ -445,7 +421,7 @@ def _cmd_hops(args: argparse.Namespace) -> int:
         raise SystemExit(f"bad scenario for repro hops: {exc}") from None
     print(f"hop study: s={study.s}, layers={study.num_layers}, "
           f"reps={study.hop_times.shape[0]}, "
-          f"channel={_channel_label(args, base, overrides)}")
+          f"channel={base.channel.describe()}")
     print(f"  per-hop rounds: mean {study.hop_mean:.2f} ± {study.hop_std:.2f}"
           f"  (log2(2s) = {math.log2(2 * study.s):.1f})")
     print(f"  total relative spread: {study.total_relative_spread:.3f}")
@@ -618,7 +594,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     store = ResultStore(args.cache_dir)
     default = Scenario(
         graph=GraphSpec.make("chain", args.s_values[0], args.layers[0]),
-        channel=_channel_spec(args),
         trials=_trials(args, 4),
         seed=_seed(args),
     )
@@ -675,7 +650,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(render_table(
         headers, rows,
         title=f"runtime sweep: {base.protocol.describe().capitalize()} rounds "
-              f"[channel={_channel_label(args, base, overrides)}, "
+              f"[channel={base.channel.describe()}, "
               f"jobs={args.jobs}]"))
     cache_line = (f"cache: {store.hits} hits, {store.misses} misses over "
                   f"{manifest.task_count} tasks (manifest {manifest.sweep_id})")
@@ -693,7 +668,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     default = Scenario(
         graph=GraphSpec.make("chain", args.s, args.layers),
-        channel=_channel_spec(args),
         trials=_trials(args, 1),
         seed=_seed(args),
     )
@@ -1082,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="batched protocol trials per chain (default 1; "
                         "overrides a --scenario-baked count)")
     _add_exec_flags(p)
-    _add_channel_flags(p)
+    _add_retired_channel_flags(p)
     _add_scenario_flags(p)
     p.set_defaults(fn=_cmd_broadcast)
 
@@ -1094,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None,
                    help="batched protocol trials per chain (default 1)")
     _add_exec_flags(p)
-    _add_channel_flags(p)
+    _add_retired_channel_flags(p)
     _add_scenario_flags(p)
     p.set_defaults(fn=_cmd_hops)
 
@@ -1173,7 +1147,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replay completed tasks from the cache instead of "
                         "recomputing them")
     _add_exec_flags(p)
-    _add_channel_flags(p)
+    _add_retired_channel_flags(p)
     _add_scenario_flags(p)
     _add_trace_out(p)
     p.set_defaults(fn=_cmd_sweep)
@@ -1190,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="batched protocol trials; counts are summed "
                         "across trials (default 1)")
     _add_exec_flags(p)
-    _add_channel_flags(p)
+    _add_retired_channel_flags(p)
     _add_scenario_flags(p)
     _add_trace_out(p)
     p.set_defaults(fn=_cmd_trace)

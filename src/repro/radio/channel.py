@@ -534,7 +534,7 @@ def make_channel(
     erasure_p: float = 0.1,
     faults: FaultSchedule | str | None = None,
 ) -> ChannelModel:
-    """Build a channel by registry name (the CLI's ``--channel`` hook).
+    """Build a channel by registry name.
 
     ``erasure_p`` feeds the erasure channel; ``faults`` (a schedule or a
     :func:`parse_fault_spec` string) feeds jamming.  ``cd`` is accepted as

@@ -8,23 +8,24 @@ The execution layer under every sweep and bench:
 * :mod:`repro.runtime.store` — the content-addressed :class:`ResultStore`
   (a JSON document plus, when the result holds arrays, one narrowed
   ``uint8`` array blob in a ``.npz`` sidecar, under ``results/cache/``)
-  keyed by (function, params, seed, code salt).
+  keyed by a scenario's canonical dict (or a task's function, params
+  and seed) plus a code salt.
 * :mod:`repro.runtime.manifest` — :class:`SweepManifest`, the persisted
   task ledger that makes interrupted sweeps resumable.
 
 Quickstart — a scenario grid, farmed across cores and content-addressed
 (the canonical task payload is the pickled spec itself)::
 
-    from repro.analysis import run_sweep
     from repro.runtime import ParallelExecutor, ResultStore
-    from repro.scenario import GraphSpec, Scenario
+    from repro.scenario import GraphSpec, Scenario, ScenarioSweep
 
-    points = run_sweep(
-        {"graph": [GraphSpec.make("chain", s, l)
-                   for s in (4, 8) for l in (2, 4)]},
-        scenario=Scenario.from_string("chain(4, 2) | decay | trials=16"),
-        seed=0,
+    points = ScenarioSweep(
+        base=Scenario.from_string("chain(4, 2) | decay | trials=16"),
+        grid={"graph": [GraphSpec.make("chain", s, l)
+                        for s in (4, 8) for l in (2, 4)]},
         repetitions=4,
+        seed=0,
+    ).run(
         executor=ParallelExecutor(4),      # farm grid points across cores
         cache=ResultStore("results/cache"),  # warm reruns replay instantly
     )
@@ -42,9 +43,8 @@ from repro.runtime.executor import (
     SerialExecutor,
     as_executor,
     default_jobs,
-    plan_sweep,
 )
-from repro.runtime.manifest import SweepManifest, build_manifest
+from repro.runtime.manifest import SweepManifest
 from repro.runtime.store import (
     DEFAULT_CACHE_DIR,
     CacheStats,
@@ -66,12 +66,10 @@ __all__ = [
     "SerialExecutor",
     "SweepManifest",
     "as_executor",
-    "build_manifest",
     "canonical_dumps",
     "code_salt",
     "default_jobs",
     "expansion_key",
-    "plan_sweep",
     "scenario_key",
     "task_key",
     "write_json_payload",

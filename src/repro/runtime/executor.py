@@ -9,17 +9,13 @@ discipline — so the executors are interchangeable: scheduling order may
 differ, but results are bit-for-bit identical and always returned in
 submission order.
 
-:func:`execute_sweep` is the orchestration entry point
-``repro.analysis.run_sweep`` delegates to when an ``executor`` or ``cache``
-is requested: it builds the task ledger (one task per repetition in ``fn``
-mode, one per grid point in ``batch_fn`` mode), replays completed tasks
-from the content-addressed store, schedules the rest, and persists each
-result as it lands — which is what makes interrupted runs resumable.
+Scenario sweeps (:class:`repro.scenario.ScenarioSweep`, one task per
+scenario), sharded ``Scenario.run`` calls and the expansion pipeline
+schedule through it.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
@@ -34,8 +30,6 @@ __all__ = [
     "SerialExecutor",
     "as_executor",
     "default_jobs",
-    "execute_sweep",
-    "plan_sweep",
 ]
 
 
@@ -61,11 +55,6 @@ def default_jobs(fallback: int | None = None) -> int:
     return max(1, os.cpu_count() or 1)  # pragma: no cover - non-Linux
 
 
-def _invoke(fn: Callable, kwargs: dict) -> Any:
-    """Module-level trampoline so worker processes can unpickle the call."""
-    return fn(**kwargs)
-
-
 def _fn_label(fn: Callable) -> str:
     return getattr(fn, "__qualname__", repr(fn))
 
@@ -89,27 +78,27 @@ def _invoke_obs(fn: Callable, kwargs: dict, traced: bool) -> tuple:
 
 
 class Executor:
-    """Interface: schedule ``fn(**kwargs)`` calls, results in call order."""
+    """Interface: schedule ``fn(**kwargs)`` calls, results in call order.
+
+    Subclasses implement :meth:`imap_timed`; ``imap`` and ``map`` are
+    views of it.
+    """
 
     jobs: int = 1
+
+    def imap_timed(
+        self, fn: Callable, calls: Sequence[Mapping[str, Any]]
+    ) -> Iterator[tuple[int, Any, float]]:
+        """Yield ``(call_index, result, wall_seconds)`` in *completion*
+        order; ``wall_seconds`` is the call's own compute time."""
+        raise NotImplementedError
 
     def imap(
         self, fn: Callable, calls: Sequence[Mapping[str, Any]]
     ) -> Iterator[tuple[int, Any]]:
         """Yield ``(call_index, result)`` pairs in *completion* order."""
-        raise NotImplementedError
-
-    def imap_timed(
-        self, fn: Callable, calls: Sequence[Mapping[str, Any]]
-    ) -> Iterator[tuple[int, Any, float]]:
-        """Like :meth:`imap` but with per-call compute wall seconds.
-
-        The base fallback cannot time inside a foreign executor, so it
-        reports ``nan`` (callers treat ``nan`` walls as unmeasured); both
-        built-in executors override it with real clocks.
-        """
-        for i, result in self.imap(fn, calls):
-            yield i, result, float("nan")
+        for i, result, _ in self.imap_timed(fn, calls):
+            yield i, result
 
     def map(self, fn: Callable, calls: Sequence[Mapping[str, Any]]) -> list:
         """Results of every call, in submission order."""
@@ -124,10 +113,6 @@ class SerialExecutor(Executor):
     reproduce bit for bit."""
 
     jobs = 1
-
-    def imap(self, fn, calls):
-        for i, result, _ in self.imap_timed(fn, calls):
-            yield i, result
 
     def imap_timed(self, fn, calls):
         rec = active_recorder()
@@ -154,10 +139,6 @@ class ParallelExecutor(Executor):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-
-    def imap(self, fn, calls):
-        for i, result, _ in self.imap_timed(fn, calls):
-            yield i, result
 
     def imap_timed(self, fn, calls):
         calls = list(calls)
@@ -196,54 +177,6 @@ def as_executor(executor: "Executor | int | None") -> Executor:
     )
 
 
-def plan_sweep(
-    space: Mapping[str, Sequence],
-    fn: Callable | None = None,
-    seed=None,
-    repetitions: int = 1,
-    batch_fn: Callable | None = None,
-    static_params: Mapping[str, Any] | None = None,
-    store=None,
-):
-    """The :class:`~repro.runtime.manifest.SweepManifest` a ``run_sweep``
-    call with these arguments would execute, without evaluating anything.
-
-    Mirrors ``run_sweep``'s seed derivation exactly, so the planned task
-    keys are the ones the run will hit — which is only possible from a
-    *reusable* ``seed`` (an int or ``None``); a stateful Generator would
-    be consumed by the plan and derive different seeds in the run, so it
-    is rejected.  ``store`` (a :class:`~repro.runtime.store.ResultStore` or cache-root
-    path) supplies the key salt; ``None`` uses the default salt.
-    """
-    import numpy as np
-
-    from repro._util import as_rng, spawn_seeds
-    from repro.analysis.sweep import sweep_grid
-    from repro.runtime.manifest import build_manifest
-    from repro.runtime.store import code_salt
-
-    if (fn is None) == (batch_fn is None):
-        raise ValueError("provide exactly one of fn and batch_fn")
-    if isinstance(seed, np.random.Generator):
-        raise TypeError(
-            "plan_sweep needs a reusable seed (an int or None): a "
-            "Generator would be consumed by planning, so the subsequent "
-            "run_sweep call could never match the planned task keys"
-        )
-    store = as_store(store) if store is not None else None
-    grid = list(sweep_grid(space))
-    seeds = spawn_seeds(as_rng(seed), len(grid) * repetitions)
-    return build_manifest(
-        fn if fn is not None else batch_fn,
-        space,
-        seeds,
-        repetitions,
-        static_params,
-        store.salt if store is not None else code_salt(),
-        "fn" if fn is not None else "batch",
-    )
-
-
 def as_store(cache):
     """Coerce a cache argument (store instance or root path) to a store."""
     from repro.runtime.store import ResultStore
@@ -251,115 +184,3 @@ def as_store(cache):
     if isinstance(cache, ResultStore):
         return cache
     return ResultStore(cache)
-
-
-def execute_sweep(
-    *,
-    space: Mapping[str, Sequence],
-    grid: list[dict[str, Any]],
-    seeds: list[int],
-    fn: Callable | None,
-    batch_fn: Callable | None,
-    repetitions: int,
-    static: Mapping[str, Any],
-    executor,
-    cache,
-) -> list:
-    """Run a sweep's task ledger through an executor with optional caching.
-
-    The workhorse behind ``run_sweep(executor=..., cache=...)``; returns the
-    same grid-major ``SweepPoint`` list as the inline path.  With a cache,
-    the manifest is saved before evaluation and every task result is
-    persisted as it completes, so a killed run loses at most in-flight
-    tasks.
-    """
-    from repro.analysis.sweep import SweepPoint
-    from repro.runtime.manifest import build_manifest
-
-    evaluator = fn if fn is not None else batch_fn
-    mode = "fn" if fn is not None else "batch"
-    exec_ = as_executor(executor)
-    store = as_store(cache) if cache is not None else None
-
-    # The task ledger, in schedule (grid-major) order.
-    calls: list[dict[str, Any]] = []
-    task_seeds: list[list[int]] = []
-    for i, params in enumerate(grid):
-        point_seeds = seeds[i * repetitions : (i + 1) * repetitions]
-        if mode == "batch":
-            calls.append({**params, **static, "seeds": list(point_seeds)})
-            task_seeds.append(list(point_seeds))
-        else:
-            for seed in point_seeds:
-                calls.append({**params, **static, "seed": seed})
-                task_seeds.append([seed])
-
-    results: list[Any] = [None] * len(calls)
-    done = [False] * len(calls)
-    keys: list[str] | None = None
-    walls: list = [None] * len(calls)
-    manifest = None
-    if store is not None:
-        from repro.runtime.manifest import SweepManifest
-
-        manifest = build_manifest(
-            evaluator, space, seeds, repetitions, static, store.salt, mode
-        )
-        # A prior run of this exact sweep may have recorded per-task wall
-        # times; recovering them lets replays credit the compute they skip.
-        try:
-            prior = SweepManifest.load(store, manifest.sweep_id)
-            if prior.walls is not None and len(prior.walls) == len(calls):
-                walls = list(prior.walls)
-        except (OSError, ValueError, KeyError):
-            pass
-        manifest = manifest.with_walls(walls)
-        manifest.save(store)
-        keys = manifest.keys
-        for t, key in enumerate(keys):
-            try:
-                results[t] = store.get(key)
-                done[t] = True
-                if walls[t]:
-                    store.record_time_saved(walls[t])
-            except KeyError:
-                pass
-
-    pending = [t for t in range(len(calls)) if not done[t]]
-    per_task = repetitions if mode == "batch" else 1
-    for j, result, seconds in exec_.imap_timed(
-        evaluator, [calls[t] for t in pending]
-    ):
-        t = pending[j]
-        if mode == "batch":
-            result = list(result)
-        if mode == "batch" and len(result) != per_task:
-            raise ValueError(
-                f"batch_fn returned {len(result)} results for "
-                f"{per_task} seeds at point {grid[t]}"
-            )
-        results[t] = result
-        done[t] = True
-        if not math.isnan(seconds):
-            walls[t] = seconds
-        if store is not None and keys is not None:
-            store.put(keys[t], result)
-    if store is not None and manifest is not None and pending:
-        manifest.with_walls(walls).save(store)
-
-    out: list[SweepPoint] = []
-    for t, (result, seed_list) in enumerate(zip(results, task_seeds)):
-        point = grid[t // repetitions] if mode == "fn" else grid[t]
-        if mode == "batch":
-            if len(result) != per_task:  # a stale/foreign cache entry
-                raise ValueError(
-                    f"cached batch entry for point {point} holds "
-                    f"{len(result)} results for {per_task} seeds"
-                )
-            for seed, res in zip(seed_list, result):
-                out.append(SweepPoint(params=dict(point), seed=seed, result=res))
-        else:
-            out.append(
-                SweepPoint(params=dict(point), seed=seed_list[0], result=result)
-            )
-    return out

@@ -1,17 +1,15 @@
 """Sweep manifests: the resume ledger of the experiment runtime.
 
 A manifest pins everything a sweep run decided up front — grid order, the
-full derived seed list, one content-addressed task key per schedulable unit
-— as a JSON document under ``<cache>/manifests/<sweep_id>.json``.  Because
-seeds are recorded explicitly, resuming does not re-derive randomness: an
-interrupted run (or the same ``run_sweep`` call issued again) rebuilds the
-identical manifest, checks each task key against the store, and computes
-only what is missing.  Parallel, resumed, and serial runs therefore return
-bit-for-bit identical :class:`~repro.analysis.sweep.SweepPoint` lists.
-
-Task granularity follows the evaluator: looped ``fn`` sweeps get one task
-per (grid point, repetition); batched ``batch_fn`` sweeps get one task per
-grid point carrying all of that point's repetition seeds.
+full derived seed list, one content-addressed task key per scheduled
+scenario — as a JSON document under ``<cache>/manifests/<sweep_id>.json``.
+Because seeds are recorded explicitly, resuming does not re-derive
+randomness: an interrupted run (or the same
+:class:`~repro.scenario.ScenarioSweep` issued again) rebuilds the
+identical manifest (:meth:`ScenarioSweep.manifest
+<repro.scenario.ScenarioSweep.manifest>`), checks each task key against
+the store, and computes only what is missing.  Parallel, resumed, and
+serial runs therefore return bit-for-bit identical point lists.
 """
 
 from __future__ import annotations
@@ -23,9 +21,9 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.runtime.store import ResultStore, canonical_dumps, task_key
+from repro.runtime.store import ResultStore, canonical_dumps
 
-__all__ = ["SweepManifest", "build_manifest"]
+__all__ = ["SweepManifest"]
 
 
 @dataclass(frozen=True)
@@ -35,14 +33,15 @@ class SweepManifest:
     Attributes
     ----------
     fn:
-        Qualified name of the evaluator.
+        The result view the tasks compute: ``"scenario:summary"`` or
+        ``"scenario:result"``.
     mode:
-        ``"fn"`` (one task per repetition) or ``"batch"`` (one task per
-        grid point).
+        ``"fn"``: one task per (grid point, repetition).  Scenario sweeps
+        have no other mode; the field stays in the payload so that
+        ``sweep_id`` is stable across versions.
     space, repetitions, static:
-        The sweep definition (``static`` is the JSON-able rendering of
-        ``static_params`` — it participates in task keys because it changes
-        results).
+        The sweep definition: the grid (specs rendered as strings), the
+        repetition count, and the base scenario's canonical dict.
     seeds:
         The flat derived seed list, grid-major (``len(grid) * repetitions``).
     keys:
@@ -143,8 +142,9 @@ class SweepManifest:
     def save(self, store: ResultStore) -> str:
         """Persist under the store's manifest directory; returns the path.
 
-        The payload is already pure JSON (``static`` is canonicalized at
-        build time), so it round-trips to an identical ``sweep_id``.
+        The payload is already pure JSON (specs are rendered as their
+        strings and canonical dicts when the manifest is built), so it
+        round-trips to an identical ``sweep_id``.
         """
         from repro.runtime.store import _atomic_write_bytes
 
@@ -170,67 +170,3 @@ class SweepManifest:
             for name in os.listdir(store.manifests_dir)
             if name.endswith(".json")
         )
-
-
-def _encodable_static(static: Mapping[str, Any] | None, fn_name: str) -> Any:
-    """``static_params`` canonicalized to a pure-JSON tree for task keys and
-    manifest persistence, with a targeted error when they cannot be
-    (factories/closures have no stable content address)."""
-    static = dict(static) if static else {}
-    try:
-        return json.loads(canonical_dumps(static))
-    except (TypeError, ValueError) as exc:
-        raise TypeError(
-            f"static_params for cached sweep over {fn_name} are not "
-            f"content-addressable: {exc}. Pass plain data or dataclass "
-            "specs (e.g. repro.radio.ChannelSpec) instead of closures."
-        ) from None
-
-
-def build_manifest(
-    fn,
-    space: Mapping[str, Sequence],
-    seeds: Sequence[int],
-    repetitions: int,
-    static_params: Mapping[str, Any] | None,
-    salt: str,
-    mode: str,
-) -> SweepManifest:
-    """Derive the task ledger for one sweep definition.
-
-    ``seeds`` is the flat grid-major seed list ``run_sweep`` derived; the
-    manifest freezes it so resume never depends on generator state.
-    """
-    from repro.analysis.sweep import sweep_grid
-    from repro.runtime.store import _fn_name
-
-    if mode not in ("fn", "batch"):
-        raise ValueError(f"mode must be 'fn' or 'batch', got {mode!r}")
-    fn_name = _fn_name(fn)
-    static = _encodable_static(static_params, fn_name)
-    grid = list(sweep_grid(space))
-    if len(seeds) != len(grid) * repetitions:
-        raise ValueError(
-            f"seed list has {len(seeds)} entries for {len(grid)} grid points "
-            f"x {repetitions} repetitions"
-        )
-    keys: list[str] = []
-    for i, params in enumerate(grid):
-        point_seeds = seeds[i * repetitions : (i + 1) * repetitions]
-        identity = {"params": params, "static": static}
-        if mode == "batch":
-            keys.append(task_key(fn_name, identity, point_seeds, salt))
-        else:
-            keys.extend(
-                task_key(fn_name, identity, seed, salt) for seed in point_seeds
-            )
-    return SweepManifest(
-        fn=fn_name,
-        mode=mode,
-        space={k: list(v) for k, v in space.items()},
-        repetitions=repetitions,
-        static=static,
-        seeds=[int(s) for s in seeds],
-        keys=keys,
-        salt=salt,
-    )

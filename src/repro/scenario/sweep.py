@@ -1,14 +1,11 @@
 """Sweeps over scenario *spec fields* — grids and explicit lists.
 
-Where :func:`repro.analysis.sweep.run_sweep` sweeps a callable over a
-parameter grid, :class:`ScenarioSweep` sweeps a :class:`Scenario` over its
-own fields: each grid dimension names a scenario override (``"graph"``,
-``"channel.erasure_p"``, ``"trials"``, …) and each grid point is a
-concrete scenario.  That closes the loop the runtime layer opened —
-canonical spec dicts become the content-addressed
-:class:`~repro.runtime.store.ResultStore` keys and the pickled specs
-become the :class:`~repro.runtime.executor.ParallelExecutor` task
-payloads, with no bespoke task function per study::
+:class:`ScenarioSweep` is the one sweep engine: each grid dimension names
+a scenario override (``"graph"``, ``"channel.erasure_p"``, ``"trials"``,
+…) and each grid point is a concrete scenario.  Canonical spec dicts are
+the content-addressed :class:`~repro.runtime.store.ResultStore` keys and
+the pickled specs are the :class:`~repro.runtime.executor.ParallelExecutor`
+task payloads, with no bespoke task function per study::
 
     sweep = ScenarioSweep(
         base=Scenario.from_string("chain(8, 2) | decay | classic | trials=8"),
@@ -19,10 +16,10 @@ payloads, with no bespoke task function per study::
     )
     points = sweep.run(executor=4, cache="results/cache")
 
-Seed discipline matches ``run_sweep`` exactly: one child seed per
-(grid point, repetition) pair, derived grid-major from the master seed,
-so the same sweep is bit-for-bit identical serial, parallel, or replayed
-from a warm cache.
+Seed discipline: one child seed per (grid point, repetition) pair,
+``spawn_seeds(as_rng(seed), points * repetitions)`` taken grid-major, so
+the same sweep is bit-for-bit identical serial, parallel, or replayed from
+a warm cache.
 """
 
 from __future__ import annotations
@@ -66,8 +63,7 @@ class ScenarioSweep:
     grid:
         Mapping of scenario override keys (see
         :meth:`Scenario.with_overrides`) to value lists; the cartesian
-        product is swept in lexicographic-by-key order, mirroring
-        ``run_sweep``.
+        product is swept in lexicographic-by-key order.
     scenarios:
         Explicit scenario list (specs or strings) — mutually exclusive
         with ``base``/``grid``.
@@ -77,8 +73,8 @@ class ScenarioSweep:
     seed:
         Master seed for the per-point seed derivation.  ``None`` with
         ``repetitions == 1`` keeps each scenario's own ``seed`` field
-        (spec-first purity); otherwise seeds are derived exactly as
-        ``run_sweep`` derives them.
+        (spec-first purity); otherwise one seed is derived per
+        (grid point, repetition), grid-major.
     """
 
     def __init__(
@@ -116,6 +112,10 @@ class ScenarioSweep:
                 )
             if len(values) == 0:
                 raise ValueError(f"sweep dimension {key!r} is empty")
+            if hasattr(values, "tolist"):
+                # numpy arrays: plain Python scalars, so integer fields
+                # accept them and spec strings do not read np.float64(…).
+                self.grid[key] = values.tolist()
 
     def _grid_points(self) -> list[dict[str, Any]]:
         keys = sorted(self.grid)
@@ -163,15 +163,21 @@ class ScenarioSweep:
 
         return (scenario_summary, "summary") if summary else (run_scenario, "result")
 
-    def manifest(self, store, summary: bool = True):
+    def manifest(self, store, summary: bool = True, points=None):
         """The :class:`~repro.runtime.manifest.SweepManifest` a cached run
-        of this sweep executes — scenario keys, in schedule order."""
+        of this sweep executes — scenario keys, in schedule order.
+
+        ``points`` is a schedule already drawn by :meth:`points`; a
+        Generator (or ``None``) master seed draws new seeds on every call,
+        so :meth:`run` passes its own schedule to key what it evaluates.
+        """
         from repro.runtime.executor import as_store
         from repro.runtime.manifest import SweepManifest
 
         store = as_store(store)
         fn, view = self._view_fn(summary)
-        points = self.points()
+        if points is None:
+            points = self.points()
         return SweepManifest(
             fn=f"scenario:{view}",
             mode="fn",
@@ -199,22 +205,19 @@ class ScenarioSweep:
         whichever executor runs them and whether they were computed or
         replayed.
         """
-        import math
-
         from repro.runtime.executor import as_executor, as_store
 
-        fn, view = self._view_fn(summary)
+        fn, _ = self._view_fn(summary)
         points = self.points()
-        store = as_store(cache) if cache is not None else None
         results: list[Any] = [None] * len(points)
-        done = [False] * len(points)
-        keys: list[str] | None = None
         walls: list = [None] * len(points)
-        manifest = None
-        if store is not None:
+        pending = list(range(len(points)))
+        store = manifest = None
+        if cache is not None:
             from repro.runtime.manifest import SweepManifest
 
-            manifest = self.manifest(store, summary=summary)
+            store = as_store(cache)
+            manifest = self.manifest(store, summary=summary, points=points)
             # A prior run may have recorded per-task wall times; recover
             # them so cache replays can credit the compute they skip.
             try:
@@ -225,30 +228,27 @@ class ScenarioSweep:
                 pass
             manifest = manifest.with_walls(walls)
             manifest.save(store)
-            keys = manifest.keys
-            for i, key in enumerate(keys):
+            pending = []
+            for i, key in enumerate(manifest.keys):
                 try:
                     results[i] = store.get(key)
-                    done[i] = True
-                    if walls[i]:
-                        store.record_time_saved(walls[i])
                 except KeyError:
-                    pass
-        pending = [i for i in range(len(points)) if not done[i]]
+                    pending.append(i)
+                    continue
+                if walls[i]:
+                    store.record_time_saved(walls[i])
         calls = [{"scenario": points[i][1]} for i in pending]
         for j, result, seconds in as_executor(executor).imap_timed(fn, calls):
             i = pending[j]
             results[i] = result
-            done[i] = True
-            if not math.isnan(seconds):
-                walls[i] = seconds
-            if store is not None and keys is not None:
+            walls[i] = seconds
+            if store is not None:
                 store.put(
-                    keys[i],
+                    manifest.keys[i],
                     result,
                     meta={"scenario": points[i][1].describe()},
                 )
-        if store is not None and manifest is not None and pending:
+        if store is not None and pending:
             manifest.with_walls(walls).save(store)
         return [
             ScenarioPoint(overrides=dict(ov), scenario=sc, result=res)

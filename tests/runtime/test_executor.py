@@ -2,21 +2,23 @@
 
 import pytest
 
-from repro.analysis import run_sweep
 from repro.runtime import (
+    Executor,
     ParallelExecutor,
     SerialExecutor,
     as_executor,
     default_jobs,
 )
-from repro.scenario import GraphSpec, Scenario, scenario_summary
+from repro.scenario import GraphSpec, Scenario, ScenarioSweep, scenario_summary
 
 # Tiny but real workload shared by the equivalence tests: 4 grid points
 # x 2 reps = 8 tasks of batched chain broadcast.
 CHAINS = [GraphSpec.make("chain", s, l) for s in (2, 4) for l in (2, 3)]
-SPACE = {"graph": CHAINS}
-SWEEP_KW = dict(
-    scenario=Scenario(graph=CHAINS[0], trials=2), seed=7, repetitions=2
+SWEEP = ScenarioSweep(
+    base=Scenario(graph=CHAINS[0], trials=2),
+    grid={"graph": CHAINS},
+    repetitions=2,
+    seed=7,
 )
 
 
@@ -42,6 +44,39 @@ class TestSerialExecutor:
     def test_imap_yields_in_order(self):
         pairs = list(SerialExecutor().imap(double, [{"x": 1, "seed": 0}]))
         assert pairs == [(0, (2, 0))]
+
+
+class _Reversed(Executor):
+    """Implements only the timed primitive, completing calls last-first."""
+
+    def imap_timed(self, fn, calls):
+        for i in reversed(range(len(calls))):
+            yield i, fn(**calls[i]), 0.0
+
+
+class TestExecutorInterface:
+    def test_imap_and_map_derive_from_imap_timed(self):
+        calls = [{"x": i, "seed": 0} for i in range(3)]
+        ex = _Reversed()
+        assert list(ex.imap(double, calls)) == [(2, (4, 0)), (1, (2, 0)), (0, (0, 0))]
+        # map restores submission order whatever the completion order.
+        assert ex.map(double, calls) == SerialExecutor().map(double, calls)
+
+    def test_base_has_no_primitive(self):
+        # No untimed fallback: an executor must implement imap_timed.
+        with pytest.raises(NotImplementedError):
+            Executor().map(double, [{"x": 1, "seed": 0}])
+
+    @pytest.mark.parametrize(
+        "executor", [SerialExecutor(), ParallelExecutor(2)], ids=["serial", "parallel"]
+    )
+    def test_imap_timed_reports_each_call_once_with_its_wall(self, executor):
+        calls = [{"x": i, "seed": i} for i in range(4)]
+        timed = list(executor.imap_timed(double, calls))
+        assert sorted((i, r) for i, r, _ in timed) == list(
+            enumerate(SerialExecutor().map(double, calls))
+        )
+        assert all(isinstance(w, float) and 0.0 <= w < 60.0 for _, _, w in timed)
 
 
 class TestParallelExecutor:
@@ -98,42 +133,18 @@ class TestAsExecutor:
 
 
 class TestParallelSerialEquivalence:
-    """The tentpole contract: identical SweepPoint lists, identical order."""
+    """The tentpole contract: identical ScenarioPoint lists, identical order."""
 
-    def test_run_sweep_identical_across_executors(self):
-        serial = run_sweep(SPACE, **SWEEP_KW)
-        inline = run_sweep(SPACE, **SWEEP_KW, executor=SerialExecutor())
-        parallel = run_sweep(SPACE, **SWEEP_KW, executor=ParallelExecutor(2))
+    def test_sweep_identical_across_executors(self):
+        serial = SWEEP.run()
+        inline = SWEEP.run(executor=SerialExecutor())
+        parallel = SWEEP.run(executor=ParallelExecutor(2))
         assert serial == inline == parallel
         # Order is the grid x repetition schedule, not completion order.
-        assert [p.params for p in parallel] == [p.params for p in serial]
-        assert [p.seed for p in parallel] == [p.seed for p in serial]
+        assert [p.overrides for p in parallel] == [p.overrides for p in serial]
+        assert [p.scenario.seed for p in parallel] == [
+            p.scenario.seed for p in serial
+        ]
 
     def test_executor_accepts_int_jobs(self):
-        assert run_sweep(SPACE, **SWEEP_KW, executor=2) == run_sweep(
-            SPACE, **SWEEP_KW
-        )
-
-    def test_batch_mode_through_executor(self):
-        def batch(a, seeds):
-            return [(a, s) for s in seeds]
-
-        reference = run_sweep({"a": [1, 2]}, seed=5, repetitions=3, batch_fn=batch)
-        routed = run_sweep(
-            {"a": [1, 2]},
-            seed=5,
-            repetitions=3,
-            batch_fn=batch,
-            executor=SerialExecutor(),
-        )
-        assert routed == reference
-
-    def test_batch_mode_wrong_count_rejected(self):
-        with pytest.raises(ValueError, match="results for"):
-            run_sweep(
-                {"a": [1]},
-                seed=0,
-                repetitions=2,
-                batch_fn=lambda a, seeds: [0],
-                executor=SerialExecutor(),
-            )
+        assert SWEEP.run(executor=2) == SWEEP.run()

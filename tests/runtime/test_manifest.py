@@ -2,35 +2,16 @@
 
 import pytest
 
-from repro.analysis import run_sweep
-from repro.runtime import ResultStore, SweepManifest, plan_sweep
-from repro.scenario import GraphSpec, Scenario, scenario_summary
+import repro.scenario.tasks as tasks
+from repro.runtime import ResultStore, SweepManifest
+from repro.scenario import GraphSpec, Scenario, ScenarioSweep
 
-SPACE = {"s": [2, 4], "layers": [2, 3]}
-KW = dict(seed=7, repetitions=2, static_params={"trials": 2})
-
-
-def toy(a, seed):
-    return (a, seed)
+BASE = Scenario.from_string("chain(2, 2) | decay | classic | trials=2")
+GRID = {"graph": [GraphSpec.make("chain", s, l) for s in (2, 4) for l in (2, 3)]}
 
 
-def chain_point(s, layers, seed, trials):
-    """Module-level (hence content-addressable) chain-broadcast task."""
-    return scenario_summary(
-        Scenario(graph=GraphSpec.make("chain", s, layers), trials=trials,
-                 seed=seed)
-    )
-
-
-FRAGILE_CALLS: list = []
-FRAGILE_EXPLODE_AT: list = [None]
-
-
-def fragile_task(a, seed):
-    FRAGILE_CALLS.append(a)
-    if FRAGILE_EXPLODE_AT[0] is not None and len(FRAGILE_CALLS) == FRAGILE_EXPLODE_AT[0]:
-        raise KeyboardInterrupt
-    return a
+def sweep(grid=GRID, seed=7, repetitions=2):
+    return ScenarioSweep(base=BASE, grid=grid, repetitions=repetitions, seed=seed)
 
 
 @pytest.fixture
@@ -38,114 +19,113 @@ def store(tmp_path):
     return ResultStore(tmp_path / "cache", salt="test-salt")
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Record every scenario a sweep actually evaluates (cache misses)."""
+    calls = []
+    summary = tasks.scenario_summary
+
+    def counting(scenario):
+        calls.append(scenario)
+        return summary(scenario)
+
+    monkeypatch.setattr(tasks, "scenario_summary", counting)
+    return calls
+
+
 class TestPlanAndIdentity:
     def test_plan_matches_run(self, store):
-        manifest = plan_sweep(SPACE, chain_point, **KW, store=store)
-        assert manifest.task_count == 8  # 4 points x 2 reps, fn mode
+        manifest = sweep().manifest(store)
+        assert manifest.task_count == 8  # 4 points x 2 reps
         assert manifest.pending(store) == list(range(8))
-        run_sweep(SPACE, chain_point, **KW, cache=store)
+        sweep().run(cache=store)
         assert manifest.pending(store) == []
         assert manifest.progress(store) == (8, 8)
 
     def test_sweep_id_is_deterministic(self, store):
-        a = plan_sweep(SPACE, chain_point, **KW, store=store)
-        b = plan_sweep(SPACE, chain_point, **KW, store=store)
+        a = sweep().manifest(store)
+        b = sweep().manifest(store)
         assert a.sweep_id == b.sweep_id and a.keys == b.keys
 
     def test_sweep_id_sensitive_to_definition(self, store):
-        base = plan_sweep(SPACE, chain_point, **KW, store=store)
-        other_seed = plan_sweep(
-            SPACE, chain_point,
-            seed=8, repetitions=2, static_params={"trials": 2}, store=store)
-        other_space = plan_sweep(
-            {"s": [2], "layers": [2, 3]}, chain_point, **KW, store=store)
-        assert len({base.sweep_id, other_seed.sweep_id, other_space.sweep_id}) == 3
+        base = sweep().manifest(store)
+        other_seed = sweep(seed=8).manifest(store)
+        other_grid = sweep(grid={"graph": GRID["graph"][:2]}).manifest(store)
+        assert len({base.sweep_id, other_seed.sweep_id, other_grid.sweep_id}) == 3
 
-    def test_batch_mode_one_task_per_point(self):
-        manifest = plan_sweep(
-            {"a": [1, 2, 3]}, batch_fn=toy, seed=0, repetitions=4)
-        assert manifest.mode == "batch"
-        assert manifest.task_count == 3
-        assert len(manifest.seeds) == 12
-
-    def test_exactly_one_evaluator(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            plan_sweep({"a": [1]}, seed=0)
-
-    def test_stateful_generator_seed_rejected(self):
-        # Planning would consume the generator, so the subsequent run
-        # could never derive the planned seeds.
-        import numpy as np
-
-        with pytest.raises(TypeError, match="reusable seed"):
-            plan_sweep({"a": [1]}, toy, seed=np.random.default_rng(0))
-
-    def test_legacy_rng_kwarg_removed(self):
-        with pytest.raises(TypeError, match="rng"):
-            plan_sweep({"a": [1]}, toy, rng=0)
+    def test_sweep_id_pinned(self, store):
+        # A manifest's identity is part of the on-disk resume contract:
+        # the same grid and seed must keep naming the same ledger.
+        manifest = ScenarioSweep(
+            base=Scenario.from_string("chain(4, 2) | decay | classic | trials=3"),
+            grid={"graph": [GraphSpec.make("chain", 4, l) for l in (2, 3)]},
+            repetitions=2,
+            seed=1,
+        ).manifest(store)
+        assert manifest.sweep_id == "2596901c2d10b0a8"
 
 
 class TestPersistence:
     def test_roundtrip_preserves_identity(self, store):
-        manifest = plan_sweep(SPACE, chain_point, **KW, store=store)
+        manifest = sweep().manifest(store)
         manifest.save(store)
         loaded = SweepManifest.load(store, manifest.sweep_id)
         assert loaded == manifest
         assert loaded.sweep_id == manifest.sweep_id
         assert SweepManifest.list_ids(store) == [manifest.sweep_id]
 
-    def test_run_sweep_saves_manifest_up_front(self, store):
-        def boom(a, seed):
+    def test_run_saves_manifest_up_front(self, store, monkeypatch):
+        def boom(scenario):
             raise RuntimeError("die before any task completes")
 
+        monkeypatch.setattr(tasks, "scenario_summary", boom)
         with pytest.raises(RuntimeError):
-            run_sweep({"a": [1]}, boom, seed=0, cache=store)
+            sweep().run(cache=store)
         # The crashed run still left its ledger behind for resume tooling.
-        assert len(SweepManifest.list_ids(store)) == 1
+        assert SweepManifest.list_ids(store) == [sweep().manifest(store).sweep_id]
 
 
 class TestResume:
-    def test_resume_from_partial_cache(self, store):
-        evaluated = []
-
-        def fn(a, seed):
-            evaluated.append(a)
-            return a * 10
-
-        kw = dict(seed=3, repetitions=2)
-        reference = run_sweep({"a": [1, 2, 3]}, fn, **kw, cache=store)
-        manifest = plan_sweep({"a": [1, 2, 3]}, fn, **kw, store=store)
-        # Simulate an interrupted run: drop two of the six task results.
-        store.drop([manifest.keys[1], manifest.keys[4]])
-        assert manifest.progress(store) == (4, 6)
+    def test_resume_from_partial_cache(self, store, evaluated):
+        reference = sweep(repetitions=1).run(cache=store)
+        manifest = sweep(repetitions=1).manifest(store)
+        # Simulate an interrupted run: drop two of the four task results.
+        store.drop([manifest.keys[1], manifest.keys[3]])
+        assert manifest.progress(store) == (2, 4)
         evaluated.clear()
-        resumed = run_sweep({"a": [1, 2, 3]}, fn, **kw, cache=store)
-        assert len(evaluated) == 2  # only the missing tasks re-ran
+        resumed = sweep(repetitions=1).run(cache=store)
+        assert evaluated == [reference[1].scenario, reference[3].scenario]
         assert resumed == reference
         assert manifest.pending(store) == []
 
-    def test_interrupted_run_persists_completed_prefix(self, store):
-        # fragile_task keeps one importable identity across both runs; the
-        # first run dies after two completed tasks, the second resumes.
-        FRAGILE_CALLS.clear()
-        FRAGILE_EXPLODE_AT[0] = 3
-        kw = dict(seed=5, repetitions=1)
+    def test_interrupted_run_persists_completed_prefix(self, store, monkeypatch):
+        # The first run dies on its third task; the two completed results
+        # are already persisted, so the resumed run evaluates only the rest.
+        calls = []
+        summary = tasks.scenario_summary
+
+        def fragile(scenario):
+            calls.append(scenario)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return summary(scenario)
+
+        monkeypatch.setattr(tasks, "scenario_summary", fragile)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep({"a": [1, 2, 3, 4]}, fragile_task, **kw, cache=store)
-        manifest = plan_sweep({"a": [1, 2, 3, 4]}, fragile_task, **kw, store=store)
-        done, total = manifest.progress(store)
-        assert (done, total) == (2, 4)  # results landed as tasks completed
-        FRAGILE_CALLS.clear()
-        FRAGILE_EXPLODE_AT[0] = None
-        resumed = run_sweep({"a": [1, 2, 3, 4]}, fragile_task, **kw, cache=store)
-        assert FRAGILE_CALLS == [3, 4]
-        assert [p.result for p in resumed] == [1, 2, 3, 4]
+            sweep(repetitions=1).run(cache=store)
+        manifest = sweep(repetitions=1).manifest(store)
+        assert manifest.progress(store) == (2, 4)
+        monkeypatch.setattr(tasks, "scenario_summary", summary)
+        resumed = sweep(repetitions=1).run(cache=store)
+        assert store.hits == 2
+        assert [p.result for p in resumed] == [
+            p.result for p in sweep(repetitions=1).run()
+        ]
 
     def test_resume_ignores_foreign_entries(self, store):
-        def fn(a, seed):
-            return a
-
-        run_sweep({"a": [1, 2]}, fn, seed=0, cache=store)
-        other = run_sweep({"a": [9]}, fn, seed=0, cache=store)
-        again = run_sweep({"a": [9]}, fn, seed=0, cache=store)
+        sweep(grid={"graph": GRID["graph"][:2]}).run(cache=store)
+        other_grid = {"graph": GRID["graph"][2:]}
+        other = sweep(grid=other_grid).run(cache=store)
+        again = sweep(grid=other_grid).run(cache=store)
         assert again == other
+        assert other == sweep(grid=other_grid).run()

@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis import run_sweep
+import repro.scenario.tasks as tasks
 from repro.radio import ChannelSpec, DecayProtocol
 from repro.radio.lower_bound import measure_chain_broadcast_batch
 from repro.runtime import ResultStore, canonical_dumps, task_key
+from repro.scenario import GraphSpec, Scenario, ScenarioSweep
 
 
 @pytest.fixture
@@ -367,73 +368,63 @@ class TestStoreManagement:
 
 
 class TestCachedSweep:
-    def test_warm_run_replays_without_evaluating(self, store):
+    """A cached ScenarioSweep: replay, corruption recovery, plain paths."""
+
+    BASE = Scenario.from_string("chain(2, 2) | decay | classic | trials=2")
+
+    def sweep(self, layers=(2, 3), repetitions=2):
+        return ScenarioSweep(
+            base=self.BASE,
+            grid={"graph": [GraphSpec.make("chain", 2, l) for l in layers]},
+            repetitions=repetitions,
+            seed=3,
+        )
+
+    def test_warm_run_replays_without_evaluating(self, store, monkeypatch):
         calls = []
+        summary = tasks.scenario_summary
 
-        def fn(a, seed):
-            calls.append((a, seed))
-            return a * 10
+        def counting(scenario):
+            calls.append(scenario)
+            return summary(scenario)
 
-        kw = dict(seed=3, repetitions=2)
-        reference = run_sweep({"a": [1, 2]}, fn, **kw)
-        cold = run_sweep({"a": [1, 2]}, fn, **kw, cache=store)
+        monkeypatch.setattr(tasks, "scenario_summary", counting)
+        reference = self.sweep().run()
+        cold = self.sweep().run(cache=store)
         assert len(calls) == 2 * len(reference)
-        warm = run_sweep({"a": [1, 2]}, fn, **kw, cache=store)
+        warm = self.sweep().run(cache=store)
         assert len(calls) == 2 * len(reference)  # no new evaluations
         assert cold == warm == reference
         assert store.misses == 4 and store.hits == 4
 
     def test_corrupted_entry_recomputed_alone(self, store):
-        calls = []
-
-        def fn(a, seed):
-            calls.append(a)
-            return a
-
-        kw = dict(seed=3, repetitions=1)
-        run_sweep({"a": [1, 2, 3]}, fn, **kw, cache=store)
+        reference = self.sweep(layers=(2, 3, 4), repetitions=1).run(cache=store)
         # Corrupt one of the three entries on disk.
         victim = os.listdir(store.objects_dir)[0]
         shard = os.path.join(store.objects_dir, victim)
         with open(os.path.join(shard, os.listdir(shard)[0]), "w") as fh:
             fh.write("garbage")
-        calls.clear()
-        again = run_sweep({"a": [1, 2, 3]}, fn, **kw, cache=store)
-        assert len(calls) == 1  # only the corrupted task re-ran
-        assert [p.result for p in again] == [1, 2, 3]
+        again = self.sweep(layers=(2, 3, 4), repetitions=1).run(cache=store)
+        assert (store.hits, store.misses) == (2, 4)  # only the victim re-ran
+        assert again == reference
+
+    def test_one_entry_per_task(self, store):
+        # Each (grid point, repetition) is its own task and its own entry.
+        sweep = self.sweep()
+        manifest = sweep.manifest(store)
+        assert manifest.task_count == 4 and len(set(manifest.keys)) == 4
+        cold = sweep.run(cache=store)
+        assert store.misses == 4
+        assert [store.get(k) for k in manifest.keys] == [p.result for p in cold]
 
     def test_cache_accepts_plain_path(self, tmp_path):
-        def fn(a, seed):
-            return a
-
         root = tmp_path / "bypath"
-        run_sweep({"a": [5]}, fn, seed=0, cache=root)
+        self.sweep(layers=(2,), repetitions=1).run(cache=root)
         assert any(
             name.endswith(".json")
-            for _, _, files in os.walk(root)
+            for _, _, files in os.walk(root / "objects")
             for name in files
         )
-
-    def test_unaddressable_static_params_error(self, store):
-        with pytest.raises(TypeError, match="content-addressable"):
-            run_sweep(
-                {"a": [1]},
-                named_task,
-                seed=0,
-                static_params={"factory": lambda: 1},
-                cache=store,
-            )
-
-    def test_batch_results_cached_per_point(self, store):
-        def batch(a, seeds):
-            return [a + s for s in seeds]
-
-        kw = dict(seed=1, repetitions=3)
-        cold = run_sweep({"a": [1, 2]}, batch_fn=batch, **kw, cache=store)
-        assert store.misses == 2  # one task (and entry) per grid point
-        warm = run_sweep({"a": [1, 2]}, batch_fn=batch, **kw, cache=store)
-        assert store.hits == 2
-        assert cold == warm
 
     def test_sidecar_json_is_plain(self, tmp_path):
         from repro.runtime import write_json_payload

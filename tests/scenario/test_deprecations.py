@@ -4,16 +4,11 @@ the spec-first front doors they pointed at are the only spellings."""
 
 import pytest
 
-from repro.analysis import erasure_degradation, run_sweep
+from repro.analysis import erasure_degradation
 from repro.graphs import hypercube
 from repro.radio import DecayProtocol, run_broadcast, run_broadcast_batch
 from repro.radio.hop_analysis import hop_time_study
 from repro.radio.lower_bound import measure_chain_broadcast
-from repro.runtime import plan_sweep
-
-
-def _noop(seed):
-    return seed
 
 
 class TestLegacyKwargsRemoved:
@@ -26,10 +21,6 @@ class TestLegacyKwargsRemoved:
             run_broadcast(g, DecayProtocol(), rng=0)
         with pytest.raises(TypeError, match="rng"):
             run_broadcast_batch(g, DecayProtocol(), trials=2, rng=0)
-        with pytest.raises(TypeError, match="rng"):
-            run_sweep({"a": [1]}, _noop, rng=0)
-        with pytest.raises(TypeError, match="rng"):
-            plan_sweep({"a": [1]}, _noop, rng=0)
         with pytest.raises(TypeError, match="rng"):
             erasure_degradation([("h", hypercube(3))], [0.1], trials=1, rng=0)
 

@@ -1,11 +1,10 @@
-"""ScenarioSweep: grids over spec fields, seed discipline, caching, and
-the run_sweep scenario mode."""
+"""ScenarioSweep: grids over spec fields, grid validation, seed
+discipline, and caching."""
 
 import numpy as np
 import pytest
 
 from repro._util import as_rng, spawn_seeds
-from repro.analysis import run_sweep
 from repro.radio import DecayProtocol, measure_chain_broadcast_batch
 from repro.runtime import ParallelExecutor, ResultStore
 from repro.scenario import GraphSpec, Scenario, ScenarioSweep
@@ -39,7 +38,7 @@ class TestSchedule:
         assert [ov["channel.erasure_p"] for ov, _ in points] == [
             0.0, 0.0, 0.0, 0.0, 0.1, 0.1, 0.1, 0.1]
         assert [ov["trials"] for ov, _ in points] == [1, 1, 2, 2, 1, 1, 2, 2]
-        # Seeds derive exactly like run_sweep: grid-major from the master.
+        # One derived seed per (point, repetition), grid-major from the master.
         assert [sc.seed for _, sc in points] == spawn_seeds(as_rng(0), 8)
 
     def test_explicit_list_keeps_spec_seeds(self):
@@ -57,6 +56,62 @@ class TestSchedule:
             ScenarioSweep(base=BASE, grid={"trials": "12"})
         with pytest.raises(ValueError, match="is empty"):
             ScenarioSweep(base=BASE, grid={"trials": []})
+        with pytest.raises(ValueError, match="repetitions"):
+            ScenarioSweep(base=BASE, repetitions=0)
+
+    def test_repetitions_get_distinct_seeds(self):
+        points = ScenarioSweep(base=BASE, repetitions=5, seed=1).points()
+        assert len(points) == 5
+        assert len({sc.seed for _, sc in points}) == 5
+
+    def test_reproducible(self):
+        grid = {"trials": [1, 2, 3]}
+        a = ScenarioSweep(base=BASE, grid=grid, seed=7).scenarios()
+        b = ScenarioSweep(base=BASE, grid=grid, seed=7).scenarios()
+        assert a == b
+
+
+class TestGridValidation:
+    """Every dimension is a non-empty, non-string sized sequence, checked
+    when the sweep is built (an empty one would silently empty the grid,
+    a string would sweep over its characters)."""
+
+    def test_cartesian_product(self):
+        sweep = ScenarioSweep(
+            base=BASE, grid={"trials": [1, 2], "max_rounds": [50, 60, 70]})
+        overrides = [ov for ov, _ in sweep.points()]
+        assert len(overrides) == 6
+        assert {"trials": 1, "max_rounds": 60} in overrides
+
+    def test_order_is_stable(self):
+        a = ScenarioSweep(base=BASE, grid={"trials": [1, 2], "max_rounds": [50]})
+        b = ScenarioSweep(base=BASE, grid={"max_rounds": [50], "trials": [1, 2]})
+        assert a.points() == b.points()
+
+    def test_empty_dimension_rejected_eagerly(self):
+        with pytest.raises(ValueError, match="'max_rounds' is empty"):
+            ScenarioSweep(base=BASE, grid={"trials": [1, 2], "max_rounds": []})
+
+    def test_string_dimension_rejected(self):
+        with pytest.raises(TypeError, match="non-string sequence"):
+            ScenarioSweep(base=BASE, grid={"graph": "chain(4, 2)"})
+
+    def test_scalar_dimension_rejected(self):
+        with pytest.raises(TypeError, match="non-string sequence"):
+            ScenarioSweep(base=BASE, grid={"trials": 5})
+
+    def test_numpy_array_dimension_accepted(self):
+        ps = np.linspace(0.0, 0.3, 4)
+        sweep = ScenarioSweep(
+            base=BASE.with_overrides({"channel": "erasure(0.1)"}),
+            grid={"channel.erasure_p": ps, "trials": np.arange(1, 3)},
+        )
+        scenarios = sweep.scenarios()
+        assert len(scenarios) == 8
+        assert [sc.channel.erasure_p for sc in scenarios[::2]] == list(ps)
+        # Values arrive as Python scalars: the spec strings round-trip.
+        for sc in scenarios:
+            assert Scenario.from_string(sc.describe()) == sc
 
 
 class TestRun:
@@ -96,37 +151,45 @@ class TestRun:
             batch.rounds, BASE.with_overrides({"seed": 3}).run().rounds)
 
 
-class TestRunSweepScenarioMode:
-    def test_matches_helper_chain_sweep_bit_for_bit(self):
-        # The CLI's broadcast path: a graph-spec grid must reproduce a
-        # callable-mode sweep over the chain measurement helper exactly
-        # (same seeds, same engine, same splits).
-        helper = run_sweep(
-            {"layers": [2, 3]},
-            chain_point,
-            seed=0,
-            repetitions=2,
-            static_params={"s": 4, "trials": 3},
-        )
-        scenario_points = run_sweep(
-            {"graph": [GraphSpec.make("chain", 4, l) for l in (2, 3)]},
-            scenario=BASE,
-            seed=0,
-            repetitions=2,
-        )
-        assert len(scenario_points) == len(helper) == 4
-        for sp, hp in zip(scenario_points, helper):
-            assert sp.seed == hp.seed
-            assert (sp.result["s"], sp.result["layers"]) == (
-                4, hp.params["layers"])
-            for key in ("n", "diameter", "rounds", "completed"):
-                assert sp.result[key] == hp.result[key], key
+    @pytest.mark.parametrize(
+        "seed", [np.random.default_rng(5), None], ids=["generator", "entropy"]
+    )
+    def test_cached_run_keys_what_it_evaluates(self, seed, tmp_path):
+        # A Generator or None master seed draws fresh seeds per schedule,
+        # so the cache keys must come from the schedule the run evaluates.
+        store = ResultStore(tmp_path / "cache", salt="t")
+        points = ScenarioSweep(base=BASE, repetitions=2, seed=seed).run(cache=store)
+        assert len({p.scenario.seed for p in points}) == 2
+        for point in points:
+            key = store.scenario_key(point.scenario, view="summary")
+            assert store.get(key) == point.result
 
-    def test_scenario_mode_rejects_evaluators(self):
-        with pytest.raises(ValueError, match="scenario mode"):
-            run_sweep({}, fn=chain_point, scenario=BASE)
+
+class TestHelperEquivalence:
+    def test_matches_helper_chain_sweep_bit_for_bit(self):
+        # The CLI's broadcast path: a graph-spec grid must reproduce a loop
+        # over the chain measurement helper exactly (same seeds, same
+        # engine, same splits).
+        layers = [2, 3]
+        points = ScenarioSweep(
+            base=BASE,
+            grid={"graph": [GraphSpec.make("chain", 4, l) for l in layers]},
+            repetitions=2,
+            seed=0,
+        ).run()
+        seeds = spawn_seeds(as_rng(0), 4)
+        helper = [
+            chain_point(4, l, trials=3, seed=seed)
+            for l, seed in zip([2, 2, 3, 3], seeds)
+        ]
+        assert len(points) == len(helper) == 4
+        for point, seed, l, hp in zip(points, seeds, [2, 2, 3, 3], helper):
+            assert point.scenario.seed == seed
+            assert (point.result["s"], point.result["layers"]) == (4, l)
+            for key in ("n", "diameter", "rounds", "completed"):
+                assert point.result[key] == hp[key], key
 
     def test_empty_grid_runs_base(self):
-        points = run_sweep({}, scenario=BASE, seed=2, repetitions=2)
+        points = ScenarioSweep(base=BASE, seed=2, repetitions=2).run()
         assert len(points) == 2
         assert points[0].result["s"] == 4

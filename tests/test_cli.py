@@ -113,25 +113,24 @@ class TestChannelFlags:
     def test_broadcast_erasure(self, capsys):
         assert main(
             ["broadcast", "--s", "4", "--layers", "2,3", "--reps", "2",
-             "--trials", "8", "--channel", "erasure", "--erasure-p", "0.1"]
+             "--trials", "8", "-S", "channel=erasure(0.1)"]
         ) == 0
         out = capsys.readouterr().out
-        assert "channel=erasure" in out
+        assert "channel=erasure(0.1)" in out
 
     def test_broadcast_jamming_with_faults(self, capsys):
         assert main(
             ["broadcast", "--s", "4", "--layers", "2", "--reps", "1",
-             "--trials", "4", "--channel", "jamming",
-             "--faults", "jam@0-2:1,2"]
+             "--trials", "4", "-S", 'channel=jamming(faults="jam@0-2:1,2")']
         ) == 0
-        assert "channel=jamming" in capsys.readouterr().out
+        assert 'channel=jamming("jam@0-2:1,2")' in capsys.readouterr().out
 
     def test_hops_collision_detection_alias(self, capsys):
         assert main(
             ["hops", "--s", "4", "--layers", "3", "--reps", "4",
-             "--trials", "2", "--channel", "cd"]
+             "--trials", "2", "-S", "channel=cd"]
         ) == 0
-        assert "channel=cd" in capsys.readouterr().out
+        assert "channel=collision-detection" in capsys.readouterr().out
 
     def test_channels_table(self, capsys):
         assert main(
@@ -143,10 +142,44 @@ class TestChannelFlags:
         assert "expander" in out and "chain" in out
 
     def test_unknown_channel_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["broadcast", "--channel", "telepathy"]
-            )
+        with pytest.raises(SystemExit, match="telepathy"):
+            main(["broadcast", "-S", "channel=telepathy"])
+
+    @pytest.mark.parametrize("verb", ["broadcast", "hops", "sweep", "trace"])
+    @pytest.mark.parametrize("flag", [
+        ["--channel", "erasure"],
+        ["--erasure-p", "0.2"],
+        ["--faults", "jam@0-2:1,2"],
+    ], ids=["channel", "erasure-p", "faults"])
+    def test_retired_channel_flags_name_the_override(self, verb, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *flag])
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert f"{flag[0]} was removed" in err and "-S channel=" in err
+
+    @pytest.mark.parametrize("verb, argv", [
+        ("broadcast", ["--s", "4", "--layers", "2", "--reps", "1",
+                       "--trials", "2"]),
+        ("hops", ["--s", "4", "--layers", "2", "--reps", "1", "--trials", "2"]),
+        ("sweep", ["--s-values", "4", "--layers", "2", "--reps", "1",
+                   "--trials", "2"]),
+        ("trace", []),
+    ])
+    @pytest.mark.parametrize("override, label", [
+        ([], "classic"),
+        (["-S", "channel=erasure(0.2)"], "erasure(0.2)"),
+    ], ids=["default", "erasure"])
+    def test_header_names_the_scenario_channel(
+        self, verb, argv, override, label, tmp_path, capsys
+    ):
+        # The header label is the base scenario's channel spec: the
+        # default channel without a -S override, the override otherwise.
+        if verb == "sweep":
+            argv = [*argv, "--cache-dir", str(tmp_path / "cache")]
+        assert main([verb, *argv, *override]) == 0
+        header = "\n".join(capsys.readouterr().out.splitlines()[:2])
+        assert label in header
 
 
 class TestScenarioFlags:
