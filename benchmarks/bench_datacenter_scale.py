@@ -1,22 +1,33 @@
 """E18 — datacenter-scale broadcast: packed-bitset engine vs dense.
 
-The bitset backend packs 64 trials per uint64 word and replaces the dense
-engine's sparse ``(n, T)`` integer products with CSR neighbour-word
-gathers and popcounts (:mod:`repro.radio.bitset`).  This bench pins the
-two claims the engine was built for, on a ``n = 10^5`` random 16-regular
-expander at ``T = 64`` Decay trials:
+The bitset backend packs 64 trials per uint64 word and folds reception
+through CSR neighbour-word gathers and popcounts (:mod:`repro.radio.bitset`);
+the dense backend keeps ``(n, T)`` bool matrices and counts neighbours
+with a lane-packed CSR gather (``CSRAdjacency.count_neighbors``), folding
+only the rows still uninformed in some running trial.  This bench pins
+what the packed engine still buys over that dense engine, on a
+``n = 10^5`` random 16-regular expander at ``T = 64`` Decay trials:
 
 * **memory** — the engine working set (traced allocation peak minus the
-  result arrays both engines must hand back) shrinks ``≥ 5×``;
-* **throughput** — the *reception step* (the per-round kernel the engine
-  swaps out: dense sparse ``(n, T)`` matvecs vs CSR neighbour-word
-  gathers + popcount) advances rounds ``≥ 3×`` faster, measured by
-  clocking each engine's channel-deliver calls in place.
+  result arrays both engines must hand back) is ``≥ 4.5×`` smaller, and
+  the bitset working set stays within the tracked 17.6 MiB;
+* **throughput** — the *reception step* (the per-round kernel the engines
+  differ in: dense neighbour counts at the live rows vs CSR
+  neighbour-word gathers + popcount at every row) is ``≥ 1.3×`` faster,
+  measured by clocking each engine's channel-deliver calls in place.
 
-End-to-end wall time is reported (and its ratio asserted as a looser
-regression floor): both engines pay the *identical* counter-based coin
-hash per round — that sharing is the bit-for-bit contract — so the
+End-to-end wall time is reported, and its ratio asserted ``≥ 1.2×`` as a
+looser regression floor: both engines pay the *identical* counter-based
+coin hash per round — that sharing is the bit-for-bit contract — so the
 full-run ratio is the reception gain diluted by the common RNG cost.
+
+The bars were 5×, 3× and 2× while the dense engine ran a scipy product
+over every row each round.  The count kernel and the live-row fold took
+the dense reception step from 3.8 s to 1.3–1.8 s and its wall from
+6.5 s to 3.8–4.9 s with the bitset side unchanged, so the bars were
+restated below the minimum of five full-scale runs (mem 4.94×, step
+1.57×, wall 1.45×); each stays above 1, so bitset must still win on all
+three.
 
 Both runs are asserted bit-for-bit identical first (the equivalence
 contract ``tests/radio/test_bitset_engine.py`` pins in detail), so the
@@ -49,9 +60,9 @@ class _TimedClassic(ClassicCollision):
         super().__init__()
         self.step_seconds = 0.0
 
-    def deliver(self, round_index, transmitting, network):
+    def deliver(self, round_index, transmitting, network, rows=None):
         t0 = time.perf_counter()
-        out = super().deliver(round_index, transmitting, network)
+        out = super().deliver(round_index, transmitting, network, rows)
         self.step_seconds += time.perf_counter() - t0
         return out
 
@@ -62,6 +73,10 @@ class _TimedClassic(ClassicCollision):
         return out
 
 N_SCALE = scaled(100_000, 10_000)
+#: The bitset working set tracked in ``results/E18_datacenter_scale.*``
+#: before the dense bars were restated: the restatement must not come
+#: from a heavier bitset engine.
+BITSET_OVERHEAD_BYTES = int(17.6 * 2**20)
 DEGREE = 16
 TRIALS = 64
 SEED = 7
@@ -184,13 +199,17 @@ def test_e18_datacenter_scale(benchmark, results_dir):
         engine="bitset",
     )
     if not SMOKE:
-        assert mem_ratio >= 5.0, f"memory overhead ratio {mem_ratio:.1f} < 5"
-        assert step_ratio >= 3.0, (
-            f"reception-step throughput ratio {step_ratio:.1f} < 3"
+        assert mem_ratio >= 4.5, f"memory overhead ratio {mem_ratio:.2f} < 4.5"
+        assert b_over <= BITSET_OVERHEAD_BYTES, (
+            f"bitset overhead {b_over / 2**20:.1f} MiB > "
+            f"{BITSET_OVERHEAD_BYTES / 2**20:.1f} MiB"
+        )
+        assert step_ratio >= 1.3, (
+            f"reception-step throughput ratio {step_ratio:.2f} < 1.3"
         )
         # Looser end-to-end floor: the shared per-round coin hash (bit-
         # identical across engines by contract) dilutes the full-run gain.
-        assert wall_ratio >= 2.0, f"end-to-end wall ratio {wall_ratio:.1f} < 2"
+        assert wall_ratio >= 1.2, f"end-to-end wall ratio {wall_ratio:.2f} < 1.2"
 
 
 def test_e18_budget_sharding_identity(results_dir):

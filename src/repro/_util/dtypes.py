@@ -4,9 +4,9 @@ One module owns every "how narrow can this integer be" decision so the
 radio network, the CSR storage and the bitset kernels cannot drift apart:
 
 * :func:`count_dtype_for_degree` — the neighbour-count dtype of the dense
-  sparse product (``counts = A @ transmit``): counts are bounded by the
-  max degree, and int8 is several times faster than int32 on wide trial
-  batches;
+  engine's count kernel (``counts = A @ transmit``): counts are bounded by
+  the max degree, and the narrower the count, the more trials one word
+  lane-sums at once;
 * :func:`narrow_uint` — index-array narrowing for CSR ``indptr`` /
   ``indices`` storage;
 * :data:`WORD_DTYPE` / :data:`WORD_BITS` — the packed-bitset trial-word

@@ -8,8 +8,9 @@ Section 2.1 defines — ``Γ(S)``, ``Γ⁻(S)``, ``Γ¹(S)``, ``Γ_S(S')``,
 The canonical storage is a plain-numpy CSR (:class:`CSRAdjacency`) with
 indptr/indices in the narrowest safe uint dtype; the ``scipy.sparse``
 matrix behind the dense neighbourhood operators is built lazily on first
-use, so large-n paths that only need CSR gathers (the bitset broadcast
-engine) never materialize scipy structures at all.
+use, so the paths that only need CSR gathers — both broadcast engines'
+neighbour counts (:meth:`CSRAdjacency.count_neighbors`) and the bitset
+folds — never materialize scipy structures at all.
 
 All neighbourhood operators are one sparse mat-vec plus vectorized masking.
 """
@@ -20,10 +21,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro._util.dtypes import count_dtype_for_degree
 from repro._util.dtypes import narrow_uint as _narrow_uint
 from repro.graphs.bipartite import BipartiteGraph, BlockBipartite, _gather_rows
 
 __all__ = ["CSRAdjacency", "Graph"]
+
+#: Words per row block of :meth:`CSRAdjacency.count_neighbors`: a block's
+#: accumulator and gather buffer stay cache-resident across the slot loop
+#: (the bitset folds' block size, for the same reason).
+_COUNT_BLOCK_WORDS = 16384
 
 
 class CSRAdjacency:
@@ -37,10 +44,14 @@ class CSRAdjacency:
     slot-major ``(d, n)`` transpose of the ``indices`` reshape (each
     slot's gather indices contiguous); in general a degree-descending
     stable ordering with int64 row starts, so slot ``k`` touches exactly
-    the vertices whose degree exceeds ``k``.
+    the vertices whose degree exceeds ``k``.  ``count_neighbors`` runs
+    the dense engine's neighbour counts over the same plan.
     """
 
-    __slots__ = ("n", "indptr", "indices", "degrees", "_plan", "_take")
+    __slots__ = (
+        "n", "indptr", "indices", "degrees", "max_degree", "count_dtype",
+        "_plan", "_take",
+    )
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.n = int(n)
@@ -51,6 +62,10 @@ class CSRAdjacency:
         )
         self.indices = _frozen(_narrow_uint(np.asarray(indices), self.n - 1))
         self.degrees = _frozen(np.diff(self.indptr.astype(np.int64)))
+        self.max_degree = int(self.degrees.max()) if self.n else 0
+        #: The dtype of :meth:`count_neighbors` results: the narrowest
+        #: signed integer holding the max degree.
+        self.count_dtype = count_dtype_for_degree(self.max_degree)
         self._plan = None
         self._take = None
 
@@ -58,10 +73,6 @@ class CSRAdjacency:
     def nnz(self) -> int:
         """Number of stored (directed) entries — twice the edge count."""
         return int(self.indices.shape[0])
-
-    @property
-    def max_degree(self) -> int:
-        return int(self.degrees.max()) if self.n else 0
 
     def row(self, v: int) -> np.ndarray:
         """Sorted neighbours of ``v`` (int64)."""
@@ -119,6 +130,74 @@ class CSRAdjacency:
         self.gather_plan()
         return self._take
 
+    def count_neighbors(
+        self, x: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-vertex counts of neighbours set in ``x``: ``(A @ x)[rows]``.
+
+        ``x`` is a bool ``(n,)`` mask or ``(n, T)`` matrix (column ``t``
+        one trial); the result has ``x``'s shape, restricted to ``rows``
+        (all rows when ``None``), in :attr:`count_dtype`.
+
+        Each row of ``x`` is cast into one lane of :attr:`count_dtype`
+        width per column and the lanes are viewed as unsigned words, so a
+        single integer add sums every lane of a word at once: a count
+        never exceeds the max degree, which the lane holds, so no lane
+        carries into the next.  Bool rows already are int8 lanes, so at
+        the common width (T a multiple of 8, degree < 128) ``x`` is
+        gathered in place, 8 trials to a uint64.  The regular plan runs
+        row-blocked ``np.take(out=, mode="clip")`` gathers over the slot
+        matrix (at ``rows``: over just those rows' neighbour lists; when
+        ``x`` needs a cast and they are fewer than ``n``, only the
+        gathered neighbour rows are cast).  An irregular graph sums the
+        general plan's degree-descending prefixes, and restricts the full
+        result to ``rows``.
+        """
+        x = np.asarray(x)
+        if x.dtype != bool or x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ValueError(
+                f"x must be a bool (n,) mask or (n, T) matrix with n = {self.n}"
+            )
+        mat = x[:, None] if x.ndim == 1 else x
+        trials = mat.shape[1]
+        dtype = np.dtype(self.count_dtype)
+        lanes, word = _lane_layout(trials, dtype.itemsize)
+        in_place = (
+            lanes == trials and dtype.itemsize == 1 and mat.flags.c_contiguous
+        )
+
+        def as_words(rows_of_x):
+            if in_place:
+                return rows_of_x.view(word)
+            padded = np.zeros((rows_of_x.shape[0], lanes), dtype=dtype)
+            padded[:, :trials] = rows_of_x
+            return padded.view(word)
+
+        plan = self.gather_plan()
+        if plan[0] == "regular":
+            slots = self.take_slots()
+            d = slots.shape[0]
+            m = self.n if rows is None else len(rows)
+            if in_place or not 0 < d * m < self.n:
+                acc = _sum_slots(as_words(mat), slots, rows)
+            else:
+                # Few rows: cast only the neighbour rows they gather, not
+                # all of x, and sum the (d, m, W) gather over its slots.
+                at = slots.take(rows, axis=1).reshape(-1)
+                gathered = as_words(mat[at]).reshape(d, m, -1)
+                acc = np.add.reduce(gathered, axis=0, dtype=word)
+        else:
+            src = as_words(mat)
+            acc = np.zeros(src.shape, dtype=word)
+            _, order, starts, slot_counts = plan
+            for k, m in enumerate(slot_counts):
+                nbr = self.indices[starts[:m] + np.int64(k)]
+                acc[order[:m]] += src[nbr]
+            if rows is not None:
+                acc = acc[np.asarray(rows)]
+        counts = acc.view(dtype)[:, :trials]
+        return counts[:, 0] if x.ndim == 1 else counts
+
     @property
     def nbytes(self) -> int:
         """Bytes held by the CSR arrays and, once built, the gather plan."""
@@ -126,6 +205,62 @@ class CSRAdjacency:
         if self._plan is not None:
             arrays.extend(self._plan[1:])
         return sum(int(a.nbytes) for a in arrays)
+
+
+def _lane_layout(trials: int, itemsize: int) -> tuple[int, np.dtype]:
+    """``(lanes, word)`` for summing ``trials`` count lanes of ``itemsize``
+    bytes per row: the padded lane count and the unsigned word the row is
+    viewed as.
+
+    A row of at most 8 bytes is one word of the next power-of-two size
+    (1, 2, 4 or 8 bytes).  A wider row is padded to whole uint64 words,
+    and 3 words to 4: ``np.take`` copies 8-, 16- and 32-byte items on a
+    fast path and anything else by ``memmove`` (measured at ``(4096, 8)``,
+    3 words cost 2× 4).
+    """
+    nbytes = max(1, trials * itemsize)
+    if nbytes <= 8:
+        size = 1 << (nbytes - 1).bit_length()
+        return size // itemsize, np.dtype(f"u{size}")
+    words = -(-nbytes // 8)
+    if words == 3:
+        words = 4
+    return words * 8 // itemsize, np.dtype(np.uint64)
+
+
+def _sum_slots(
+    src: np.ndarray, slots: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """``sum_k src[slots[k, rows]]`` over a ``(d, n)`` slot matrix:
+    ``(len(rows), W)`` words (all ``n`` rows when ``rows`` is ``None``).
+
+    Rows are gathered in blocks, so the accumulator and the gather buffer
+    stay in cache and a block's slot columns at ``rows`` are the only
+    index copy (a single-word row gathers from the flat column, numpy's
+    1-D fast path)."""
+    d = slots.shape[0]
+    m = slots.shape[1] if rows is None else len(rows)
+    width = src.shape[1]
+    flat = width == 1
+    if flat:
+        src = src[:, 0]
+    acc = np.zeros((m,) if flat else (m, width), dtype=src.dtype)
+    if d == 0 or m == 0:
+        return acc[:, None] if flat else acc
+    axis = None if flat else 0
+    step = max(1, _COUNT_BLOCK_WORDS // width)
+    buf = np.empty_like(acc[:step])
+    for s in range(0, m, step):
+        e = min(s + step, m)
+        a, b = acc[s:e], buf[: e - s]
+        block = slots[:, s:e] if rows is None else slots.take(rows[s:e], axis=1)
+        # Plan indices are always valid, so clip never engages; take's
+        # out= skips fancy indexing's allocation and bounds branch.
+        src.take(block[0], axis, a, "clip")
+        for k in range(1, d):
+            src.take(block[k], axis, b, "clip")
+            a += b
+    return acc[:, None] if flat else acc
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Packed-bitset kernels for the memory-lean broadcast engine.
 
 The dense batch engine carries trial state as ``(n, T)`` bool matrices and
-pays one sparse ``(n, T)`` integer product per round.  At datacenter scale
-(``n = 10^5 .. 10^6``) that working set — and the scipy cast behind it —
-dominates memory.  This module provides the word-packed alternative: trial
-``t`` lives in bit ``t % 64`` of word column ``t // 64``, so transmit /
-informed / received state is an ``(n, ceil(T/64))`` uint64 matrix, 8× the
-trial density of a bool matrix, and reception is computed by *gathering
-neighbour words over CSR* — no per-neighbour integer count matrix is ever
-materialized.
+pays one ``(n, T)`` integer neighbour count per round.  At datacenter scale
+(``n = 10^5 .. 10^6``) that working set dominates memory.  This module
+provides the word-packed alternative: trial ``t`` lives in bit ``t % 64``
+of word column ``t // 64``, so transmit / informed / received state is an
+``(n, ceil(T/64))`` uint64 matrix, 8× the trial density of a bool matrix,
+and reception is computed by *gathering neighbour words over CSR* — no
+per-neighbour integer count matrix is ever materialized.
 
 Exactly-one detection uses the classic ``x & (x - 1)`` saturating-
 accumulator trick in vectorized form: fold neighbour words into ``once``

@@ -28,7 +28,9 @@ Batching contract
 -----------------
 ``deliver`` accepts an ``(n,)`` transmit mask (one trial) or an ``(n, T)``
 matrix (``T`` trials advanced together) and returns a received mask of the
-same shape.  Stateful channels prepare per-trial state in :meth:`reset`
+same shape — or, given ``rows``, of those rows only (``(len(rows),)`` or
+``(len(rows), T)``), so the engine can fold just the receivers that can
+still change state.  Stateful channels prepare per-trial state in :meth:`reset`
 (one generator per trial, mirroring the protocol hooks) and drop completed
 trials in :meth:`select_trials` when the engine compacts its working set.
 
@@ -126,13 +128,20 @@ class ChannelModel(ABC):
 
     @abstractmethod
     def deliver(
-        self, round_index: int, transmitting: np.ndarray, network
+        self, round_index: int, transmitting: np.ndarray, network, rows=None
     ) -> np.ndarray:
         """Map a transmit mask to the received mask for this round.
 
         ``transmitting`` is a bool ``(n,)`` vector or ``(n, T)`` matrix;
         the result has the same shape.  Column ``t`` of a batched call
         must equal what a standalone trial ``t`` would receive.
+
+        ``rows`` (an int array, or ``None`` for every row) names the
+        receivers the caller reads: the result is then the ``rows``
+        restriction of the full one, bit for bit.  Transmitters are always
+        the whole mask.  A channel that cannot compute less computes the
+        full result and indexes it, and any per-round state it keeps
+        (:attr:`feedback`) stays full.
         """
 
     def deliver_words(
@@ -162,10 +171,11 @@ class ClassicCollision(ChannelModel):
     supports_bitset = True
 
     def deliver(
-        self, round_index: int, transmitting: np.ndarray, network
+        self, round_index: int, transmitting: np.ndarray, network, rows=None
     ) -> np.ndarray:
-        counts = network.transmit_counts(transmitting)
-        return (counts == 1) & ~transmitting
+        counts = network.transmit_counts(transmitting, rows)
+        silent = ~(transmitting if rows is None else transmitting[rows])
+        return (counts == 1) & silent
 
     def deliver_words(
         self, round_index: int, transmit_words: np.ndarray, network
@@ -186,12 +196,14 @@ class CollisionDetection(ChannelModel):
     name = "collision-detection"
 
     def deliver(
-        self, round_index: int, transmitting: np.ndarray, network
+        self, round_index: int, transmitting: np.ndarray, network, rows=None
     ) -> np.ndarray:
+        # Feedback reaches every silent processor, so counts run in full.
         counts = network.transmit_counts(transmitting)
         silent = ~transmitting
         self.feedback = (counts >= 2) & silent
-        return (counts == 1) & silent
+        received = (counts == 1) & silent
+        return received if rows is None else received[rows]
 
 
 class ErasureChannel(ChannelModel):
@@ -220,7 +232,7 @@ class ErasureChannel(ChannelModel):
             self._keys = self._keys[keep]
 
     def deliver(
-        self, round_index: int, transmitting: np.ndarray, network
+        self, round_index: int, transmitting: np.ndarray, network, rows=None
     ) -> np.ndarray:
         if self._keys is None:
             raise RuntimeError(
@@ -228,24 +240,26 @@ class ErasureChannel(ChannelModel):
                 "before stepping (the broadcast engine does this; direct "
                 "users call channel.reset(network, [rng]))"
             )
-        # A C-ordered result, so its flat view below writes through.
-        received = np.empty(transmitting.shape, dtype=bool)
-        np.equal(network.transmit_counts(transmitting), 1, out=received)
-        received &= ~transmitting
         trials = 1 if transmitting.ndim == 1 else transmitting.shape[1]
         if self._keys.shape[0] != trials:
             raise ValueError(
                 f"channel was reset for {self._keys.shape[0]} trials but "
                 f"stepped with {trials}"
             )
+        tx = transmitting if rows is None else transmitting[rows]
+        # A C-ordered result, so its flat view below writes through.
+        received = np.empty(tx.shape, dtype=bool)
+        np.equal(network.transmit_counts(transmitting, rows), 1, out=received)
+        received &= ~tx
         # Erasure coins only matter where something was received: hash
         # those cells alone (identical bits, a fraction of the lattice).
         flat = received.reshape(-1)
         cells = np.flatnonzero(flat)
-        rows = cells // trials
-        cols = cells - rows * trials
-        n = received.shape[0]
-        dropped = counter_cell_coins(self._keys, round_index, n, self.p, rows, cols)
+        at, cols = np.divmod(cells, trials)
+        nodes = at if rows is None else np.asarray(rows)[at]
+        dropped = counter_cell_coins(
+            self._keys, round_index, network.n, self.p, nodes, cols
+        )
         flat[cells[dropped]] = False
         return received
 
@@ -502,7 +516,7 @@ class AdversarialJamming(ChannelModel):
         return self._adj_csr
 
     def deliver(
-        self, round_index: int, transmitting: np.ndarray, network
+        self, round_index: int, transmitting: np.ndarray, network, rows=None
     ) -> np.ndarray:
         n = transmitting.shape[0]
         # Idempotent re-filter so direct network.step callers get crash
@@ -517,7 +531,7 @@ class AdversarialJamming(ChannelModel):
         _, deaf = self._round_masks(round_index, n)
         if deaf.any():
             received[deaf] = False
-        return received
+        return received if rows is None else received[rows]
 
 
 #: CLI/registry channel names mapped to short descriptions.

@@ -190,7 +190,7 @@ def measure_chain_broadcast_batch(
     channel: ChannelModel | None = None,
 ) -> BatchChainMeasurement:
     """Build one chain and broadcast ``trials`` independent protocol runs
-    over it through the batched engine (one sparse product per round for
+    over it through the batched engine (one neighbour count per round for
     all trials).  ``seed`` is the master seed for the per-trial streams
     and ``chain_seed`` drives the portal choices; ``channel`` selects the
     reception model (default: classic collision).

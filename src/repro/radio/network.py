@@ -11,23 +11,27 @@ indistinguishable from silence.  Other channels add collision-detection
 feedback, i.i.d. erasures, or adversarial jamming/crash/link faults (see
 :mod:`repro.radio.channel`).
 
-The classic round step is one sparse mat-vec: ``counts = A @ transmit``;
-``received = (counts == 1) & ~transmit`` — so simulating a round of an
-``n``-vertex network costs ``O(m)`` regardless of protocol complexity.
+The classic round step is one neighbour count over the graph's CSR:
+``counts = A @ transmit``; ``received = (counts == 1) & ~transmit`` — so
+simulating a round of an ``n``-vertex network costs ``O(m)`` regardless of
+protocol complexity.  The count is
+:meth:`repro.graphs.graph.CSRAdjacency.count_neighbors`, a numpy gather
+kernel in the narrowest count dtype: no scipy.
 
 The step also accepts an ``(n, T)`` transmit *matrix*: column ``t`` is an
-independent trial, and one sparse mat-mat product advances all ``T`` trials
-at once.  This is the kernel the batched broadcast engine
+independent trial, and one count advances all ``T`` trials at once.  This
+is the kernel the batched broadcast engine
 (:func:`repro.radio.broadcast.run_broadcast_batch`) builds on — amortizing
-the Python and sparse-indexing overhead across trials is where the
-order-of-magnitude multi-trial speedup comes from.
+the Python and indexing overhead across trials is where the
+order-of-magnitude multi-trial speedup comes from.  ``rows`` restricts a
+step to the listed receivers: the engine folds only the rows still
+unsatisfied in some running trial.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._util import count_dtype_for_degree
 from repro.graphs.graph import Graph
 from repro.radio.channel import ChannelModel, ClassicCollision
 
@@ -86,8 +90,6 @@ class RadioNetwork:
     __slots__ = (
         "graph",
         "channel",
-        "_adj_cast",
-        "_count_dtype",
         "_tc_key",
         "_tc_val",
         "_eow_key",
@@ -100,20 +102,13 @@ class RadioNetwork:
         # Identity-keyed single-entry caches: when telemetry computes the
         # round's counts / exactly-one fold first, the channel's own call
         # with the *same* transmit object reuses it instead of re-running
-        # the sparse kernel.  Keying on object identity is exact — any
+        # the count kernel.  Keying on object identity is exact — any
         # channel that filters transmitters (jamming crashes) builds a new
         # array and correctly misses.
         self._tc_key = None
         self._tc_val = None
         self._eow_key = None
         self._eow_val = None
-        # Neighbour counts are bounded by the max degree, so the sparse
-        # product can run in the narrowest safe integer type — int8 is
-        # several times faster than int32 on wide trial batches.
-        self._count_dtype = count_dtype_for_degree(graph.max_degree)
-        # Built lazily on the first dense step: bitset-engine runs gather
-        # over the graph's plain-numpy CSR and never materialize scipy.
-        self._adj_cast = None
 
     @property
     def n(self) -> int:
@@ -123,25 +118,25 @@ class RadioNetwork:
     @property
     def count_dtype(self) -> type:
         """Narrowest integer dtype that holds this graph's neighbour counts
-        (channels doing their own sparse products should use it too)."""
-        return self._count_dtype
+        (the dtype of :meth:`transmit_counts`)."""
+        return self.graph.csr.count_dtype
 
-    def transmit_counts(self, transmitting: np.ndarray) -> np.ndarray:
-        """Transmitting-neighbour counts — the shared sparse kernel every
-        channel's reception rule is built from."""
+    def transmit_counts(
+        self, transmitting: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Transmitting-neighbour counts, at ``rows`` only when given — the
+        shared kernel every channel's reception rule is built from
+        (:meth:`~repro.graphs.graph.CSRAdjacency.count_neighbors`)."""
         if self._tc_key is transmitting:
-            return self._tc_val
-        if self._adj_cast is None:
-            # copy=False: the int8 common case aliases scipy's own buffers.
-            self._adj_cast = self.graph.adjacency.astype(
-                self._count_dtype, copy=False
-            )
-        return self._adj_cast @ transmitting.astype(self._count_dtype)
+            return self._tc_val if rows is None else self._tc_val[rows]
+        return self.graph.csr.count_neighbors(transmitting, rows)
 
     def value_counts(self, values: np.ndarray) -> np.ndarray:
         """Exact delivered-value product ``A @ values`` — the kernel the
         value workloads (aggregate, pipeline) fold each round (scipy's
-        int32 adjacency @ int64 values upcasts to int64)."""
+        int32 adjacency @ int64 values upcasts to int64).  The one scipy
+        product left in the engines: value cells are int64, one to a
+        word, so :meth:`transmit_counts`' lane packing does not apply."""
         return self.graph.adjacency @ values
 
     def prime_transmit_counts(
@@ -173,7 +168,12 @@ class RadioNetwork:
         self._eow_key = transmit_words
         self._eow_val = exactly_one
 
-    def step(self, transmitting: np.ndarray, round_index: int = 0) -> np.ndarray:
+    def step(
+        self,
+        transmitting: np.ndarray,
+        round_index: int = 0,
+        rows: np.ndarray | None = None,
+    ) -> np.ndarray:
         """One synchronous round, for one trial or a whole batch.
 
         Parameters
@@ -182,18 +182,21 @@ class RadioNetwork:
             Bool mask of processors that transmit this round — either an
             ``(n,)`` vector (one trial) or an ``(n, T)`` matrix whose
             columns are ``T`` independent trials advanced together by a
-            single sparse product.
+            single neighbour count.
         round_index:
             The current round number; round-indexed channels (erasure
             coins, fault schedules) condition on it.  Irrelevant under the
             classic model, hence optional.
+        rows:
+            Optional int array of receivers: only their receptions are
+            computed and returned.  ``None`` means every processor.
 
         Returns
         -------
         numpy.ndarray
-            Bool mask (same shape as the input) of processors that
-            *receive* the message this round, as decided by the active
-            channel model.
+            Bool mask of processors that *receive* the message this round,
+            as decided by the active channel model: the input's shape, or
+            ``(len(rows),)`` / ``(len(rows), T)`` at ``rows``.
         """
         transmitting = np.asarray(transmitting)
         if (
@@ -205,7 +208,7 @@ class RadioNetwork:
                 f"transmitting must be a bool (n,) mask or (n, T) matrix "
                 f"with n = {self.n}"
             )
-        return self.channel.deliver(round_index, transmitting, self)
+        return self.channel.deliver(round_index, transmitting, self, rows)
 
     def step_words(
         self, transmit_words: np.ndarray, round_index: int = 0

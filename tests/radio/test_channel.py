@@ -369,3 +369,42 @@ class TestFaultValidation:
         transmitting[1:] = True
         received = net.step(transmitting, round_index=0)
         assert not received[0]
+
+
+class TestDeliverAtRows:
+    """``deliver(..., rows)`` is the ``rows`` restriction of the full
+    delivery on every channel, for one trial and a batch, and leaves the
+    per-round state (collision feedback) full."""
+
+    CHANNELS = {
+        "classic": ClassicCollision,
+        "cd": CollisionDetection,
+        "erasure": lambda: ErasureChannel(0.3),
+        "jamming": lambda: AdversarialJamming(
+            parse_fault_spec("jam@0-9:1,2;crash@2:5;down@1:0-1,3-7")
+        ),
+    }
+
+    @pytest.mark.parametrize("trials", [None, 1, 15, 17])
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    def test_restriction_of_full_delivery(self, name, trials):
+        graph = random_regular(40, 4, rng=2)
+        gen = np.random.default_rng(7)
+        channel = self.CHANNELS[name]()
+        net = RadioNetwork(graph, channel=channel)
+        channel.reset(net, [as_rng(s) for s in spawn_seeds(as_rng(3), trials or 1)])
+        shape = (graph.n,) if trials is None else (graph.n, trials)
+        for round_index in range(4):
+            mask = gen.random(shape) < 0.3
+            full = net.step(mask, round_index)
+            feedback = channel.feedback
+            for rows in (
+                np.arange(graph.n),
+                np.flatnonzero(gen.random(graph.n) < 0.2),
+                np.array([graph.n - 1, 0, 0]),
+                np.zeros(0, dtype=np.int64),
+            ):
+                got = net.step(mask, round_index, rows)
+                assert np.array_equal(got, full[rows]), (name, round_index)
+                if feedback is not None:
+                    assert np.array_equal(channel.feedback, feedback)

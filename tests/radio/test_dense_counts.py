@@ -213,6 +213,51 @@ def test_trials_done_before_round_one(telemetry):
     assert (instant.rounds == 0).all() and instant.completed.all()
 
 
+@pytest.mark.parametrize("trials", [15, 17])
+def test_live_row_fold_matches_full_delivery(trials, monkeypatch):
+    # Telemetry off folds only the live rows (still unsatisfied in some
+    # running trial); telemetry on delivers every row.  Everything but the
+    # telemetry extras must agree, at widths the count kernel pads.
+    graph = random_regular(256, 8, rng=5)
+    steps = []
+    step = RadioNetwork.step
+
+    def spy(self, transmitting, round_index=0, rows=None):
+        steps.append(None if rows is None else len(rows))
+        return step(self, transmitting, round_index, rows)
+
+    monkeypatch.setattr(RadioNetwork, "step", spy)
+    runs = {}
+    for telemetry in (False, True):
+        steps.clear()
+        runs[telemetry] = run_broadcast_batch(
+            graph, DecayProtocol(), trials=trials, seed=11, engine="dense",
+            workload="gossip(k=4)", channel=ErasureChannel(0.05),
+            telemetry=telemetry,
+        )
+        if telemetry:
+            assert set(steps) == {None}
+        else:
+            # The live rows shrink to a handful by the tail.
+            assert min(s for s in steps if s is not None) < graph.n // 20
+    off, on = runs[False], runs[True]
+    assert np.unique(off.rounds).size > 1
+    for field in RESULT_FIELDS:
+        assert np.array_equal(getattr(off, field), getattr(on, field)), field
+    assert sorted(off.extras) == sorted(
+        k for k in on.extras if not k.startswith(TELEMETRY_PREFIX)
+    )
+    for key in off.extras:
+        assert np.array_equal(off.extras[key], on.extras[key]), key
+    assert_recount(on)
+    # The dense telemetry rows are the packed engine's, bit for bit.
+    packed = run_broadcast_batch(
+        graph, DecayProtocol(), trials=trials, seed=11, engine="bitset",
+        workload="gossip(k=4)", channel=ErasureChannel(0.05), telemetry=True,
+    )
+    assert_runs_equal(on, packed, f"T={trials}")
+
+
 @pytest.mark.parametrize(
     "workload", ["aggregate(op=max)", "aggregate(op=count)", "pipeline(m=3)"]
 )

@@ -1,12 +1,13 @@
 """Imports stay cold: scipy loads only where a run uses it.
 
 Importing the package, the scenario layer, the service and the CLI, and
-a packed (``engine=bitset``) broadcast, load no ``scipy.sparse``,
-``scipy.optimize`` or ``networkx``: every CLI call and every spawned
-service worker would pay their import time otherwise.  A dense run
-loads ``scipy.sparse`` for its sparse product, and ``mg_bound`` loads
-``scipy.optimize`` for its numeric maximum.  Each check runs in a fresh
-interpreter, since this test process has imported them long before.
+a packed (``engine=bitset``) or dense set-workload broadcast, load no
+``scipy.sparse``, ``scipy.optimize`` or ``networkx``: every CLI call and
+every spawned service worker would pay their import time otherwise.  A
+value workload (``aggregate``) loads ``scipy.sparse`` for its int64
+value product, and ``mg_bound`` loads ``scipy.optimize`` for its numeric
+maximum.  Each check runs in a fresh interpreter, since this test process
+has imported them long before.
 """
 
 import os
@@ -53,6 +54,12 @@ DENSE = textwrap.dedent(
     ).run()
     assert result.completed.all()
     print("dense", loaded())
+    result = Scenario.from_string(
+        "random_regular(512, 8) | decay | aggregate(op=count) | trials=8 "
+        "| seed=0"
+    ).run()
+    assert result.completed.all()
+    print("aggregate", loaded())
     from repro.expansion import mg_bound
 
     value = mg_bound(8.0)
@@ -79,8 +86,9 @@ def test_imports_and_packed_run_load_no_scipy():
     assert _run(PACKED) == ["import []", "bitset []"]
 
 
-def test_dense_run_loads_sparse_and_mg_bound_loads_optimize():
+def test_dense_set_run_loads_no_scipy_and_value_run_loads_sparse():
     assert _run(DENSE) == [
-        "dense ['scipy.sparse']",
+        "dense []",
+        "aggregate ['scipy.sparse']",
         "mg_bound ['scipy.optimize', 'scipy.sparse']",
     ]
