@@ -27,7 +27,10 @@ the dense reception step from 3.8 s to 1.3–1.8 s and its wall from
 6.5 s to 3.8–4.9 s with the bitset side unchanged, so the bars were
 restated below the minimum of five full-scale runs (mem 4.94×, step
 1.57×, wall 1.45×); each stays above 1, so bitset must still win on all
-three.
+three.  Those runs delivered in full while more than half the rows were
+live; folding at the live rows from the first round raised the dense
+working set from 75.9 to 82.0 MiB, and three full-scale runs then read
+mem 5.36×, step 1.67–1.87× and wall 1.57–1.75×.
 
 Both runs are asserted bit-for-bit identical first (the equivalence
 contract ``tests/radio/test_bitset_engine.py`` pins in detail), so the

@@ -147,11 +147,9 @@ class CSRAdjacency:
         the common width (T a multiple of 8, degree < 128) ``x`` is
         gathered in place, 8 trials to a uint64.  The regular plan runs
         row-blocked ``np.take(out=, mode="clip")`` gathers over the slot
-        matrix (at ``rows``: over just those rows' neighbour lists; when
-        ``x`` needs a cast and they are fewer than ``n``, only the
-        gathered neighbour rows are cast).  An irregular graph sums the
-        general plan's degree-descending prefixes, and restricts the full
-        result to ``rows``.
+        matrix (at ``rows``: over just those rows' neighbour lists).  An
+        irregular graph sums the general plan's degree-descending
+        prefixes, and restricts the full result to ``rows``.
         """
         x = np.asarray(x)
         if x.dtype != bool or x.ndim not in (1, 2) or x.shape[0] != self.n:
@@ -162,32 +160,16 @@ class CSRAdjacency:
         trials = mat.shape[1]
         dtype = np.dtype(self.count_dtype)
         lanes, word = _lane_layout(trials, dtype.itemsize)
-        in_place = (
-            lanes == trials and dtype.itemsize == 1 and mat.flags.c_contiguous
-        )
-
-        def as_words(rows_of_x):
-            if in_place:
-                return rows_of_x.view(word)
-            padded = np.zeros((rows_of_x.shape[0], lanes), dtype=dtype)
-            padded[:, :trials] = rows_of_x
-            return padded.view(word)
-
+        if lanes == trials and dtype.itemsize == 1 and mat.flags.c_contiguous:
+            src = mat.view(word)
+        else:
+            padded = np.zeros((self.n, lanes), dtype=dtype)
+            padded[:, :trials] = mat
+            src = padded.view(word)
         plan = self.gather_plan()
         if plan[0] == "regular":
-            slots = self.take_slots()
-            d = slots.shape[0]
-            m = self.n if rows is None else len(rows)
-            if in_place or not 0 < d * m < self.n:
-                acc = _sum_slots(as_words(mat), slots, rows)
-            else:
-                # Few rows: cast only the neighbour rows they gather, not
-                # all of x, and sum the (d, m, W) gather over its slots.
-                at = slots.take(rows, axis=1).reshape(-1)
-                gathered = as_words(mat[at]).reshape(d, m, -1)
-                acc = np.add.reduce(gathered, axis=0, dtype=word)
+            acc = _sum_slots(src, self.take_slots(), rows)
         else:
-            src = as_words(mat)
             acc = np.zeros(src.shape, dtype=word)
             _, order, starts, slot_counts = plan
             for k, m in enumerate(slot_counts):

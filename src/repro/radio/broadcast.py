@@ -51,6 +51,7 @@ trial's stream and the merged result is bit-for-bit the unsharded one.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -518,8 +519,13 @@ def _run(
         frontier = _PackedFrontier(network, protocol, state, targets)
     else:
         # Telemetry reads receptions at every row, and a value workload
-        # folds values at every row: both deliver in full.
-        live_rows = not telemetry and type(state).fold is WorkloadState.fold
+        # folds values at every row: both deliver in full, as does a
+        # channel whose ``deliver`` predates its ``rows`` argument.
+        live_rows = (
+            not telemetry
+            and type(state).fold is WorkloadState.fold
+            and "rows" in inspect.signature(network.channel.deliver).parameters
+        )
         frontier = _DenseFrontier(network, protocol, state, targets, live_rows)
     tel = TelemetryAccumulator(trials) if telemetry else None
     rounds = np.zeros(trials, dtype=np.int64)
@@ -570,17 +576,12 @@ class _DenseFrontier:
 
     With ``live_rows`` the frontier also keeps the *live rows*, those
     still unsatisfied in some running trial, with each one's count of
-    unsatisfied running cells; a round's fresh cells and :meth:`retire`
-    lower the counts, and rows at zero leave.  A set fold
-    (``received & ~satisfied``) can only find fresh cells at live rows,
-    so delivery and the fold run there alone: on an expander most rounds
-    are a tail where a few rows are live.  While more than half the rows
-    are live, a round delivers in full instead: restricting would copy
-    most of the transmit and satisfied matrices for little saved work
-    (8 service-shaped jobs, 3 alternating pairs: 1.06–1.17 s engine CPU
-    against 1.14–1.27 s when restricting as soon as any row is done, and
-    a lower peak at scale).  Coins and transmitter counts still cover
-    every row.
+    unsatisfied running cells (aligned with the rows); a round's fresh
+    cells and :meth:`retire` lower the counts, and rows at zero leave.
+    A set fold (``received & ~satisfied``) can only find fresh cells at
+    live rows, so delivery and the fold run there alone: on an expander
+    most rounds are a tail where a few rows are live.  Coins and
+    transmitter counts still cover every row.
     """
 
     def __init__(self, network, protocol, state, targets, live_rows) -> None:
@@ -595,8 +596,9 @@ class _DenseFrontier:
         self._active = np.arange(self._trials)
         self._live = self._unsat = None
         if live_rows:
-            self._unsat = self._trials - np.count_nonzero(satisfied, axis=1)
-            self._live = np.flatnonzero(self._unsat)
+            unsat = self._trials - np.count_nonzero(satisfied, axis=1)
+            self._live = np.flatnonzero(unsat)
+            self._unsat = unsat[self._live]
         self._first = np.full(satisfied.shape, -1, dtype=np.int64)
         self._first[satisfied] = 0
         # Counted once here and then kept running: the fold contract makes
@@ -618,7 +620,8 @@ class _DenseFrontier:
 
     def _narrow_live(self) -> None:
         """Drop the live rows whose unsatisfied count reached zero."""
-        self._live = self._live[self._unsat[self._live] > 0]
+        keep = self._unsat > 0
+        self._live, self._unsat = self._live[keep], self._unsat[keep]
 
     def retire(self, running: np.ndarray) -> None:
         """Compact the working set to the ``running`` trials."""
@@ -626,7 +629,7 @@ class _DenseFrontier:
         if self._live is not None:
             # The retired columns' unsatisfied cells no longer count.
             gone = ~self._satisfied[self._live][:, ~keep]
-            self._unsat[self._live] -= np.count_nonzero(gone, axis=1)
+            self._unsat -= np.count_nonzero(gone, axis=1)
             self._narrow_live()
         self._active = self._active[keep]
         self._satisfied = self._satisfied[:, keep]
@@ -651,8 +654,6 @@ class _DenseFrontier:
             tcounts = network.transmit_counts(mask)
             network.prime_transmit_counts(mask, tcounts)
         live = self._live
-        if live is not None and 2 * live.size > satisfied.shape[0]:
-            live = None
         received = network.step(mask, round_index, live)
         feedback = network.channel.feedback
         if feedback is not None:
@@ -664,19 +665,30 @@ class _DenseFrontier:
         # round's index arrays set the engine's peak at scale, so no more
         # than three live at once.
         rows, cols = np.divmod(np.flatnonzero(fresh), fresh.shape[1])
-        if live is not None:
+        if live is not None and rows.size:
+            self._unsat -= np.bincount(rows, minlength=live.size)
             rows = live[rows]
-        if self._live is not None and rows.size:
-            self._unsat -= np.bincount(rows, minlength=self._unsat.size)
             self._narrow_live()
         self._first[rows, cols if active.size == self._trials else active[cols]] = (
             round_index + 1
         )
         newly = self._wide(np.bincount(cols, minlength=active.size))
         if tel is not None:
-            tel.append_full(**self._telemetry_row(
-                mask, tcounts, received, transmitters, newly
-            ))
+            # Victims are counted against the base adjacency on every
+            # channel (the legacy tracer's convention: lossy channels show
+            # as receptions < contacts, not as fewer collisions).  A
+            # transmitter is wasted when no neighbour received — a receiver
+            # hears its unique transmitting neighbour, so any receiving
+            # neighbour is a delivery credit.
+            tel.append_full(
+                transmitters=transmitters,
+                receptions=self._wide(colsum(received)),
+                collision_victims=self._wide(colsum((tcounts >= 2) & ~mask)),
+                newly_informed=newly,
+                wasted_transmissions=self._wide(colsum(
+                    mask & ~(network.transmit_counts(received) > 0)
+                )),
+            )
         satisfied[rows, cols] = True
         self.counts = self.counts + newly
         if self._targets is None:
@@ -685,36 +697,6 @@ class _DenseFrontier:
             self.covered = self.covered + self._wide(
                 np.bincount(cols[self._targets[rows]], minlength=active.size)
             )
-
-    def _telemetry_row(self, mask, tcounts, received, transmitters, newly):
-        """One round's telemetry counts, widened to the full batch.
-
-        Victims are counted against the base adjacency on every channel
-        (the legacy tracer's convention: lossy channels show as
-        receptions < contacts, not as fewer collisions), off the round's
-        one primed count.  A transmitter is wasted when no neighbour
-        received — a receiver hears its unique transmitting neighbour, so
-        any receiving neighbour is a delivery credit — so the neighbour
-        count of the receptions runs at the transmitter rows only (the
-        dense twin of :func:`~repro.radio.bitset.any_neighbor_words_at`).
-        """
-        colsum, wide = self._colsum, self._wide
-        tx, tx_rows = mask, None
-        if 2 * int(transmitters.sum()) < mask.shape[0]:
-            # Fewer transmitter cells than half the rows: list their rows
-            # off the flat cell index (sorted, so each row starts a run).
-            # Otherwise most rows transmit and the full count is cheaper.
-            cell_rows = np.flatnonzero(mask) // mask.shape[1]
-            tx_rows = cell_rows[np.flatnonzero(np.diff(cell_rows, prepend=-1))]
-            tx = mask[tx_rows]
-        heard = self._network.graph.csr.count_neighbors(received, tx_rows)
-        return {
-            "transmitters": transmitters,
-            "receptions": wide(colsum(received)),
-            "collision_victims": wide(colsum((tcounts >= 2) & ~mask)),
-            "newly_informed": newly,
-            "wasted_transmissions": wide(colsum(tx & (heard == 0))),
-        }
 
     def first_informed(self) -> np.ndarray:
         return self._first

@@ -141,7 +141,9 @@ class ChannelModel(ABC):
         restriction of the full one, bit for bit.  Transmitters are always
         the whole mask.  A channel that cannot compute less computes the
         full result and indexes it, and any per-round state it keeps
-        (:attr:`feedback`) stays full.
+        (:attr:`feedback`) stays full.  ``rows`` is only ever passed when
+        set, so a subclass whose ``deliver`` lacks the parameter still
+        runs: the engine then delivers to every row.
         """
 
     def deliver_words(

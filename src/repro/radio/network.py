@@ -208,6 +208,8 @@ class RadioNetwork:
                 f"transmitting must be a bool (n,) mask or (n, T) matrix "
                 f"with n = {self.n}"
             )
+        if rows is None:
+            return self.channel.deliver(round_index, transmitting, self)
         return self.channel.deliver(round_index, transmitting, self, rows)
 
     def step_words(

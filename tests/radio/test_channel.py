@@ -408,3 +408,23 @@ class TestDeliverAtRows:
                 assert np.array_equal(got, full[rows]), (name, round_index)
                 if feedback is not None:
                     assert np.array_equal(channel.feedback, feedback)
+
+    def test_channel_without_rows_runs_in_full(self):
+        """A channel whose ``deliver`` predates ``rows`` still runs: the
+        network calls it without the argument, and the dense frontier
+        folds every row for it instead of the live ones."""
+
+        class Legacy(ClassicCollision):
+            def deliver(self, round_index, transmitting, network):
+                self.calls += 1
+                return super().deliver(round_index, transmitting, network)
+
+        graph = random_regular(64, 4, rng=1)
+        legacy = Legacy()
+        legacy.calls = 0
+        kwargs = dict(trials=5, seed=3, engine="dense", workload="gossip(k=2)")
+        got = run_broadcast_batch(graph, DecayProtocol(), channel=legacy, **kwargs)
+        want = run_broadcast_batch(graph, DecayProtocol(), **kwargs)
+        assert legacy.calls == int(got.rounds.max())
+        for field in ("rounds", "first_informed_round", "transmissions"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
