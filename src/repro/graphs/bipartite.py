@@ -77,7 +77,7 @@ def _gather_rows(
     holds the rows ``rows`` back to back and ``pos[i]`` is the position in
     ``rows`` that ``entries[i]`` came from."""
     rows = np.asarray(rows, dtype=np.int64)
-    lo = indptr[rows]
+    lo = indptr[rows].astype(np.int64, copy=False)
     lengths = indptr[rows + 1] - lo
     pos = np.arange(rows.size).repeat(lengths)
     # Entry i of the output sits at i − (entries before its row) + lo.

@@ -6,11 +6,12 @@ Section 2.1 defines — ``Γ(S)``, ``Γ⁻(S)``, ``Γ¹(S)``, ``Γ_S(S')``,
 ``G_S = (S, Γ⁻(S))`` that Section 4.1 reduces every expansion question to.
 
 The canonical storage is a plain-numpy CSR (:class:`CSRAdjacency`) with
-indptr/indices in the narrowest safe uint dtype; the ``scipy.sparse``
-matrix behind the dense neighbourhood operators is built lazily on first
-use, so the paths that only need CSR gathers — both broadcast engines'
-neighbour counts (:meth:`CSRAdjacency.count_neighbors`) and the bitset
-folds — never materialize scipy structures at all.
+indptr/indices in the narrowest safe uint dtype.  One slot walk over its
+gather plan (:meth:`CSRAdjacency.fold_words`) is every neighbour fold of
+the radio engines: the count and value sums, and the bitset engine's OR
+and exactly-one folds.  The ``scipy.sparse`` matrix behind the
+neighbourhood operators below is built lazily on first use; the radio
+engines never materialize it.
 
 All neighbourhood operators are one sparse mat-vec plus vectorized masking.
 """
@@ -27,10 +28,11 @@ from repro.graphs.bipartite import BipartiteGraph, BlockBipartite, _gather_rows
 
 __all__ = ["CSRAdjacency", "Graph"]
 
-#: Words per row block of :meth:`CSRAdjacency.count_neighbors`: a block's
-#: accumulator and gather buffer stay cache-resident across the slot loop
-#: (the bitset folds' block size, for the same reason).
-_COUNT_BLOCK_WORDS = 16384
+#: Words per row block of the slot walk (:meth:`CSRAdjacency.fold_words`):
+#: a block's accumulators and gather buffers stay cache-resident across
+#: the slot loop, so only the gathers stream from memory — ~30% off a
+#: 16-slot exactly-one fold at ``n = 10^5``.
+_SLOT_BLOCK_WORDS = 16384
 
 
 class CSRAdjacency:
@@ -39,13 +41,13 @@ class CSRAdjacency:
     ``indptr``/``indices`` are stored in the narrowest safe uint dtype.
     Every array (``indptr``, ``indices``, ``degrees`` and the cached
     gather plan) is read-only: an in-place write raises ``ValueError``.
-    ``gather_plan`` precomputes (and caches) the degree-slot schedule the
-    bitset engine's exactly-one kernel iterates: for a d-regular graph the
-    slot-major ``(d, n)`` transpose of the ``indices`` reshape (each
-    slot's gather indices contiguous); in general a degree-descending
-    stable ordering with int64 row starts, so slot ``k`` touches exactly
-    the vertices whose degree exceeds ``k``.  ``count_neighbors`` runs
-    the dense engine's neighbour counts over the same plan.
+    ``gather_plan`` precomputes (and caches) the degree-slot schedule
+    that :meth:`fold_words` walks: for a d-regular graph the slot-major
+    ``(d, n)`` transpose of the ``indices`` reshape (each slot's gather
+    indices contiguous); in general a degree-descending stable ordering
+    with int64 row starts, so slot ``k`` touches exactly the vertices
+    whose degree exceeds ``k``.  ``count_neighbors`` and the bitset
+    folds are that walk with their own per-slot update.
     """
 
     __slots__ = (
@@ -78,6 +80,12 @@ class CSRAdjacency:
         """Sorted neighbours of ``v`` (int64)."""
         lo, hi = int(self.indptr[v]), int(self.indptr[v + 1])
         return self.indices[lo:hi].astype(np.int64)
+
+    def neighbor_lists(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbour lists of ``rows`` back to back: ``(pos, nbrs)``
+        with ``nbrs[i]`` (in the stored dtype) a neighbour of
+        ``rows[pos[i]]``."""
+        return _gather_rows(self.indptr, self.indices, rows)
 
     def gather_plan(self):
         """The cached degree-slot gather schedule.
@@ -118,67 +126,123 @@ class CSRAdjacency:
                 )
         return self._plan
 
-    def take_slots(self) -> np.ndarray | None:
-        """The regular plan's slot matrix, writeable, for ``np.take`` only
-        (``None`` for a non-regular graph).
-
-        ``np.take`` requires a writeable index array and copies a
-        read-only one on every call, which would cost the bitset folds a
-        copy per slot per round.  This is the array the frozen plan views:
-        kernels read it, nothing may write it.
-        """
-        self.gather_plan()
-        return self._take
-
     def count_neighbors(
         self, x: np.ndarray, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """Per-vertex counts of neighbours set in ``x``: ``(A @ x)[rows]``.
+        """Per-vertex sums of neighbour entries of ``x``: ``(A @ x)[rows]``.
 
-        ``x`` is a bool ``(n,)`` mask or ``(n, T)`` matrix (column ``t``
-        one trial); the result has ``x``'s shape, restricted to ``rows``
-        (all rows when ``None``), in :attr:`count_dtype`.
+        ``x`` is an ``(n,)`` vector or ``(n, T)`` matrix (column ``t`` one
+        trial); the result has ``x``'s shape, restricted to ``rows`` (all
+        rows when ``None``).  A bool ``x`` gives neighbour counts in
+        :attr:`count_dtype`; an int64 ``x`` gives int64 sums, which wrap
+        exactly as int64 arithmetic does (each cell is summed as a uint64
+        word).
 
-        Each row of ``x`` is cast into one lane of :attr:`count_dtype`
-        width per column and the lanes are viewed as unsigned words, so a
-        single integer add sums every lane of a word at once: a count
-        never exceeds the max degree, which the lane holds, so no lane
-        carries into the next.  Bool rows already are int8 lanes, so at
-        the common width (T a multiple of 8, degree < 128) ``x`` is
-        gathered in place, 8 trials to a uint64.  The regular plan runs
-        row-blocked ``np.take(out=, mode="clip")`` gathers over the slot
-        matrix (at ``rows``: over just those rows' neighbour lists).  An
-        irregular graph sums the general plan's degree-descending
-        prefixes, and restricts the full result to ``rows``.
+        Each row of a bool ``x`` is cast into one lane of
+        :attr:`count_dtype` width per column and the lanes are viewed as
+        unsigned words, so a single integer add sums every lane of a word
+        at once: a count never exceeds the max degree, which the lane
+        holds, so no lane carries into the next.  Bool rows already are
+        int8 lanes, so at the common width (T a multiple of 8, degree <
+        128) ``x`` is gathered in place, 8 trials to a uint64.  The sum
+        is the add fold of :meth:`fold_words`.
         """
         x = np.asarray(x)
-        if x.dtype != bool or x.ndim not in (1, 2) or x.shape[0] != self.n:
+        if x.dtype not in (bool, np.int64) or x.ndim not in (1, 2) or (
+            x.shape[0] != self.n
+        ):
             raise ValueError(
-                f"x must be a bool (n,) mask or (n, T) matrix with n = {self.n}"
+                "x must be a bool or int64 (n,) vector or (n, T) matrix "
+                f"with n = {self.n}"
             )
         mat = x[:, None] if x.ndim == 1 else x
         trials = mat.shape[1]
-        dtype = np.dtype(self.count_dtype)
-        lanes, word = _lane_layout(trials, dtype.itemsize)
-        if lanes == trials and dtype.itemsize == 1 and mat.flags.c_contiguous:
-            src = mat.view(word)
+        if x.dtype == np.int64:
+            dtype = x.dtype
+            src = np.ascontiguousarray(mat).view(np.uint64)
         else:
-            padded = np.zeros((self.n, lanes), dtype=dtype)
-            padded[:, :trials] = mat
-            src = padded.view(word)
-        plan = self.gather_plan()
-        if plan[0] == "regular":
-            acc = _sum_slots(src, self.take_slots(), rows)
-        else:
-            acc = np.zeros(src.shape, dtype=word)
-            _, order, starts, slot_counts = plan
-            for k, m in enumerate(slot_counts):
-                nbr = self.indices[starts[:m] + np.int64(k)]
-                acc[order[:m]] += src[nbr]
-            if rows is not None:
-                acc = acc[np.asarray(rows)]
+            dtype = np.dtype(self.count_dtype)
+            lanes, word = _lane_layout(trials, dtype.itemsize)
+            if lanes == trials and dtype.itemsize == 1 and mat.flags.c_contiguous:
+                src = mat.view(word)
+            else:
+                src = np.zeros((self.n, lanes), dtype=dtype)
+                src[:, :trials] = mat
+                src = src.view(word)
+        (acc,) = self.fold_words(src, _add_slot, rows=rows)
         counts = acc.view(dtype)[:, :trials]
         return counts[:, 0] if x.ndim == 1 else counts
+
+    def fold_words(
+        self,
+        words: np.ndarray,
+        update,
+        planes: int = 1,
+        rows: np.ndarray | None = None,
+    ) -> list[np.ndarray]:
+        """Fold each vertex's neighbour rows of ``words`` into ``planes``
+        accumulators: the one slot walk behind every neighbour kernel.
+
+        ``words`` is an ``(n, W)`` unsigned word matrix.  Slot ``k``
+        gathers the ``k``-th neighbour's row of every vertex.  Slot 0 is
+        gathered straight into the first accumulator (the others start at
+        zero); each later slot calls ``update(k, accs, gathered, spare)``,
+        which folds ``gathered`` into the ``accs`` in place (``spare`` is
+        a scratch buffer of ``gathered``'s shape).  Returns the list of
+        ``(len(rows), W)`` accumulators (all ``n`` rows for ``None``).
+
+        The regular plan walks rows in blocks of ``_SLOT_BLOCK_WORDS``
+        words, every slot inside a block, with ``np.take(out=,
+        mode="clip")`` gathers: ``out=`` skips fancy indexing's allocation
+        and bounds branch, and plan indices are always valid, so clip
+        never engages.  At ``rows``, each block takes its slot columns at
+        those rows.  Single-word rows gather from the flat word column,
+        numpy's 1-D fast path (~2× the row gathers).  The general plan
+        walks the degree-descending prefixes over all rows and restricts
+        the result to ``rows``.
+        """
+        n, w = words.shape
+        if n != self.n:
+            raise ValueError(f"word matrix has {n} rows for an {self.n}-vertex graph")
+        flat = w == 1
+        src = np.ascontiguousarray(words[:, 0] if flat else words)
+        plan = self.gather_plan()
+        regular = plan[0] == "regular"
+        size = n if rows is None or not regular else len(rows)
+        shape = (size,) if flat else (size, w)
+        accs = [np.zeros(shape, dtype=src.dtype) for _ in range(planes)]
+        if not regular:
+            _, order, starts, slot_counts = plan
+            for k, m in enumerate(slot_counts):
+                at = order[:m]
+                got = src[self.indices[starts[:m] + np.int64(k)]]
+                if k == 0:
+                    accs[0][at] = got
+                    continue
+                block = [a[at] for a in accs]
+                update(k, block, got, np.empty_like(got))
+                for a, b in zip(accs, block):
+                    a[at] = b
+            if rows is not None:
+                accs = [a[rows] for a in accs]
+        elif size and self.max_degree:
+            # The writeable array the frozen plan views: np.take copies a
+            # read-only index array on every call.  Read here, never written.
+            slots = self._take
+            axis = None if flat else 0
+            step = max(1, _SLOT_BLOCK_WORDS // max(w, 1))
+            buf = np.empty_like(accs[0][:step])
+            spare = np.empty_like(buf)
+            for s in range(0, size, step):
+                e = min(s + step, size)
+                block = [a[s:e] for a in accs]
+                got, tmp = buf[: e - s], spare[: e - s]
+                cols = slots[:, s:e] if rows is None else slots.take(rows[s:e], axis=1)
+                src.take(cols[0], axis, block[0], "clip")
+                for k in range(1, slots.shape[0]):
+                    src.take(cols[k], axis, got, "clip")
+                    update(k, block, got, tmp)
+        return [a[:, None] if flat else a for a in accs]
 
     @property
     def nbytes(self) -> int:
@@ -210,39 +274,10 @@ def _lane_layout(trials: int, itemsize: int) -> tuple[int, np.dtype]:
     return words * 8 // itemsize, np.dtype(np.uint64)
 
 
-def _sum_slots(
-    src: np.ndarray, slots: np.ndarray, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """``sum_k src[slots[k, rows]]`` over a ``(d, n)`` slot matrix:
-    ``(len(rows), W)`` words (all ``n`` rows when ``rows`` is ``None``).
-
-    Rows are gathered in blocks, so the accumulator and the gather buffer
-    stay in cache and a block's slot columns at ``rows`` are the only
-    index copy (a single-word row gathers from the flat column, numpy's
-    1-D fast path)."""
-    d = slots.shape[0]
-    m = slots.shape[1] if rows is None else len(rows)
-    width = src.shape[1]
-    flat = width == 1
-    if flat:
-        src = src[:, 0]
-    acc = np.zeros((m,) if flat else (m, width), dtype=src.dtype)
-    if d == 0 or m == 0:
-        return acc[:, None] if flat else acc
-    axis = None if flat else 0
-    step = max(1, _COUNT_BLOCK_WORDS // width)
-    buf = np.empty_like(acc[:step])
-    for s in range(0, m, step):
-        e = min(s + step, m)
-        a, b = acc[s:e], buf[: e - s]
-        block = slots[:, s:e] if rows is None else slots.take(rows[s:e], axis=1)
-        # Plan indices are always valid, so clip never engages; take's
-        # out= skips fancy indexing's allocation and bounds branch.
-        src.take(block[0], axis, a, "clip")
-        for k in range(1, d):
-            src.take(block[k], axis, b, "clip")
-            a += b
-    return acc[:, None] if flat else acc
+def _add_slot(k, accs, got, spare) -> None:
+    """The add fold of :meth:`CSRAdjacency.fold_words` (unsigned words
+    wrap, so int64 cells sum exactly as int64)."""
+    accs[0] += got
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -609,10 +644,8 @@ class Graph:
         members = members[np.lexsort((members, block))]
         # Keys block·n + vertex sort like (block, vertex).
         key = block * self.n + members
-        left, nbr = _gather_rows(
-            self._csr.indptr.astype(np.int64), self._csr.indices, members
-        )
-        nkey = block[left] * self.n + nbr.astype(np.int64)
+        left, nbr = self._csr.neighbor_lists(members)
+        nkey = block[left] * self.n + nbr
         at = np.searchsorted(key, nkey)
         inside = key[np.minimum(at, key.size - 1)] == nkey
         right_keys, right = np.unique(nkey[~inside], return_inverse=True)

@@ -9,14 +9,17 @@ of word column ``t // 64``, so transmit / informed / received state is an
 and reception is computed by *gathering neighbour words over CSR* — no
 per-neighbour integer count matrix is ever materialized.
 
-Exactly-one detection uses the classic ``x & (x - 1)`` saturating-
-accumulator trick in vectorized form: fold neighbour words into ``once``
-(seen at least once) and ``twice`` (seen at least twice) via
-``twice |= once & w; once |= w``; exactly-one is ``once & ~twice``.  The
-fold iterates *degree slots* — slot ``k`` gathers the ``k``-th neighbour
-of every vertex whose degree exceeds ``k`` (precomputed by
-:meth:`repro.graphs.graph.CSRAdjacency.gather_plan`) — so the kernel runs
-``max_degree`` vectorized gathers, not ``n`` Python loops.
+Every neighbour fold here is one per-slot update on the CSR slot walk
+(:meth:`repro.graphs.graph.CSRAdjacency.fold_words`): slot ``k`` gathers
+the ``k``-th neighbour's words of every vertex whose degree exceeds
+``k``, so a fold runs ``max_degree`` vectorized gathers, not ``n`` Python
+loops.  Exactly-one detection uses the classic ``x & (x - 1)``
+saturating-accumulator trick in vectorized form: fold neighbour words
+into ``once`` (seen at least once) and ``twice`` (seen at least twice)
+via ``twice |= once & w; once |= w``; exactly-one is ``once & ~twice``.
+The neighbour OR is the one-accumulator fold ``acc |= w``.  The push
+kernel (:func:`scatter_neighbor_words`) is the one distinct algorithm: it
+scatters the few nonzero rows' words instead of pulling every row's.
 
 Per-trial column counts (informed sizes, transmission energy, telemetry)
 come from SWAR lane sums across rows (:func:`word_column_counts`),
@@ -46,7 +49,6 @@ from repro._util.rng import (
 __all__ = [
     "FirstInformedPlanes",
     "any_neighbor_words",
-    "any_neighbor_words_at",
     "exactly_one_words",
     "full_mask_words",
     "neighbor_fold_words",
@@ -215,8 +217,8 @@ def sparse_column_counts(
 
 #: Per-row cost of the two restricted neighbour-OR kernels relative to
 #: the full pull, measured on a 16-regular graph at ``n = 10^5``: the full
-#: pull streams every slot, a pull at chosen rows first gathers their
-#: index rows, and a push pays ``bitwise_or.at``'s unbuffered scatter.
+#: pull streams every slot, a pull at chosen rows first takes their slot
+#: columns, and a push pays ``bitwise_or.at``'s unbuffered scatter.
 _PULL_AT_COST = 5
 _PUSH_COST = 10
 
@@ -396,30 +398,6 @@ def packed_counter_coins(
     return out
 
 
-#: Words per fold row block: a block's accumulators and gather buffer
-#: (4 × 128 KiB) stay cache-resident across the slot loop, so only the
-#: gathers stream from memory — ~30% off a 16-slot fold at ``n = 10^5``.
-_FOLD_BLOCK_WORDS = 16384
-
-
-def _fold_layout(words: np.ndarray):
-    """``(src, axis, acc, blocks)`` for a slot fold over a regular plan.
-
-    Single-word batches (T ≤ 64) gather from the flat word column — the
-    1-D fancy-indexing fast path, ~2× the 2-D row gathers — into a 1-D
-    accumulator; wider ones gather rows along axis 0.  ``acc`` is a zeroed
-    accumulator of the gather's shape (``(n,)`` or ``(n, W)``) and
-    ``blocks`` the row-block starts.
-    """
-    n, w = words.shape
-    if w == 1:
-        src, axis, shape = np.ascontiguousarray(words[:, 0]), None, (n,)
-    else:
-        src, axis, shape = words, 0, (n, w)
-    blocks = range(0, n, max(1, _FOLD_BLOCK_WORDS // w))
-    return src, axis, np.zeros(shape, dtype=np.uint64), blocks
-
-
 def exactly_one_words(csr, transmit_words: np.ndarray) -> np.ndarray:
     """Per-vertex words marking trials with *exactly one* transmitting
     neighbour.
@@ -446,142 +424,45 @@ def neighbor_fold_words(
     transmitting neighbour, of ``twice[v]`` ≥ 2 — so exactly-one is
     ``once & ~twice`` and the collision-victim mask is ``twice & ~tw``.
     Telemetry uses the pair to get reception *and* collision structure
-    from one fold.  The fold iterates degree slots: the first slot's
-    gather *is* ``once`` and the second seeds ``twice``, so only later
-    slots pay the full ``twice |= once & w; once |= w`` update.
+    from one fold.  The first slot's gather *is* ``once`` and the second
+    seeds ``twice``, so only later slots pay the full
+    ``twice |= once & w; once |= w`` update.
     """
-    transmit_words = np.asarray(transmit_words, dtype=np.uint64)
-    n, w = transmit_words.shape
-    if n != csr.n:
-        raise ValueError(f"word matrix has {n} rows for an {csr.n}-vertex graph")
-    plan = csr.gather_plan()
-    if plan[0] == "regular":
-        slots = csr.take_slots()
-        src, axis, once, blocks = _fold_layout(transmit_words)
-        twice = np.zeros_like(once)
-        buf = np.empty_like(once[: blocks.step])
-        tmp = np.empty_like(buf)
-        # take(out=, mode="clip") skips the allocation and bounds branch of
-        # fancy indexing (plan indices are always valid, so clip semantics
-        # never engage), and the out= ops keep the fold allocation-free.
-        for s in blocks:
-            e = min(s + blocks.step, n)
-            o, t, b, x = once[s:e], twice[s:e], buf[: e - s], tmp[: e - s]
-            for k in range(slots.shape[0]):
-                if k == 0:
-                    np.take(src, slots[0, s:e], axis=axis, out=o, mode="clip")
-                    continue
-                np.take(src, slots[k, s:e], axis=axis, out=b, mode="clip")
-                if k == 1:
-                    np.bitwise_and(o, b, out=t)
-                else:
-                    np.bitwise_and(o, b, out=x)
-                    t |= x
-                o |= b
-        if w == 1:
-            return once[:, None], twice[:, None]
-        return once, twice
-    once = np.zeros((n, w), dtype=np.uint64)
-    twice = np.zeros((n, w), dtype=np.uint64)
-    _, order, starts, slot_counts = plan
-    indices = csr.indices
-    for k, m in enumerate(slot_counts):
-        rows = order[:m]
-        nbr = indices[starts[:m] + np.int64(k)]
-        nbr_words = transmit_words[nbr]
-        seen = once[rows]
-        twice[rows] |= seen & nbr_words
-        once[rows] = seen | nbr_words
+    once, twice = csr.fold_words(
+        np.asarray(transmit_words, dtype=np.uint64), _once_twice_slot, planes=2
+    )
     return once, twice
 
 
-def any_neighbor_words(csr, words: np.ndarray) -> np.ndarray:
+def _once_twice_slot(k, accs, got, spare) -> None:
+    once, twice = accs
+    if k == 1:
+        np.bitwise_and(once, got, out=twice)
+    else:
+        np.bitwise_and(once, got, out=spare)
+        twice |= spare
+    once |= got
+
+
+def any_neighbor_words(
+    csr, words: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Per-vertex OR over neighbour words: bit ``t`` of row ``v`` is set
     iff some neighbour of ``v`` has bit ``t`` set in ``words``.
 
-    The packed face of ``(A @ x) > 0`` — a single OR-only fold over the
-    CSR gather plan, one accumulator instead of the exactly-one pair.
-    Telemetry uses it on the *received* words: a transmitter with no
-    receiving neighbour is a wasted transmission.
+    The packed face of ``(A @ x) > 0`` — the OR fold of the CSR slot
+    walk, one accumulator instead of the exactly-one pair — at ``rows``
+    only when given (``(len(rows), W)``).  Telemetry uses it on the
+    *received* words: a transmitter with no receiving neighbour is a
+    wasted transmission, so the fold is only needed at transmitter rows,
+    which decay keeps sparse in most rounds.
     """
-    words = np.asarray(words, dtype=np.uint64)
-    n, w = words.shape
-    if n != csr.n:
-        raise ValueError(f"word matrix has {n} rows for an {csr.n}-vertex graph")
-    plan = csr.gather_plan()
-    if plan[0] == "regular":
-        slots = csr.take_slots()
-        src, axis, acc, blocks = _fold_layout(words)
-        buf = np.empty_like(acc[: blocks.step])
-        for s in blocks:
-            e = min(s + blocks.step, n)
-            a, b = acc[s:e], buf[: e - s]
-            for k in range(slots.shape[0]):
-                # The first slot's gather is the accumulator itself.
-                np.take(src, slots[k, s:e], axis=axis, out=b if k else a, mode="clip")
-                if k:
-                    a |= b
-        return acc[:, None] if w == 1 else acc
-    acc = np.zeros((n, w), dtype=np.uint64)
-    _, order, starts, slot_counts = plan
-    indices = csr.indices
-    for k, m in enumerate(slot_counts):
-        rows = order[:m]
-        nbr = indices[starts[:m] + np.int64(k)]
-        acc[rows] |= words[nbr]
+    (acc,) = csr.fold_words(np.asarray(words, dtype=np.uint64), _or_slot, rows=rows)
     return acc
 
 
-def any_neighbor_words_at(csr, words: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """:func:`any_neighbor_words` evaluated only at the given rows.
-
-    Returns the ``(len(rows), W)`` restriction of the neighbour OR — the
-    telemetry fast path: wasted transmissions only need the fold at
-    transmitter rows, and decay keeps those sparse in most rounds, so the
-    gather touches ``d * len(rows)`` edges instead of all ``d * n``.
-    Exact by construction (the restriction of the same fold), so callers
-    may mix it freely with the full fold without changing any count.
-    """
-    words = np.asarray(words, dtype=np.uint64)
-    rows = np.asarray(rows, dtype=np.intp)
-    n, w = words.shape
-    if n != csr.n:
-        raise ValueError(f"word matrix has {n} rows for an {csr.n}-vertex graph")
-    if rows.size == 0:
-        return np.zeros((0, w), dtype=np.uint64)
-    plan = csr.gather_plan()
-    if plan[0] != "regular":
-        # Irregular degree plans (chains, C⁺) only arise at small n where
-        # the full fold is already cheap — restrict its output instead.
-        return any_neighbor_words(csr, words)[rows]
-    return _or_reduce_slots(words, _slots_at(csr, rows))
-
-
-def _slots_at(csr, rows: np.ndarray) -> np.ndarray:
-    """The regular gather plan's ``(d, len(rows))`` slot matrix at
-    ``rows``: one contiguous row gather of the ``(n, d)`` neighbour lists,
-    several times cheaper than gathering a column per slot."""
-    d = csr.max_degree
-    nbrs = csr.indices.reshape(csr.n, d)[rows]
-    return np.ascontiguousarray(nbrs.T).astype(np.intp, copy=False)
-
-
-def _or_reduce_slots(words: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """OR-fold ``words`` over a ``(d, m)`` neighbour-id matrix."""
-    w = words.shape[1]
-    if slots.shape[0] == 0:
-        return np.zeros((slots.shape[1], w), dtype=np.uint64)
-    if w == 1:
-        # One gather of every (slot, row) word, then one OR-reduction over
-        # the slot axis: two numpy calls however many slots.
-        flat = np.ascontiguousarray(words[:, 0])
-        return np.bitwise_or.reduce(flat[slots], axis=0)[:, None]
-    acc = words[slots[0]]
-    buf = np.empty_like(acc)
-    for k in range(1, slots.shape[0]):
-        np.take(words, slots[k], axis=0, out=buf, mode="clip")
-        np.bitwise_or(acc, buf, out=acc)
-    return acc
+def _or_slot(k, accs, got, spare) -> None:
+    accs[0] |= got
 
 
 def scatter_neighbor_words(csr, words: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -591,31 +472,17 @@ def scatter_neighbor_words(csr, words: np.ndarray, rows: np.ndarray) -> np.ndarr
     ``rows`` must cover every nonzero row of ``words`` — then the result
     equals ``any_neighbor_words(csr, words)`` exactly (zero rows push
     nothing, and adjacency is symmetric, so pushing from the nonzero rows
-    is the whole fold).  The scatter touches ``d * len(rows)`` edges, so
-    it wins when the nonzero rows are scarce — the blast rounds, where
+    is the whole fold).  The scatter touches the edges of ``rows`` only,
+    so it wins when the nonzero rows are scarce — the blast rounds, where
     nearly everyone transmits and nearly nobody receives.
     """
     words = np.asarray(words, dtype=np.uint64)
-    rows = np.asarray(rows, dtype=np.intp)
     n, w = words.shape
     if n != csr.n:
         raise ValueError(f"word matrix has {n} rows for an {csr.n}-vertex graph")
     acc = np.zeros((n, w), dtype=np.uint64)
-    if rows.size == 0:
-        return acc
-    plan = csr.gather_plan()
-    if plan[0] != "regular":
-        return any_neighbor_words(csr, words)
-    nbrs = _slots_at(csr, rows)
-    if w == 1:
-        flat = acc[:, 0]
-        np.bitwise_or.at(flat, nbrs.ravel(), np.broadcast_to(
-            words[rows, 0], nbrs.shape
-        ).ravel())
-        return acc
-    np.bitwise_or.at(acc, nbrs.reshape(-1), np.broadcast_to(
-        words[rows], nbrs.shape + (w,)
-    ).reshape(-1, w))
+    _, nbrs = csr.neighbor_lists(rows)
+    np.bitwise_or.at(acc, nbrs, np.repeat(words[rows], csr.degrees[rows], axis=0))
     return acc
 
 
@@ -627,20 +494,18 @@ def neighbor_or_at(
 
     ``source_rows`` must cover every nonzero row of ``words``.  Three
     kernels compute the same OR: a full pull over all ``n`` rows, a pull
-    at ``rows`` only (:func:`any_neighbor_words_at`), and a push from
-    ``source_rows`` (:func:`scatter_neighbor_words`).  Each touches ``d``
-    edges per row it walks, so the choice is the smallest of ``n``,
-    ``len(rows)`` and ``len(source_rows)`` weighted by the kernels'
-    measured per-edge costs.
+    at ``rows`` only (:func:`any_neighbor_words` with ``rows``), and a
+    push from ``source_rows`` (:func:`scatter_neighbor_words`).  Each
+    touches the edges of the rows it walks, so the choice is the smallest
+    of ``n``, ``len(rows)`` and ``len(source_rows)`` weighted by the
+    kernels' measured per-edge costs.
     """
     n = csr.n
     pull_at = n if rows is None else _PULL_AT_COST * rows.size
-    push = _PUSH_COST * source_rows.size
-    regular = csr.gather_plan()[0] == "regular"
-    if regular and push < min(n, pull_at):
+    if _PUSH_COST * source_rows.size < min(n, pull_at):
         heard = scatter_neighbor_words(csr, words, source_rows)
-    elif regular and pull_at < n:
-        return any_neighbor_words_at(csr, words, rows)
+    elif pull_at < n:
+        return any_neighbor_words(csr, words, rows)
     else:
         heard = any_neighbor_words(csr, words)
     return heard if rows is None else heard[rows]

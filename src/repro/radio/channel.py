@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._util import counter_cell_coins, derive_keys
+from repro.graphs.graph import Graph
 
 __all__ = [
     "CHANNELS",
@@ -452,8 +453,7 @@ class AdversarialJamming(ChannelModel):
         if isinstance(schedule, str):
             schedule = parse_fault_spec(schedule)
         self.schedule = schedule
-        self._adj = None
-        self._adj_csr = None
+        self._graph = None
         self._events_applied = 0
         # Single-entry per-round mask cache: the engine queries the same
         # round from effective_transmitters and deliver back to back.
@@ -462,8 +462,7 @@ class AdversarialJamming(ChannelModel):
 
     def reset(self, network, rngs) -> None:
         self.schedule.validate(network.n)
-        self._adj = None
-        self._adj_csr = None
+        self._graph = None
         self._events_applied = 0
         self._mask_round = -1
         self._masks = None
@@ -492,30 +491,33 @@ class AdversarialJamming(ChannelModel):
             crashed = crashed[:, None]
         return transmitting & ~crashed
 
-    def _current_adjacency(self, round_index: int, network):
-        """The adjacency structure with all edge events ≤ round applied."""
+    def _current_csr(self, round_index: int, network):
+        """The CSR adjacency with all edge events ≤ round applied (``None``
+        without edge events: the caller uses the network's own kernel).
+
+        The current edge set is kept as a :class:`Graph`; each batch of
+        newly applied events builds one new graph, whose CSR counts in the
+        dtype its own max degree needs (``up`` events can push a degree
+        past the base graph's).
+        """
         events = self.schedule.edge_events
         if not events:
-            return None  # caller uses the network's cached kernel
+            return None
         pending = [e for e in sorted(events) if e[0] <= round_index]
-        if self._adj is None or len(pending) < self._events_applied:
+        if self._graph is None or len(pending) < self._events_applied:
             # First use, or a non-monotone round query: rebuild from base.
-            # int32, not network.count_dtype — `up` events can push a degree
-            # past the bound the base graph sized the narrow dtype for.
-            self._adj = network.graph.adjacency.astype(np.int32).tolil()
-            self._adj_csr = None
+            self._graph = network.graph
             self._events_applied = 0
         if len(pending) > self._events_applied:
-            for at, up, edges in pending[self._events_applied :]:
-                value = 1 if up else 0
-                for u, v in edges:
-                    self._adj[u, v] = value
-                    self._adj[v, u] = value
+            n = self._graph.n
+            keys = self._graph.edges() @ np.array([n, 1])
+            for _, up, edges in pending[self._events_applied :]:
+                pairs = np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2))
+                change = pairs @ np.array([n, 1])
+                keys = np.union1d(keys, change) if up else np.setdiff1d(keys, change)
+            self._graph = Graph(n, np.column_stack(np.divmod(keys, n)))
             self._events_applied = len(pending)
-            self._adj_csr = None
-        if self._adj_csr is None:
-            self._adj_csr = self._adj.tocsr()
-        return self._adj_csr
+        return self._graph.csr
 
     def deliver(
         self, round_index: int, transmitting: np.ndarray, network, rows=None
@@ -524,11 +526,11 @@ class AdversarialJamming(ChannelModel):
         # Idempotent re-filter so direct network.step callers get crash
         # semantics too (the engine has already applied it).
         transmitting = self.effective_transmitters(round_index, transmitting)
-        adj = self._current_adjacency(round_index, network)
-        if adj is None:
+        csr = self._current_csr(round_index, network)
+        if csr is None:
             counts = network.transmit_counts(transmitting)
         else:
-            counts = adj @ transmitting.astype(np.int32)
+            counts = csr.count_neighbors(transmitting)
         received = (counts == 1) & ~transmitting
         _, deaf = self._round_masks(round_index, n)
         if deaf.any():

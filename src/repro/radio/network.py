@@ -14,9 +14,10 @@ feedback, i.i.d. erasures, or adversarial jamming/crash/link faults (see
 The classic round step is one neighbour count over the graph's CSR:
 ``counts = A @ transmit``; ``received = (counts == 1) & ~transmit`` — so
 simulating a round of an ``n``-vertex network costs ``O(m)`` regardless of
-protocol complexity.  The count is
-:meth:`repro.graphs.graph.CSRAdjacency.count_neighbors`, a numpy gather
-kernel in the narrowest count dtype: no scipy.
+protocol complexity.  The count, the value workloads' int64 sums and the
+bitset engine's word folds are one numpy slot walk over that CSR
+(:meth:`repro.graphs.graph.CSRAdjacency.fold_words`), with no sparse
+matrix library behind it.
 
 The step also accepts an ``(n, T)`` transmit *matrix*: column ``t`` is an
 independent trial, and one count advances all ``T`` trials at once.  This
@@ -132,12 +133,12 @@ class RadioNetwork:
         return self.graph.csr.count_neighbors(transmitting, rows)
 
     def value_counts(self, values: np.ndarray) -> np.ndarray:
-        """Exact delivered-value product ``A @ values`` — the kernel the
-        value workloads (aggregate, pipeline) fold each round (scipy's
-        int32 adjacency @ int64 values upcasts to int64).  The one scipy
-        product left in the engines: value cells are int64, one to a
-        word, so :meth:`transmit_counts`' lane packing does not apply."""
-        return self.graph.adjacency @ values
+        """Exact delivered-value product ``A @ values`` for int64
+        ``values`` — the kernel the value workloads (aggregate, pipeline)
+        fold each round: the add fold of the CSR slot walk over int64
+        cells, one to a uint64 word
+        (:meth:`~repro.graphs.graph.CSRAdjacency.count_neighbors`)."""
+        return self.graph.csr.count_neighbors(values)
 
     def prime_transmit_counts(
         self, transmitting: np.ndarray, counts: np.ndarray
@@ -152,7 +153,7 @@ class RadioNetwork:
     def exactly_one_words(self, transmit_words: np.ndarray) -> np.ndarray:
         """Packed-word sibling of ``transmit_counts(...) == 1``: per-vertex
         words marking trials with exactly one transmitting neighbour,
-        gathered over the graph's CSR (no scipy, no count matrix)."""
+        gathered over the graph's CSR (no count matrix)."""
         if self._eow_key is transmit_words:
             return self._eow_val
         from repro.radio.bitset import exactly_one_words
@@ -233,15 +234,3 @@ class RadioNetwork:
                 f"transmit_words must be a uint64 (n, W) matrix with n = {self.n}"
             )
         return self.channel.deliver_words(round_index, transmit_words, self)
-
-    def step_naive(self, transmitting: np.ndarray) -> np.ndarray:
-        """Pure-Python reference of the *classic* :meth:`step` (used by
-        property tests; channel models are tested against it at p=0)."""
-        transmitting = np.asarray(transmitting, dtype=bool)
-        out = np.zeros(self.n, dtype=bool)
-        for v in range(self.n):
-            if transmitting[v]:
-                continue
-            hits = sum(1 for u in self.graph.neighbors(v) if transmitting[u])
-            out[v] = hits == 1
-        return out

@@ -174,7 +174,10 @@ def draw_blocks(blocks: BlockBipartite, plans: list, seeds) -> list[np.ndarray]:
 
     Block ``c`` runs the plans in order, each on ``as_rng(seeds[c])`` —
     the calls the members make one graph at a time, so a shared
-    ``Generator`` is consumed in the same order.  Draw ``t`` of every
+    ``Generator`` is consumed in the same order (``None``: one fresh
+    generator, consumed likewise).  An int seed's generator is built once
+    and its saved state restored before each plan: the streams a fresh
+    ``as_rng(seed)`` per plan would draw.  Draw ``t`` of every
     block is column ``t`` of one ``(n_left, draws)`` matrix per plan, so
     one batched cover count scores all of a plan's draws; each block
     keeps its first best draw (a column past its own draws scores 0).
@@ -186,10 +189,13 @@ def draw_blocks(blocks: BlockBipartite, plans: list, seeds) -> list[np.ndarray]:
         layer = np.zeros((blocks.graph.n_left, depth), dtype=bool)
         layers.append((np.flatnonzero(target), [0] + ends, thresholds, layer))
     for c, seed in enumerate(seeds):
+        gen = as_rng(seed)
+        start = gen.bit_generator.state if isinstance(seed, (int, np.integer)) else None
         for ids, ends, thresholds, layer in layers:
-            gen = as_rng(seed)
             if thresholds[c] is None:
                 continue
+            if start is not None:
+                gen.bit_generator.state = start
             cols = ids[ends[c] : ends[c + 1]]
             uniform = gen.random((thresholds[c].shape[0], cols.size))
             layer[cols, : uniform.shape[0]] = (uniform < thresholds[c]).T

@@ -5,8 +5,9 @@ rows as lanes of unsigned words, so each case below targets one way that
 can go wrong: widths that need padding (any T not filling whole words),
 lanes at the edge of their dtype (degree 127 in int8, 128 and 255/256 in
 int16), irregular degree plans, edgeless and one-vertex graphs,
-non-contiguous inputs and row restrictions of every size.  The oracle is
-``graph.adjacency @ x``.
+non-contiguous inputs and row restrictions of every size.  The same
+kernel sums int64 values (one uint64 word per cell), whose wraparound
+must be exactly int64's.  The oracle is ``graph.adjacency @ x``.
 """
 
 from functools import lru_cache
@@ -116,10 +117,41 @@ def test_count_neighbors_matches_sparse_product(case):
     assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize(
+    "name", ["random_regular(60, 4)", "complete(129)", "irregular(30)", "star(128)",
+             "edgeless(5)"],
+)
+@pytest.mark.parametrize("width", [None, 1, 3, 8])
+@pytest.mark.parametrize("rows_kind", ["none", "few", "all"])
+def test_int64_value_sums_match_sparse_product(name, width, rows_kind):
+    graph = _graph(name)
+    n = graph.n
+    rng = np.random.default_rng(width or 0)
+    shape = (n,) if width is None else (n, width)
+    # Small values of both signs, and values within 2^10 of ±2^62, whose
+    # sums over a few neighbours wrap past ±2^63.
+    small = rng.integers(-1000, 1000, size=shape)
+    near = rng.choice([-(2**62), 2**62], size=shape) + rng.integers(-1024, 1024, size=shape)
+    values = np.where(rng.random(shape) < 0.5, small, near).astype(np.int64)
+    rows = _rows(rows_kind, n, rng)
+    expect = graph.adjacency @ values
+    # scipy's int64 product wraps; so does the uint64 matrix product.
+    wrapped = graph.adjacency.toarray().astype(np.uint64) @ values.view(np.uint64)
+    assert np.array_equal(expect, wrapped.view(np.int64))
+    if rows is not None:
+        expect = expect[rows]
+    got = graph.csr.count_neighbors(values, rows)
+    assert got.dtype == np.int64
+    assert got.shape == expect.shape
+    assert np.array_equal(got, expect)
+
+
 def test_count_neighbors_rejects_bad_input():
     csr = hypercube(3).csr
     with pytest.raises(ValueError, match="bool"):
         csr.count_neighbors(np.ones((8, 2), dtype=np.int8))
+    with pytest.raises(ValueError, match="int64"):
+        csr.count_neighbors(np.ones((8, 2), dtype=np.uint64))
     with pytest.raises(ValueError, match="n = 8"):
         csr.count_neighbors(np.ones((7, 2), dtype=bool))
     with pytest.raises(ValueError, match="bool"):

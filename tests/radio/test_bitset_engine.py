@@ -526,36 +526,34 @@ class TestTelemetryKernels:
 
     @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
     def test_any_neighbor_words_at_matches_full(self, density):
-        from repro.radio.bitset import any_neighbor_words, any_neighbor_words_at
+        from repro.radio.bitset import any_neighbor_words
 
         csr, words = self._setup()
         rng = np.random.default_rng(1)
         rows = np.flatnonzero(rng.random(words.shape[0]) < density)
         full = any_neighbor_words(csr, words)
-        assert np.array_equal(
-            any_neighbor_words_at(csr, words, rows), full[rows]
-        )
+        assert np.array_equal(any_neighbor_words(csr, words, rows), full[rows])
 
     def test_any_neighbor_words_at_single_word(self):
-        from repro.radio.bitset import any_neighbor_words, any_neighbor_words_at
+        from repro.radio.bitset import any_neighbor_words
 
         csr, words = self._setup(w=1)
         rows = np.arange(0, words.shape[0], 3)
         assert np.array_equal(
-            any_neighbor_words_at(csr, words, rows),
+            any_neighbor_words(csr, words, rows),
             any_neighbor_words(csr, words)[rows],
         )
 
     def test_any_neighbor_words_at_irregular_plan(self):
-        from repro.radio.bitset import any_neighbor_words, any_neighbor_words_at
         from repro.graphs import cplus_graph
+        from repro.radio.bitset import any_neighbor_words
 
         csr = cplus_graph(9).csr  # irregular degrees: general gather plan
         rng = np.random.default_rng(2)
         words = rng.integers(0, 2**63, size=(10, 1), dtype=np.uint64)
         rows = np.array([0, 3, 7])
         assert np.array_equal(
-            any_neighbor_words_at(csr, words, rows),
+            any_neighbor_words(csr, words, rows),
             any_neighbor_words(csr, words)[rows],
         )
 
@@ -617,16 +615,17 @@ class TestCountAndFoldKernels:
 
     @pytest.mark.parametrize("trials", [64, 130])
     def test_folds_across_row_blocks(self, trials, monkeypatch):
-        from repro.radio import bitset
+        from repro.graphs import graph as graph_module
         from repro.radio.bitset import any_neighbor_words, neighbor_fold_words
 
         # Blocks of a few rows, so block edges fall everywhere.
-        monkeypatch.setattr(bitset, "_FOLD_BLOCK_WORDS", 7)
+        monkeypatch.setattr(graph_module, "_SLOT_BLOCK_WORDS", 7)
         graph = random_regular(50, 6, rng=4)
         network = RadioNetwork(graph)
         mask = np.random.default_rng(trials).random((50, trials)) < 0.3
         words = pack_bool_matrix(mask)
-        counts = network.transmit_counts(mask)
+        # The dense counts walk the same blocks: the oracle is scipy's.
+        counts = graph.adjacency @ mask.astype(np.int64)
         once, twice = neighbor_fold_words(graph.csr, words)
         assert np.array_equal(unpack_words(once, trials), counts >= 1)
         assert np.array_equal(unpack_words(twice, trials), counts >= 2)
@@ -634,6 +633,10 @@ class TestCountAndFoldKernels:
         assert np.array_equal(unpack_words(got, trials), counts == 1)
         heard = any_neighbor_words(graph.csr, words)
         assert np.array_equal(unpack_words(heard, trials), counts >= 1)
+        rows = np.arange(49, -1, -3)  # unsorted, across every block edge
+        heard = any_neighbor_words(graph.csr, words, rows)
+        assert np.array_equal(unpack_words(heard, trials), counts[rows] >= 1)
+        assert np.array_equal(network.transmit_counts(mask, rows), counts[rows])
 
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.3, 1.0])
     def test_sparse_column_counts(self, density):
@@ -649,10 +652,16 @@ class TestCountAndFoldKernels:
         assert np.array_equal(again, counts)
 
     @pytest.mark.parametrize("w", [1, 2])
-    def test_neighbor_or_at_every_kernel_choice(self, w):
+    @pytest.mark.parametrize("plan", ["regular", "general"])
+    def test_neighbor_or_at_every_kernel_choice(self, plan, w):
+        from repro.graphs import erdos_renyi
         from repro.radio.bitset import any_neighbor_words, neighbor_or_at
 
-        graph = random_regular(300, 6, rng=1)
+        if plan == "regular":
+            graph = random_regular(300, 6, rng=1)
+        else:
+            graph = erdos_renyi(300, 0.02, rng=5)
+        assert graph.csr.gather_plan()[0] == plan
         rng = np.random.default_rng(2)
         full_rows = np.arange(300)
         for src_frac, row_frac in ((0.01, 0.9), (0.9, 0.05), (0.9, 0.9)):
@@ -763,9 +772,9 @@ class TestEngineEquivalenceCases:
 
     @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
     def test_row_blocked_folds(self, telemetry, monkeypatch):
-        from repro.radio import bitset
+        from repro.graphs import graph as graph_module
 
-        monkeypatch.setattr(bitset, "_FOLD_BLOCK_WORDS", 16)
+        monkeypatch.setattr(graph_module, "_SLOT_BLOCK_WORDS", 16)
         graph = random_regular(60, 4, rng=3)
         runs = _run_three_ways(
             graph, DecayProtocol, 65, seed=21, telemetry=telemetry

@@ -33,6 +33,8 @@ from repro.radio import (
     synthesize_broadcast_schedule,
 )
 
+from reference_sim import step_naive  # tests/ is on sys.path (conftest.py)
+
 MASTER = 424242
 
 
@@ -54,7 +56,7 @@ class TestClassicEquivalence:
             expected = (counts == 1) & ~mask
             assert (net.step(mask) == expected).all()
             assert (legacy.step(mask, round_index=seed) == expected).all()
-            assert (net.step(mask) == net.step_naive(mask)).all()
+            assert (net.step(mask) == step_naive(net, mask)).all()
 
     def test_batch_matches_legacy_formula(self):
         g = random_regular(64, 6, rng=0)
@@ -382,6 +384,10 @@ class TestDeliverAtRows:
         "erasure": lambda: ErasureChannel(0.3),
         "jamming": lambda: AdversarialJamming(
             parse_fault_spec("jam@0-9:1,2;crash@2:5;down@1:0-1,3-7")
+        ),
+        # Edges come back and new ones appear: degrees pass the base graph's.
+        "jamming-up": lambda: AdversarialJamming(
+            parse_fault_spec("down@1:0-1,3-7;up@2:0-1,0-9,0-17,9-17")
         ),
     }
 

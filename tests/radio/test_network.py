@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.graphs import complete_graph, erdos_renyi, path_graph
 from repro.radio import RadioNetwork
 
+from reference_sim import step_naive  # tests/ is on sys.path (conftest.py)
+
 
 class TestStepSemantics:
     def test_single_transmitter_reaches_neighbors(self):
@@ -51,4 +53,4 @@ class TestStepSemantics:
         g = erdos_renyi(12, 0.3, rng=gen)
         net = RadioNetwork(g)
         t = gen.random(12) < 0.4
-        assert (net.step(t) == net.step_naive(t)).all()
+        assert (net.step(t) == step_naive(net, t)).all()

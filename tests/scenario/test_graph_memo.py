@@ -206,8 +206,9 @@ class TestReadOnly:
         for array in plan[1:]:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
-        # np.take's writeable alias is the frozen slots' own storage.
-        take = csr.take_slots()
+        # The slot walk's writeable alias for np.take is the frozen slots'
+        # own storage.
+        take = csr._take
         if kind == "regular":
             assert np.shares_memory(take, plan[1])
         else:

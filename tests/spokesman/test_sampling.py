@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.graphs import BipartiteGraph, core_graph, random_bipartite
+from repro._util import as_rng
+from repro.graphs import BipartiteGraph, core_graph, random_bipartite, random_regular
 from repro.spokesman import (
     largest_degree_class,
     lemma43_reduction,
     spokesman_sampling,
     spokesman_sampling_all_scales,
 )
+from repro.spokesman.sampling import _all_scales_plan, _sampling_plan, draw_blocks
 
 
 class TestLargestDegreeClass:
@@ -93,3 +95,62 @@ class TestSampling:
         # Not a theorem, but with shared seeds and more scales the all-scale
         # variant should do at least as well on the core graph.
         assert multi.unique_count >= single.unique_count
+
+
+class TestDrawBlocks:
+    """``draw_blocks`` builds an int seed's generator once and restores its
+    state per plan; the masks must be those of a fresh ``as_rng(seed)``
+    per plan, and a shared ``Generator`` is still consumed in order."""
+
+    @staticmethod
+    def _fresh_per_plan(blocks, plans, seeds):
+        # The per-plan construction draw_blocks replaced, as the oracle.
+        layers = []
+        for target, thresholds in plans:
+            ends = [0] + np.cumsum(blocks.block_sums(target, "left")).tolist()
+            depth = max([t.shape[0] for t in thresholds if t is not None], default=1)
+            layer = np.zeros((blocks.graph.n_left, depth), dtype=bool)
+            layers.append((np.flatnonzero(target), ends, thresholds, layer))
+        for c, seed in enumerate(seeds):
+            for ids, ends, thresholds, layer in layers:
+                gen = as_rng(seed)
+                if thresholds[c] is None:
+                    continue
+                cols = ids[ends[c] : ends[c + 1]]
+                uniform = gen.random((thresholds[c].shape[0], cols.size))
+                layer[cols, : uniform.shape[0]] = (uniform < thresholds[c]).T
+        chosen = []
+        for *_, layer in layers:
+            best = blocks.unique_counts(layer).argmax(axis=1)
+            chosen.append(layer[np.arange(layer.shape[0]), best[blocks.left_block]])
+        return chosen
+
+    def _blocks(self):
+        graph = random_regular(60, 4, rng=1)
+        pick = np.random.default_rng(0)
+        subsets = [pick.choice(60, size=k, replace=False) for k in (1, 4, 9, 15)]
+        blocks, _, _ = graph.boundary_blocks(subsets)
+        return blocks, [_sampling_plan(blocks), _all_scales_plan(blocks, 3)]
+
+    def test_int_seeds_match_a_fresh_generator_per_plan(self):
+        blocks, plans = self._blocks()
+        seeds = [11, np.int64(12), 13, 14]
+        got = draw_blocks(blocks, plans, seeds)
+        want = self._fresh_per_plan(blocks, plans, seeds)
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_generator_seeds_are_consumed_in_shared_order(self):
+        blocks, plans = self._blocks()
+
+        def own():
+            return [np.random.default_rng(s) for s in (11, 12, 13, 14)]
+
+        def shared():
+            return [np.random.default_rng(11)] * 4
+
+        for seeds in (own, shared):
+            got = draw_blocks(blocks, plans, seeds())
+            for a, b in zip(got, self._fresh_per_plan(blocks, plans, seeds())):
+                assert np.array_equal(a, b)

@@ -1,13 +1,13 @@
 """Imports stay cold: scipy loads only where a run uses it.
 
 Importing the package, the scenario layer, the service and the CLI, and
-a packed (``engine=bitset``) or dense set-workload broadcast, load no
-``scipy.sparse``, ``scipy.optimize`` or ``networkx``: every CLI call and
-every spawned service worker would pay their import time otherwise.  A
-value workload (``aggregate``) loads ``scipy.sparse`` for its int64
-value product, and ``mg_bound`` loads ``scipy.optimize`` for its numeric
-maximum.  Each check runs in a fresh interpreter, since this test process
-has imported them long before.
+a packed (``engine=bitset``) or dense broadcast of a set workload, a
+value workload (``aggregate``) or under jamming with edge events, load
+no ``scipy.sparse``, ``scipy.optimize`` or ``networkx``: every CLI call
+and every spawned service worker would pay their import time otherwise.
+``mg_bound`` loads ``scipy.optimize`` for its numeric maximum.  Each
+check runs in a fresh interpreter, since this test process has imported
+them long before.
 """
 
 import os
@@ -60,6 +60,12 @@ DENSE = textwrap.dedent(
     ).run()
     assert result.completed.all()
     print("aggregate", loaded())
+    result = Scenario.from_string(
+        "random_regular(512, 8) | decay | jamming(faults='down@1:0-1;up@3:0-1,2-9') "
+        "| trials=8 | seed=0"
+    ).run()
+    assert result.completed.all()
+    print("jamming", loaded())
     from repro.expansion import mg_bound
 
     value = mg_bound(8.0)
@@ -86,9 +92,10 @@ def test_imports_and_packed_run_load_no_scipy():
     assert _run(PACKED) == ["import []", "bitset []"]
 
 
-def test_dense_set_run_loads_no_scipy_and_value_run_loads_sparse():
+def test_dense_set_value_and_jamming_runs_load_no_scipy():
     assert _run(DENSE) == [
         "dense []",
-        "aggregate ['scipy.sparse']",
+        "aggregate []",
+        "jamming []",
         "mg_bound ['scipy.optimize', 'scipy.sparse']",
     ]

@@ -34,6 +34,8 @@ from repro.spokesman import (
     spokesman_sampling,
 )
 
+from reference_sim import step_naive  # tests/ is on sys.path (conftest.py)
+
 COMMON = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
@@ -162,7 +164,7 @@ class TestRadioSemantics:
         net = RadioNetwork(g)
         gen = np.random.default_rng(seed)
         t = gen.random(g.n) < 0.4
-        assert (net.step(t) == net.step_naive(t)).all()
+        assert (net.step(t) == step_naive(net, t)).all()
 
     @settings(max_examples=25, **COMMON)
     @given(graphs(max_n=10))
