@@ -82,6 +82,7 @@ _GOLDEN32 = np.uint32(0x9E3779B9)
 _MURMUR_A = np.uint32(0x85EBCA6B)
 _MURMUR_B = np.uint32(0xC2B2AE35)
 _INV_2_32 = np.float64(2.0**-32)
+_MASK64 = (1 << 64) - 1
 
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
@@ -118,10 +119,10 @@ def _node_hashes(n: int) -> np.ndarray:
 def _key_round_hashes(keys: np.ndarray, round_index: int) -> np.ndarray:
     """``(T,)`` uint32 key/round lane hashes, murmur's first step applied
     (the other half of :func:`_node_hashes`).  Mixed in 64 bits on the
-    cheap ``(T,)`` side."""
-    with np.errstate(over="ignore"):
-        ctr = np.full(1, round_index + 1, dtype=np.uint64) * _GOLDEN
-        lanes = (_splitmix(keys + ctr) >> np.uint64(32)).astype(np.uint32)
+    cheap ``(T,)`` side.  The counter product wraps in Python ints and
+    the array ops wrap silently, so no errstate guard is needed."""
+    ctr = np.uint64((round_index + 1) * int(_GOLDEN) & _MASK64)
+    lanes = (_splitmix(keys + ctr) >> np.uint64(32)).astype(np.uint32)
     return lanes ^ (lanes >> np.uint32(16))
 
 

@@ -9,7 +9,9 @@ The canonical storage is a plain-numpy CSR (:class:`CSRAdjacency`) with
 indptr/indices in the narrowest safe uint dtype.  One slot walk over its
 gather plan (:meth:`CSRAdjacency.fold_words`) is every neighbour fold of
 the radio engines: the count and value sums, and the bitset engine's OR
-and exactly-one folds.  The ``scipy.sparse`` matrix behind the
+and exactly-one folds.  Its push counterpart
+(:meth:`CSRAdjacency.push_words`) runs the same folds from a few listed
+rows along their edges.  The ``scipy.sparse`` matrix behind the
 neighbourhood operators below is built lazily on first use; the radio
 engines never materialize it.
 
@@ -47,7 +49,8 @@ class CSRAdjacency:
     indices contiguous); in general a degree-descending stable ordering
     with int64 row starts, so slot ``k`` touches exactly the vertices
     whose degree exceeds ``k``.  ``count_neighbors`` and the bitset
-    folds are that walk with their own per-slot update.
+    folds are that walk with their own per-slot update;
+    :meth:`push_words` runs the same updates from listed rows.
     """
 
     __slots__ = (
@@ -244,6 +247,78 @@ class CSRAdjacency:
                     update(k, block, got, tmp)
         return [a[:, None] if flat else a for a in accs]
 
+    def push_words(
+        self,
+        words: np.ndarray,
+        update,
+        rows: np.ndarray,
+        planes: int = 1,
+    ) -> list[np.ndarray]:
+        """Fold the listed rows of ``words`` into their neighbours'
+        ``planes`` accumulators: the push counterpart of
+        :meth:`fold_words`, with the same ``update`` and the same result.
+
+        ``rows`` must list every nonzero row of ``words`` once, and ``update``
+        must be a fold that commutes and that a zero row leaves unchanged
+        (the add, OR and once/twice folds all are): then pushing the
+        listed rows along their edges is the whole fold, since adjacency
+        is symmetric.  The walk touches only those rows' edges, so it wins
+        when they are few.
+
+        Each ``(target, value)`` edge pair goes into a layer in which its
+        target occurs once: every remaining pair scatters its index into
+        its target's ``owner`` cell, a pair whose index survived is its
+        target's value this layer, and the rest wait for the next layer.
+        Layer 0 is written straight into the first accumulator; layer
+        ``k`` calls ``update(k, accs, values, spare)`` on the accumulator
+        rows of its targets, which have folded exactly ``k`` values before
+        it — the order :meth:`fold_words` presents slots in.  A layer
+        works on all its remaining pairs, and a losing pair carries its
+        target's winning value, so every write to a target agrees.  There
+        are as many layers as the most listed rows sharing one neighbour
+        (the pull runs ``max_degree`` slots).
+        """
+        n, w = words.shape
+        if n != self.n:
+            raise ValueError(f"word matrix has {n} rows for an {self.n}-vertex graph")
+        flat = w == 1
+        src = np.ascontiguousarray(words[:, 0] if flat else words)
+        shape = (n,) if flat else (n, w)
+        accs = [np.zeros(shape, dtype=src.dtype) for _ in range(planes)]
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size and self.max_degree:
+            if self.gather_plan()[0] == "regular":
+                # Equal-length sorted rows: one row gather, ~8× the
+                # general concatenation.
+                d = self.max_degree
+                targets = self.indices.reshape(n, d).take(rows, axis=0).ravel()
+                degrees = d
+            else:
+                _, targets = self.neighbor_lists(rows)
+                degrees = self.degrees[rows]
+            targets = targets.astype(np.intp)
+            values = np.repeat(src.take(rows, axis=0), degrees, axis=0)
+            owner = np.empty(n, dtype=np.intp)
+            ids = np.arange(targets.size)
+            k = 0
+            while targets.size:
+                here = ids[: targets.size]
+                owner[targets] = here
+                won = owner[targets]
+                got = values.take(won, axis=0)
+                if k == 0:
+                    _put_rows(accs[0], targets, got)
+                else:
+                    block = [a.take(targets, axis=0) for a in accs]
+                    update(k, block, got, np.empty_like(got))
+                    for a, b in zip(accs, block):
+                        _put_rows(a, targets, b)
+                lost = np.flatnonzero(won != here)
+                targets = targets[lost]
+                values = values.take(lost, axis=0)
+                k += 1
+        return [a[:, None] if flat else a for a in accs]
+
     @property
     def nbytes(self) -> int:
         """Bytes held by the CSR arrays and, once built, the gather plan."""
@@ -272,6 +347,16 @@ def _lane_layout(trials: int, itemsize: int) -> tuple[int, np.dtype]:
     if words == 3:
         words = 4
     return words * 8 // itemsize, np.dtype(np.uint64)
+
+
+def _put_rows(acc: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
+    """``acc[at] = values`` for 1-D or C-contiguous ``(n, W)`` arrays: a
+    multi-word row is scattered as one opaque item (2-D fancy assignment
+    costs ~4× the same bytes as one void item per row)."""
+    if acc.ndim == 2:
+        row = np.dtype((np.void, acc.shape[1] * acc.itemsize))
+        acc, values = acc.view(row)[:, 0], np.ascontiguousarray(values).view(row)[:, 0]
+    acc[at] = values
 
 
 def _add_slot(k, accs, got, spare) -> None:

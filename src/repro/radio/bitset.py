@@ -17,9 +17,11 @@ loops.  Exactly-one detection uses the classic ``x & (x - 1)``
 saturating-accumulator trick in vectorized form: fold neighbour words
 into ``once`` (seen at least once) and ``twice`` (seen at least twice)
 via ``twice |= once & w; once |= w``; exactly-one is ``once & ~twice``.
-The neighbour OR is the one-accumulator fold ``acc |= w``.  The push
-kernel (:func:`scatter_neighbor_words`) is the one distinct algorithm: it
-scatters the few nonzero rows' words instead of pulling every row's.
+The neighbour OR is the one-accumulator fold ``acc |= w``.  Both folds
+also run on the CSR push walk
+(:meth:`~repro.graphs.graph.CSRAdjacency.push_words`), which scatters
+the few nonzero rows' words instead of pulling every row's: decay's tail
+rounds, where few rows transmit, push the exactly-one fold.
 
 Per-trial column counts (informed sizes, transmission energy, telemetry)
 come from SWAR lane sums across rows (:func:`word_column_counts`),
@@ -188,8 +190,14 @@ def word_column_counts(words: np.ndarray) -> np.ndarray:
 def row_flags(words: np.ndarray) -> np.ndarray:
     """``(n,)`` bool: which rows of an ``(n, W)`` word matrix carry any
     bit (a bool vector, so ``np.flatnonzero`` on it takes numpy's fast
-    path)."""
-    return words[:, 0] != 0 if words.shape[1] == 1 else words.any(axis=1)
+    path).  Word columns are ORed first: ``any(axis=1)`` over a short row
+    runs ~14× slower at ``W = 2``."""
+    if words.shape[1] == 0:
+        return np.zeros(words.shape[0], dtype=bool)
+    acc = words[:, 0]
+    for j in range(1, words.shape[1]):
+        acc = acc | words[:, j]
+    return acc != 0
 
 
 def sparse_column_counts(
@@ -215,12 +223,15 @@ def sparse_column_counts(
     return word_column_counts(words)[:trials], nnz
 
 
-#: Per-row cost of the two restricted neighbour-OR kernels relative to
-#: the full pull, measured on a 16-regular graph at ``n = 10^5``: the full
-#: pull streams every slot, a pull at chosen rows first takes their slot
-#: columns, and a push pays ``bitwise_or.at``'s unbuffered scatter.
+#: Per-row cost of the restricted neighbour kernels relative to a full
+#: pull, measured on 16-regular graphs at ``n = 10^4`` and ``10^5``
+#: (DESIGN.md, "Bitset engine"): the full pull streams every slot, a pull
+#: at chosen rows first takes their slot columns, and a push (the CSR
+#: push walk) scatters its rows' edges in layers.  The push cost is the
+#: crossover of both the exactly-one fold and the neighbour OR: they push
+#: when the pushed rows are under ``n / _PUSH_COST``.
 _PULL_AT_COST = 5
-_PUSH_COST = 10
+_PUSH_COST = 12
 
 #: Node rows per first-informed decode block: bounds the unpacked
 #: ``(rows, T)`` transients however large ``n`` is.
@@ -287,7 +298,7 @@ def _unpack_bits(words: np.ndarray, trials: int) -> np.ndarray:
 #: its shift/multiply temporaries stay L2-resident across the passes.
 _COIN_ROW_BLOCK = 1024
 
-#: Node rows per packbits super-block (a multiple of the hash chunk):
+#: Node rows per packing super-block (a multiple of the hash chunk):
 #: comparisons land in one reused bool buffer and the byte-packing /
 #: word-store dispatch overhead is paid once per super-block, not once
 #: per cache chunk.
@@ -319,9 +330,10 @@ def packed_counter_coins(
     The hash comes from the row-blocked lattice generator that
     :func:`repro._util.rng.counter_coins` also uses — one implementation,
     so the dense and packed engines cannot drift apart — with the same
-    exact final-step shortcut; comparisons land in a reused bool buffer,
-    and byte-packing is amortized over :data:`_COIN_PACK_BLOCK`-row
-    super-blocks.
+    exact final-step shortcut; comparisons land in a reused bool buffer
+    whose rows are padded to whole words, so each
+    :data:`_COIN_PACK_BLOCK`-row super-block packs as one flat bit stream
+    (a row-wise ``packbits`` costs ~3.5× as much).
     """
     keys = np.asarray(keys, dtype=np.uint64)
     trials = keys.shape[0]
@@ -352,15 +364,17 @@ def packed_counter_coins(
         elif rows.size == 0:
             return out
     count = n if rows is None else rows.size
-    # Inactive trials' bit columns stay zero: comparisons only ever write
-    # the active columns of the reused buffer.
-    coins = np.zeros((min(_COIN_PACK_BLOCK, count), trials), dtype=bool)
+    # Inactive trials' bit columns, and the pad lanes up to whole words,
+    # stay zero: comparisons only ever write the active columns of the
+    # reused buffer.
+    coins = np.zeros((min(_COIN_PACK_BLOCK, count), w * WORD_BITS), dtype=bool)
+    lanes = coins[:, :trials]
     sure = threshold >= 2**32
     if sure:
         if cols is None:
-            coins[:] = True
+            lanes[:] = True
         else:
-            coins[:, cols] = True
+            lanes[:, cols] = True
     else:
         thr = np.uint32(threshold)
         final_shift = not _threshold_exact_without_final_shift(threshold)
@@ -377,20 +391,15 @@ def packed_counter_coins(
                 _, z = next(blocks)
                 if final_shift:
                     _finish(z)
-                dest = coins[s - ps : s - ps + z.shape[0]]
+                dest = lanes[s - ps : s - ps + z.shape[0]]
                 if cols is None:
                     np.less(z, thr, out=dest)
                 else:
                     dest[:, cols] = z < thr
-        # Inlined pack_bool_matrix: the buffer is C-contiguous bool, so
-        # the validation/copy branches would only add per-block overhead.
-        # Same bit layout (little-endian bytes → uint64 words).
-        pb = np.packbits(coins[:pm], axis=1, bitorder="little")
-        if pb.shape[1] != w * 8:
-            padded = np.zeros((pm, w * 8), dtype=np.uint8)
-            padded[:, : pb.shape[1]] = pb
-            pb = padded
-        packed = pb.view("<u8")
+        # Row v's bytes in the flat stream are word v's, little-endian
+        # (the pack_bool_matrix layout).
+        packed = np.packbits(coins[:pm], bitorder="little").view("<u8")
+        packed = packed.reshape(pm, w)
         if rows is None:
             out[ps : ps + pm] = packed
         else:
@@ -424,13 +433,22 @@ def neighbor_fold_words(
     transmitting neighbour, of ``twice[v]`` ≥ 2 — so exactly-one is
     ``once & ~twice`` and the collision-victim mask is ``twice & ~tw``.
     Telemetry uses the pair to get reception *and* collision structure
-    from one fold.  The first slot's gather *is* ``once`` and the second
-    seeds ``twice``, so only later slots pay the full
+    from one fold.  The first value folded into a row *is* ``once`` and
+    the second seeds ``twice``, so only later ones pay the full
     ``twice |= once & w; once |= w`` update.
+
+    The fold is pushed from the transmitting rows when they are fewer than
+    ``n / _PUSH_COST`` (decay's tail rounds), and pulled over every row
+    otherwise; both give the same planes.
     """
-    once, twice = csr.fold_words(
-        np.asarray(transmit_words, dtype=np.uint64), _once_twice_slot, planes=2
-    )
+    words = np.asarray(transmit_words, dtype=np.uint64)
+    flags = row_flags(words)
+    if _PUSH_COST * np.count_nonzero(flags) < csr.n:
+        once, twice = csr.push_words(
+            words, _once_twice_slot, np.flatnonzero(flags), planes=2
+        )
+    else:
+        once, twice = csr.fold_words(words, _once_twice_slot, planes=2)
     return once, twice
 
 
@@ -467,22 +485,17 @@ def _or_slot(k, accs, got, spare) -> None:
 
 def scatter_neighbor_words(csr, words: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Push-side :func:`any_neighbor_words`: OR each listed row's word
-    into all of that row's neighbours.
+    into all of that row's neighbours — the OR fold of the CSR push walk
+    (:meth:`repro.graphs.graph.CSRAdjacency.push_words`).
 
     ``rows`` must cover every nonzero row of ``words`` — then the result
     equals ``any_neighbor_words(csr, words)`` exactly (zero rows push
     nothing, and adjacency is symmetric, so pushing from the nonzero rows
-    is the whole fold).  The scatter touches the edges of ``rows`` only,
-    so it wins when the nonzero rows are scarce — the blast rounds, where
+    is the whole fold).  The walk touches the edges of ``rows`` only, so
+    it wins when the nonzero rows are scarce — the blast rounds, where
     nearly everyone transmits and nearly nobody receives.
     """
-    words = np.asarray(words, dtype=np.uint64)
-    n, w = words.shape
-    if n != csr.n:
-        raise ValueError(f"word matrix has {n} rows for an {csr.n}-vertex graph")
-    acc = np.zeros((n, w), dtype=np.uint64)
-    _, nbrs = csr.neighbor_lists(rows)
-    np.bitwise_or.at(acc, nbrs, np.repeat(words[rows], csr.degrees[rows], axis=0))
+    (acc,) = csr.push_words(np.asarray(words, dtype=np.uint64), _or_slot, rows)
     return acc
 
 

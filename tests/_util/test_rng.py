@@ -1,12 +1,16 @@
 """Unit tests for the seeding helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from repro._util.rng import (
+    _GOLDEN,
     _counter_bits,
+    _key_round_hashes,
+    _splitmix,
     _threshold_exact_without_final_shift,
     as_rng,
     counter_cell_coins,
@@ -172,3 +176,26 @@ class TestCounterCellCoins:
         keys = np.arange(1, 4, dtype=np.uint64)
         empty = np.zeros(0, dtype=np.int64)
         assert counter_cell_coins(keys, 2, 10, 0.3, empty, empty).shape == (0,)
+
+
+class TestKeyRoundHashes:
+    """The key/round lane hashes wrap in 64 bits without a warning."""
+
+    @staticmethod
+    def _reference(keys, round_index):
+        # The uint64 array formula, with overflow warnings silenced.
+        with np.errstate(over="ignore"):
+            ctr = np.full(1, round_index + 1, dtype=np.uint64) * _GOLDEN
+            lanes = (_splitmix(keys + ctr) >> np.uint64(32)).astype(np.uint32)
+        return lanes ^ (lanes >> np.uint32(16))
+
+    @pytest.mark.parametrize("round_index", [0, 1, 17, 2**40, 2**63, 2**64 - 2])
+    def test_wraps_silently_and_matches_the_array_formula(self, round_index):
+        keys = np.array(
+            [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _key_round_hashes(keys, round_index)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, self._reference(keys, round_index))

@@ -68,6 +68,35 @@ class TestEngineEquivalence:
             assert np.array_equal(d_tel[key], b_tel[key]), key
         assert np.array_equal(dense.transmissions, bitset.transmissions)
 
+    @pytest.mark.parametrize("push_cost", [0, 10**9], ids=["push", "pull"])
+    @pytest.mark.parametrize("trials", [64, 65])
+    def test_identical_either_side_of_the_push_crossover(
+        self, push_cost, trials, monkeypatch
+    ):
+        """The bitset folds forced to push (or pull) every round: the
+        results and telemetry still equal the dense engine's, and the
+        telemetry-off run's fields."""
+        from repro.radio import bitset
+
+        monkeypatch.setattr(bitset, "_PUSH_COST", push_cost)
+        graph = random_regular(96, 6, rng=3)
+        kw = dict(trials=trials, seed=SEED)
+        dense = run_broadcast_batch(
+            graph, DecayProtocol(), engine="dense", telemetry=True, **kw
+        )
+        for telemetry in (True, False):
+            packed = run_broadcast_batch(
+                graph, DecayProtocol(), engine="bitset", telemetry=telemetry, **kw
+            )
+            for name in (
+                "rounds", "completed", "informed_per_round",
+                "first_informed_round", "transmissions",
+            ):
+                assert np.array_equal(getattr(dense, name), getattr(packed, name))
+            if telemetry:
+                for key, val in _telemetry_extras(dense).items():
+                    assert np.array_equal(val, packed.extras[key]), key
+
     def test_flooding_telemetry_identical(self):
         graph = hypercube(5)
         kw = dict(trials=64, seed=SEED, telemetry=True)

@@ -206,6 +206,37 @@ def test_packed_counter_coins_matches_dense_coins(trials):
                 )
 
 
+@pytest.mark.parametrize("trials", (1, 8, 63, 64, 65, 130))
+def test_packed_counter_coins_match_the_packbits_reference(trials, monkeypatch):
+    from repro.radio import bitset
+
+    # Small blocks, so super-blocks and hash chunks both repeat.
+    monkeypatch.setattr(bitset, "_COIN_ROW_BLOCK", 4)
+    monkeypatch.setattr(bitset, "_COIN_PACK_BLOCK", 8)
+    rng = np.random.default_rng(trials)
+    n = 45
+    keys = rng.integers(0, 2**64, size=trials, dtype=np.uint64)
+    w = word_count(trials)
+    for p in (0.3, 1.0):
+        for rows in (None, rng.choice(n, size=21, replace=False)):
+            for active in (None, rng.random(trials) < 0.5):
+                ref = counter_coins(keys, 2, n, p)
+                if active is not None:
+                    ref &= active[None, :]
+                if rows is not None:
+                    keep = np.zeros(n, dtype=bool)
+                    keep[rows] = True
+                    ref &= keep[:, None]
+                # Row-wise packbits, zero-padded to whole words.
+                expect = np.zeros((n, w * 8), dtype=np.uint8)
+                packed = np.packbits(ref, axis=1, bitorder="little")
+                expect[:, : packed.shape[1]] = packed
+                got = packed_counter_coins(keys, 2, n, p, rows=rows, active=active)
+                assert np.array_equal(got, expect.view("<u8")), (
+                    f"p={p} rows={rows is not None} active={active is not None}"
+                )
+
+
 def test_counter_coin_blocks_matches_sliced_counter_coins():
     rng = np.random.default_rng(11)
     keys = rng.integers(0, 2**64, size=9, dtype=np.uint64)
@@ -607,6 +638,86 @@ class TestWordColumnCountsBincountPath:
         view = big[:, 1:3]  # non-contiguous column slice
         expect = unpack_words(np.ascontiguousarray(view), 128).sum(axis=0)
         assert np.array_equal(word_column_counts(view), expect)
+
+
+def _push_graphs():
+    """One graph per gather plan shape the push walk must handle."""
+    from repro.graphs import erdos_renyi, star_graph
+
+    return {
+        "regular": random_regular(60, 6, rng=1),
+        "erdos_renyi": erdos_renyi(60, 0.1, rng=5),
+        "star": star_graph(20),
+        # Vertices 6..11 have no edges at all.
+        "isolated": Graph(12, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]),
+    }
+
+
+def _push_row_sets(graph, rng):
+    """Transmitting row sets: none, sparse, every neighbour of vertex 0
+    (all hitting it, and each other's shared neighbours), and dense."""
+    n = graph.n
+    return {
+        "empty": np.empty(0, dtype=np.intp),
+        "sparse": np.flatnonzero(rng.random(n) < 0.08),
+        "around_0": graph.csr.row(0),
+        "dense": np.flatnonzero(rng.random(n) < 0.6),
+    }
+
+
+class TestPushWalk:
+    """The CSR push walk (:meth:`CSRAdjacency.push_words`) folds the listed
+    rows into their neighbours; it must equal the pull walk's planes."""
+
+    @pytest.mark.parametrize("w", [1, 2])
+    @pytest.mark.parametrize("name", ["regular", "erdos_renyi", "star", "isolated"])
+    def test_push_matches_pull_every_fold(self, name, w):
+        from repro.graphs.graph import _add_slot
+        from repro.radio.bitset import _once_twice_slot, _or_slot
+
+        graph = _push_graphs()[name]
+        csr = graph.csr
+        assert csr.gather_plan()[0] == ("regular" if name == "regular" else "general")
+        rng = np.random.default_rng(w)
+        for label, rows in _push_row_sets(graph, rng).items():
+            words = np.zeros((graph.n, w), dtype=np.uint64)
+            # Few bits per word, so pushed words overlap in some bits and
+            # not others: twice must see only the shared ones.
+            words[rows] = rng.integers(0, 16, size=(rows.size, w), dtype=np.uint64)
+            for update, planes in ((_once_twice_slot, 2), (_or_slot, 1), (_add_slot, 1)):
+                pull = csr.fold_words(words, update, planes=planes)
+                push = csr.push_words(words, update, rows, planes=planes)
+                for a, b in zip(pull, push):
+                    assert np.array_equal(a, b), (label, update.__name__)
+
+    @pytest.mark.parametrize("w", [1, 2])
+    @pytest.mark.parametrize("name", ["regular", "erdos_renyi", "star", "isolated"])
+    @pytest.mark.parametrize("push_cost", [0, 10**9], ids=["push", "pull"])
+    def test_neighbor_fold_words_either_side_of_crossover(
+        self, name, w, push_cost, monkeypatch
+    ):
+        from repro.radio import bitset
+        from repro.radio.bitset import neighbor_fold_words
+
+        # 0 pushes every fold, 10^9 pulls every fold with a transmitter.
+        monkeypatch.setattr(bitset, "_PUSH_COST", push_cost)
+        graph = _push_graphs()[name]
+        trials = 64 * w - 3
+        rng = np.random.default_rng(7)
+        for label, rows in _push_row_sets(graph, rng).items():
+            mask = np.zeros((graph.n, trials), dtype=bool)
+            mask[rows] = rng.random((rows.size, trials)) < 0.5
+            counts = graph.csr.count_neighbors(mask)
+            once, twice = neighbor_fold_words(graph.csr, pack_bool_matrix(mask))
+            assert np.array_equal(unpack_words(once, trials), counts >= 1), label
+            assert np.array_equal(unpack_words(twice, trials), counts >= 2), label
+            got = exactly_one_words(graph.csr, pack_bool_matrix(mask))
+            assert np.array_equal(unpack_words(got, trials), counts == 1), label
+
+    def test_push_rejects_a_mismatched_word_matrix(self):
+        csr = random_regular(20, 4, rng=0).csr
+        with pytest.raises(ValueError, match="20-vertex"):
+            csr.push_words(np.zeros((19, 1), dtype=np.uint64), None, np.arange(3))
 
 
 class TestCountAndFoldKernels:
