@@ -47,18 +47,25 @@ def _csr_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     numpy — no per-edge Python tuples and no duplicate-scanning
     :class:`Graph` constructor pass.  One sort of the ``row * n + col``
     key orders the pairs exactly as a ``(row, col)`` lexsort would, at a
-    fraction of the cost.
+    fraction of the cost.  The key is the only full-size int64 array:
+    it is filled in place, row starts are searched in it rather than
+    split off by a ``divmod``, and it becomes the columns in place.
     """
-    key = np.concatenate([u * n + v, v * n + u])
+    m = u.shape[0]
+    key = np.empty(2 * m, dtype=np.int64)
+    for half, a, b in ((key[:m], u, v), (key[m:], v, u)):
+        half[...] = a
+        half *= n
+        half += b
     key.sort()
     if key.shape[0]:
-        keep = np.ones(key.shape[0], dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        key = key[keep]
-    rows, cols = np.divmod(key, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Graph.from_csr(n, indptr, cols, validate=False)
+        repeat = key[1:] == key[:-1]
+        if repeat.any():
+            key = key[np.concatenate([[True], ~repeat])]
+        del repeat
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(key, n, out=key)
+    return Graph.from_csr(n, indptr, key, validate=False)
 
 
 #: Bit budget of the repair loop's composite sort key: ``(key << shift) |
@@ -95,23 +102,30 @@ def _random_regular_direct(n: int, d: int, gen: np.random.Generator) -> Graph:
     equal number of random good edges is broken up to re-open the mixing.
     For ``d ≪ n`` this converges in a handful of rounds w.h.p.
     """
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    # Endpoints in int32 where n allows; only the pair keys need int64.
+    ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    stubs = np.repeat(np.arange(n, dtype=ids), d)
     gen.shuffle(stubs)
     u, v = stubs[0::2].copy(), stubs[1::2].copy()
+    del stubs
     stall, last_bad = 0, u.shape[0] + 1
     for _ in range(1000):
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        key = lo * n + hi
+        key = np.minimum(u, v).astype(np.int64)
+        key *= n
+        key += np.maximum(u, v)
         order = _stable_order(key, n * n)
         sorted_key = key[order]
-        bad = u == v
+        del key
         # Mark every repeat of an unordered pair past its first occurrence.
-        repeats = np.zeros(key.shape[0], dtype=bool)
+        repeats = np.zeros(sorted_key.shape[0], dtype=bool)
         repeats[order[1:]] = sorted_key[1:] == sorted_key[:-1]
+        del order, sorted_key
+        bad = u == v
         bad |= repeats
+        del repeats
         n_bad = int(bad.sum())
         if n_bad == 0:
+            del bad
             return _csr_from_pairs(n, u, v)
         stall = stall + 1 if n_bad >= last_bad else 0
         last_bad = n_bad

@@ -202,7 +202,8 @@ class CSRAdjacency:
         those rows.  Single-word rows gather from the flat word column,
         numpy's 1-D fast path (~2× the row gathers).  The general plan
         walks the degree-descending prefixes over all rows and restricts
-        the result to ``rows``.
+        the result to ``rows``; it folds in degree order (the slot-``k``
+        vertices are a prefix) and scatters each accumulator back once.
         """
         n, w = words.shape
         if n != self.n:
@@ -215,19 +216,23 @@ class CSRAdjacency:
         shape = (size,) if flat else (size, w)
         accs = [np.zeros(shape, dtype=src.dtype) for _ in range(planes)]
         if not regular:
+            # Accumulate in degree order, where slot k's vertices are the
+            # prefix order[:m]: every update runs on prefix views, and one
+            # scatter per accumulator puts the rows back in vertex order.
             _, order, starts, slot_counts = plan
+            ranked, accs = accs, [np.empty_like(a) for a in accs]
+            buf, spare = np.empty_like(accs[0]), np.empty_like(accs[0])
             for k, m in enumerate(slot_counts):
-                at = order[:m]
-                got = src[self.indices[starts[:m] + np.int64(k)]]
+                nbrs = self.indices[starts[:m] + np.int64(k)]
                 if k == 0:
-                    accs[0][at] = got
+                    src.take(nbrs, 0, ranked[0][:m], "clip")
                     continue
-                block = [a[at] for a in accs]
-                update(k, block, got, np.empty_like(got))
-                for a, b in zip(accs, block):
-                    a[at] = b
+                src.take(nbrs, 0, buf[:m], "clip")
+                update(k, [a[:m] for a in ranked], buf[:m], spare[:m])
+            for a, r in zip(accs, ranked):
+                _put_rows(a, order, r)
             if rows is not None:
-                accs = [a[rows] for a in accs]
+                accs = [a.take(rows, axis=0) for a in accs]
         elif size and self.max_degree:
             # The writeable array the frozen plan views: np.take copies a
             # read-only index array on every call.  Read here, never written.

@@ -266,19 +266,26 @@ class FirstInformedPlanes:
         """The ``(n, trials)`` int64 first-informed matrix: the recorded
         round, ``0`` for cells informed but never recorded (the initial
         ones), ``-1`` for cells never informed.  Decoded in row blocks, so
-        no transient beyond one block's ``(rows, trials)`` is allocated."""
+        no transient beyond one block's ``(rows, trials)`` is allocated.
+
+        The planes are shifted and ORed in the narrowest unsigned lane
+        that holds ``2^planes - 1`` (uint8 for rounds below 256: an eighth
+        of int64's bytes per pass), then cast once into the int64 block."""
         n = self._shape[0]
         out = np.empty((n, trials), dtype=np.int64)
-        shifted = np.empty((min(n, _DECODE_ROW_BLOCK), trials), dtype=np.int64)
+        lane = np.min_scalar_type((1 << len(self._planes)) - 1)
+        acc_buf = np.empty((min(n, _DECODE_ROW_BLOCK), trials), dtype=lane)
+        shifted = np.empty_like(acc_buf)
         for s in range(0, n, _DECODE_ROW_BLOCK):
             hi = min(s + _DECODE_ROW_BLOCK, n)
-            block = out[s:hi]
-            block.fill(0)
-            buf = shifted[: hi - s]
+            acc, buf = acc_buf[: hi - s], shifted[: hi - s]
+            acc.fill(0)
             for b, plane in enumerate(self._planes):
                 bits = _unpack_bits(plane[s:hi], trials)
-                np.left_shift(bits, b, out=buf, dtype=np.int64)
-                block |= buf
+                np.left_shift(bits, b, out=buf, dtype=lane)
+                acc |= buf
+            block = out[s:hi]
+            block[...] = acc
             block[_unpack_bits(informed_words[s:hi], trials) == 0] = -1
         return out
 
@@ -330,10 +337,9 @@ def packed_counter_coins(
     The hash comes from the row-blocked lattice generator that
     :func:`repro._util.rng.counter_coins` also uses — one implementation,
     so the dense and packed engines cannot drift apart — with the same
-    exact final-step shortcut; comparisons land in a reused bool buffer
-    whose rows are padded to whole words, so each
-    :data:`_COIN_PACK_BLOCK`-row super-block packs as one flat bit stream
-    (a row-wise ``packbits`` costs ~3.5× as much).
+    exact final-step shortcut, over the running trials' keys only; the
+    bits are packed by :func:`_pack_coin_rows`.  At ``p = 1`` no hash is
+    needed: every computed row is the running mask.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     trials = keys.shape[0]
@@ -363,48 +369,109 @@ def packed_counter_coins(
             rows = None  # full node set: slices beat gathers
         elif rows.size == 0:
             return out
-    count = n if rows is None else rows.size
-    # Inactive trials' bit columns, and the pad lanes up to whole words,
-    # stay zero: comparisons only ever write the active columns of the
-    # reused buffer.
-    coins = np.zeros((min(_COIN_PACK_BLOCK, count), w * WORD_BITS), dtype=bool)
-    lanes = coins[:, :trials]
-    sure = threshold >= 2**32
-    if sure:
-        if cols is None:
-            lanes[:] = True
-        else:
-            lanes[:, cols] = True
+    dest = out if rows is None else np.empty((rows.size, w), dtype=np.uint64)
+    if threshold >= 2**32:
+        # Every computed bit is set: each row is the running mask.
+        dest[:] = (
+            full_mask_words(trials) if active is None
+            else pack_bool_matrix(active[None, :])[0]
+        )
     else:
-        thr = np.uint32(threshold)
-        final_shift = not _threshold_exact_without_final_shift(threshold)
-        nh = _node_hashes(n)
-        if rows is not None:
-            nh = nh[rows]
-        blocks = _lattice_blocks(act_keys, round_index, nh, _COIN_ROW_BLOCK)
+        _pack_coin_rows(act_keys, round_index, n, threshold, rows, cols, dest)
+    if rows is not None:
+        out[rows] = dest
+    return out
+
+
+def _pack_coin_rows(keys, round_index, n, threshold, rows, cols, dest) -> None:
+    """The hashed half of :func:`packed_counter_coins`: write the coins of
+    ``keys`` (the running trials', at trial columns ``cols``, or all of
+    them for ``None``) at node ``rows`` into the ``(len(rows), W)`` words
+    ``dest``.
+
+    Comparisons of each :data:`_COIN_PACK_BLOCK`-row super-block land in
+    one reused bool buffer whose rows are padded to whole bytes, which
+    packs as one flat bit stream (a row-wise ``packbits`` costs ~3.5× as
+    much).  At full width the buffer rows are padded to whole words, so
+    the stream *is* the words.  With trials retired it holds the compact
+    running-width lattice instead, and each packed byte is deposited at
+    its trials' bit positions through a 256-entry table
+    (:func:`_deposit_tables`): one ``take`` and one OR per byte, where a
+    fancy column write into a full-width buffer costs ~4× as much.
+    """
+    count = dest.shape[0]
+    if cols is None:
+        width = dest.shape[1] * WORD_BITS
+    else:
+        width = 8 * ceil_div(keys.shape[0], 8)
+        if keys.shape[0] > 1:
+            # Running lanes padded to whole bytes with repeats of their
+            # keys: a compare into a strided row costs ~5 ns a row more
+            # than hashing the pad lanes, and the deposit tables drop
+            # their bits.  One lane is a strided column, numpy's fast
+            # path.
+            keys = np.resize(keys, width)
+        tables = _deposit_tables(cols, dest.shape[1])
+        spare = np.empty_like(dest[: min(_COIN_PACK_BLOCK, count)])
+    k = keys.shape[0]
+    # At full width the pad lanes past the T trials stay zero: comparisons
+    # only ever write the first T columns of the reused buffer.
+    coins = np.zeros((min(_COIN_PACK_BLOCK, count), width), dtype=bool)
+    lanes = coins[:, :k]
+    thr = np.uint32(threshold)
+    final_shift = not _threshold_exact_without_final_shift(threshold)
+    nh = _node_hashes(n)
+    if rows is not None:
+        nh = nh[rows]
+    # A hash chunk holds about as many cells as _COIN_ROW_BLOCK rows at
+    # full 64-trial width: a few running trials take longer chunks, so
+    # the per-chunk dispatch stays amortised.  Chunks tile the pack block
+    # exactly (its size is a power-of-two multiple of theirs).
+    chunk = _COIN_ROW_BLOCK
+    while chunk < _COIN_PACK_BLOCK and 2 * chunk * k <= _COIN_ROW_BLOCK * WORD_BITS:
+        chunk *= 2
+    blocks = _lattice_blocks(keys, round_index, nh, chunk)
     for ps in range(0, count, _COIN_PACK_BLOCK):
         pm = min(_COIN_PACK_BLOCK, count - ps)
-        if not sure:
-            # Hash chunks tile the pack block exactly (its size is a
-            # multiple of theirs).
-            for s in range(ps, ps + pm, _COIN_ROW_BLOCK):
-                _, z = next(blocks)
-                if final_shift:
-                    _finish(z)
-                dest = lanes[s - ps : s - ps + z.shape[0]]
-                if cols is None:
-                    np.less(z, thr, out=dest)
-                else:
-                    dest[:, cols] = z < thr
-        # Row v's bytes in the flat stream are word v's, little-endian
+        for s in range(ps, ps + pm, chunk):
+            _, z = next(blocks)
+            if final_shift:
+                _finish(z)
+            np.less(z, thr, out=lanes[s - ps : s - ps + z.shape[0]])
+        # Row v's bytes in the flat stream are its lanes, little-endian
         # (the pack_bool_matrix layout).
-        packed = np.packbits(coins[:pm], bitorder="little").view("<u8")
-        packed = packed.reshape(pm, w)
-        if rows is None:
-            out[ps : ps + pm] = packed
-        else:
-            out[rows[ps : ps + pm]] = packed
-    return out
+        packed = np.packbits(coins[:pm], bitorder="little")
+        block = dest[ps : ps + pm]
+        if cols is None:
+            block[:] = packed.view("<u8").reshape(pm, -1)
+            continue
+        packed = packed.reshape(pm, -1)
+        tmp = spare[:pm]
+        tables[0].take(packed[:, 0], 0, block, "clip")
+        for j in range(1, packed.shape[1]):
+            tables[j].take(packed[:, j], 0, tmp, "clip")
+            block |= tmp
+
+
+def _deposit_tables(cols: np.ndarray, words: int) -> np.ndarray:
+    """``(ceil(len(cols) / 8), 256, words)`` uint64 deposit tables:
+    ``tables[j, b]`` is the word row with bit ``cols[8j + i]`` set for
+    every set bit ``i`` of byte value ``b`` — compact byte ``j`` of a
+    packed running-width row, moved to its trials' bit positions.  Built
+    by doubling: the entries for ``[2^i, 2^(i+1))`` are the first
+    ``2^i`` with bit ``i``'s word ORed in."""
+    kb = ceil_div(cols.size, 8)
+    single = np.zeros((kb * 8, words), dtype=np.uint64)
+    single[np.arange(cols.size), cols // WORD_BITS] = np.left_shift(
+        np.uint64(1), (cols % WORD_BITS).astype(np.uint64)
+    )
+    single = single.reshape(kb, 8, words)
+    tables = np.zeros((kb, 256, words), dtype=np.uint64)
+    for i in range(8):
+        np.bitwise_or(
+            tables[:, : 1 << i], single[:, i, None], out=tables[:, 1 << i : 2 << i]
+        )
+    return tables
 
 
 def exactly_one_words(csr, transmit_words: np.ndarray) -> np.ndarray:

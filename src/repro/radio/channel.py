@@ -269,7 +269,7 @@ class ErasureChannel(ChannelModel):
     def deliver_words(
         self, round_index: int, transmit_words: np.ndarray, network
     ) -> np.ndarray:
-        from repro.radio.bitset import packed_counter_coins, word_count
+        from repro.radio.bitset import packed_counter_coins, row_flags, word_count
 
         if self._keys is None:
             raise RuntimeError(
@@ -285,7 +285,7 @@ class ErasureChannel(ChannelModel):
         received = network.exactly_one_words(transmit_words) & ~transmit_words
         # Erasure coins only matter where something was received — restrict
         # the hash to those rows (identical bits, less work).
-        rows = np.flatnonzero(received.any(axis=1))
+        rows = np.flatnonzero(row_flags(received))
         if rows.size:
             dropped = packed_counter_coins(
                 self._keys, round_index, transmit_words.shape[0], self.p,

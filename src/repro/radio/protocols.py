@@ -243,11 +243,11 @@ class CounterCoinProtocol(BroadcastProtocol):
         rows: np.ndarray | None = None,
         active: np.ndarray | None = None,
     ) -> np.ndarray:
-        from repro.radio.bitset import packed_counter_coins
+        from repro.radio.bitset import packed_counter_coins, row_flags
 
         if rows is None:
             # Only informed nodes can transmit — skip the hash elsewhere.
-            rows = np.flatnonzero(informed_words.any(axis=1))
+            rows = np.flatnonzero(row_flags(informed_words))
         coins = packed_counter_coins(
             self._keys,
             round_index,

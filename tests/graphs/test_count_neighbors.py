@@ -156,3 +156,42 @@ def test_count_neighbors_rejects_bad_input():
         csr.count_neighbors(np.ones((7, 2), dtype=bool))
     with pytest.raises(ValueError, match="bool"):
         csr.count_neighbors(np.ones((8, 2, 2), dtype=bool))
+
+
+def _thinned_regular(n, d, drop, seed):
+    """``random_regular(n, d)`` with a share ``drop`` of its edges removed:
+    a near-regular graph on the general (irregular) gather plan."""
+    graph = random_regular(n, d, rng=seed)
+    csr = graph.csr
+    rows = np.repeat(np.arange(n), csr.degrees)
+    cols = csr.indices.astype(np.int64)
+    edges = np.column_stack([rows, cols])[rows < cols]
+    keep = np.random.default_rng(seed).random(len(edges)) >= drop
+    return Graph(n, edges[keep])
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("rows_kind", ["none", "few", "all"])
+def test_general_plan_word_folds_match_sparse_product(w, rows_kind):
+    from repro.graphs.graph import _add_slot
+    from repro.radio.bitset import _once_twice_slot, _or_slot, unpack_words
+
+    graph = _thinned_regular(200, 8, 0.1, seed=w)
+    csr = graph.csr
+    assert csr.gather_plan()[0] == "general"
+    rng = np.random.default_rng(w)
+    rows = _rows(rows_kind, graph.n, rng)
+    at = slice(None) if rows is None else rows
+    # The add fold on int64 cells, one word each.
+    values = rng.integers(-(2**40), 2**40, size=(graph.n, w))
+    (acc,) = csr.fold_words(values.view(np.uint64), _add_slot, rows=rows)
+    assert np.array_equal(acc.view(np.int64), (graph.adjacency @ values)[at])
+    # The OR and once/twice folds on sparse trial bits.
+    bits = rng.random((graph.n, 64 * w)) < 0.1
+    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    counts = (graph.adjacency @ bits.astype(np.int64))[at]
+    (heard,) = csr.fold_words(words, _or_slot, rows=rows)
+    once, twice = csr.fold_words(words, _once_twice_slot, planes=2, rows=rows)
+    assert np.array_equal(unpack_words(heard, 64 * w), counts >= 1)
+    assert np.array_equal(unpack_words(once, 64 * w), counts >= 1)
+    assert np.array_equal(unpack_words(twice, 64 * w), counts >= 2)

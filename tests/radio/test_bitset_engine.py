@@ -237,6 +237,59 @@ def test_packed_counter_coins_match_the_packbits_reference(trials, monkeypatch):
                 )
 
 
+def _running_masks(trials, rng):
+    """Running-trial masks the packed loop meets as trials retire."""
+    one = np.zeros(trials, dtype=bool)
+    one[rng.integers(trials)] = True
+    all_but_one = np.ones(trials, dtype=bool)
+    all_but_one[rng.integers(trials)] = False
+    # A few running trials on both sides of every word boundary.
+    straddling = np.zeros(trials, dtype=bool)
+    for edge in range(64, trials, 64):
+        straddling[edge - 3 : edge + 2] = True
+    return {
+        "one": one,
+        "all but one": all_but_one,
+        "straddling": straddling,
+        "random": rng.random(trials) < 0.4,
+    }
+
+
+@pytest.mark.parametrize("trials", (65, 130))
+def test_packed_coins_at_partial_running_masks(trials, monkeypatch):
+    """The running-width kernel and its deposit tables against
+    ``counter_coins`` masked to the running trials."""
+    from repro.radio import bitset
+
+    # Small blocks, so hash chunks of every width tile the pack blocks.
+    monkeypatch.setattr(bitset, "_COIN_ROW_BLOCK", 4)
+    monkeypatch.setattr(bitset, "_COIN_PACK_BLOCK", 16)
+    rng = np.random.default_rng(trials)
+    n = 70
+    keys = rng.integers(0, 2**64, size=trials, dtype=np.uint64)
+    # 0.3 needs murmur's final step, 2^-5 (a decay threshold) skips it.
+    for p in (0.3, 2.0**-5, 1.0):
+        for rows in (None, np.sort(rng.choice(n, size=23, replace=False))):
+            keep = np.zeros(n, dtype=bool)
+            keep[rows if rows is not None else slice(None)] = True
+            ref = counter_coins(keys, 6, n, p) & keep[:, None]
+            for name, active in _running_masks(trials, rng).items():
+                got = packed_counter_coins(keys, 6, n, p, rows=rows, active=active)
+                assert np.array_equal(got, pack_bool_matrix(ref & active)), (
+                    f"p={p} rows={rows is not None} running={name}"
+                )
+            # Trials retiring call by call, as in the engine's loop.
+            running = np.ones(trials, dtype=bool)
+            for r in range(6):
+                running &= rng.random(trials) < 0.7
+                running[r] = True
+                coins = counter_coins(keys, r, n, p) & keep[:, None]
+                got = packed_counter_coins(keys, r, n, p, rows=rows, active=running)
+                assert np.array_equal(got, pack_bool_matrix(coins & running)), (
+                    f"p={p} rows={rows is not None} call {r}"
+                )
+
+
 def test_counter_coin_blocks_matches_sliced_counter_coins():
     rng = np.random.default_rng(11)
     keys = rng.integers(0, 2**64, size=9, dtype=np.uint64)
@@ -826,6 +879,32 @@ class TestCountAndFoldKernels:
         assert np.array_equal(planes.decode(informed, trials), expect)
 
 
+@pytest.mark.parametrize("last", [255, 2**8 + 3, 2**16 - 1, 2**16 + 5, 2**32 + 7])
+def test_first_informed_planes_every_lane_width(last):
+    """Rounds up to ``last`` round-trip whichever decode lane their plane
+    count selects (uint8 to 8 planes, then uint16, uint32, uint64)."""
+    from repro.radio.bitset import FirstInformedPlanes
+
+    n, trials = 30, 70
+    rng = np.random.default_rng(last % 997)
+    expect = np.full((n, trials), -1, dtype=np.int64)
+    expect[rng.random((n, trials)) < 0.1] = 0
+    informed = pack_bool_matrix(expect == 0)
+    planes = FirstInformedPlanes(n, informed.shape[1])
+    rounds = sorted({1, 2, 3, 127, 128, 255, last // 2, last - 1, last})
+    for r in rounds:
+        fresh = (expect == -1) & (rng.random((n, trials)) < 0.1)
+        fresh[r % n] = expect[r % n] == -1
+        expect[fresh] = r
+        packed = pack_bool_matrix(fresh)
+        planes.record(packed, r)
+        informed |= packed
+    assert expect.max() == last and (expect == -1).any()
+    got = planes.decode(informed, trials)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expect)
+
+
 def _run_three_ways(graph, protocol, trials, channel_factory=None, **kw):
     """Dense, bitset, and memory-budget-sharded bitset runs of one batch
     (the shard width is about a third of the batch)."""
@@ -880,6 +959,18 @@ class TestEngineEquivalenceCases:
             # Trials finish in different rounds: the running mask changes
             # while the batch is still going.
             assert np.unique(dense.rounds).size > 1
+
+    def test_staggered_retirement_across_three_words(self):
+        # Trials retire round by round in all three words of T=130, so the
+        # packed coins run at many partial running masks.
+        graph = random_regular(2000, 8, rng=11)
+        runs = _run_three_ways(graph, DecayProtocol, 130, seed=5)
+        _assert_three_equal(runs, "random_regular(2000, 8), T=130")
+        rounds = runs[0].rounds
+        assert runs[0].completed.all()
+        assert np.unique(rounds).size >= 10
+        for word in (rounds[:64], rounds[64:128], rounds[128:]):
+            assert np.unique(word).size > 1
 
     @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
     def test_row_blocked_folds(self, telemetry, monkeypatch):
